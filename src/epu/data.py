@@ -139,6 +139,12 @@ def load_dataset(root: str, mode: str = "binary") -> DatasetManifest:
     )
     if not class_names:
         raise IngestionError(f"dataset root has no class directories: {root}")
+    for name in class_names:
+        # the checkpoint header stores class names as one comma-joined line
+        if "," in name or name.splitlines() != [name]:
+            raise IngestionError(
+                f"class directory name contains a comma or line break: {os.path.join(root, name)!r}"
+            )
     if mode == "binary" and len(class_names) != 2:
         raise IngestionError(
             f"binary mode needs exactly 2 classes, found {len(class_names)} under {root}"

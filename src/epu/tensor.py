@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DimensionError
 
@@ -397,10 +396,65 @@ def flatten_batch(x) -> Tensor:
 # structured layers
 
 
+# Contraction sizes cin*kh*kw up to this run as one GEMM over the stacked
+# shifted windows; larger ones as one GEMM per kernel offset. numpy's
+# per-offset matmul is slow when K = cin is a handful of channels, while the
+# stacked transient grows with cin*kh*kw. At 64 px and batch 64 the measured
+# crossover lies between 36 and 54.
+_STACKED_MAX_PATCH = 36
+
+
+def _pad_flat(a: Array, ph: int, pw: int):
+    """Zero-pad H by `ph` and W by `pw` on both sides (negative amounts crop),
+    then row-flatten with one spare zero row.
+
+    Returns (flat, hp, wp) where flat has shape (B, C, (hp + 1) * wp). The
+    spare row keeps every shifted window of `_xcorr` inside the buffer.
+    """
+    batch, ch, h, w = a.shape
+    hp, wp = h + 2 * ph, w + 2 * pw
+    flat = np.zeros((batch, ch, hp + 1, wp), dtype=a.dtype)
+    cut_h, cut_w = max(-ph, 0), max(-pw, 0)
+    src = a[:, :, cut_h : h - cut_h, cut_w : w - cut_w]
+    top, left = max(ph, 0), max(pw, 0)
+    flat[:, :, top : top + src.shape[2], left : left + src.shape[3]] = src
+    return flat.reshape(batch, ch, (hp + 1) * wp), hp, wp
+
+
+def _xcorr(flat: Array, hp: int, wp: int, kernels: Array) -> Array:
+    """Stride-1 cross-correlation of a `_pad_flat` buffer with OIHW kernels.
+
+    Kernel offset (i, j) reads the contiguous window flat[..., o : o + ho*wp]
+    with o = i*wp + j, so each offset is one GEMM over row-flattened pixels.
+    Returns (B, O, ho, wp); the last kw - 1 columns of every row wrap into
+    the next row and are dropped by the caller.
+    """
+    batch, cin = flat.shape[:2]
+    cout, _, kh, kw = kernels.shape
+    ho = hp - kh + 1
+    span = ho * wp
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+    if cin * kh * kw <= _STACKED_MAX_PATCH:
+        stacked = np.empty((batch, cin, kh * kw, span), dtype=flat.dtype)
+        for n, o in enumerate(offsets):
+            stacked[:, :, n] = flat[:, :, o : o + span]
+        out = np.matmul(kernels.reshape(cout, -1), stacked.reshape(batch, -1, span))
+    else:
+        # one contiguous (O, C) matrix per offset, so numpy's matmul hands it to BLAS
+        per_offset = np.ascontiguousarray(kernels.transpose(2, 3, 0, 1)).reshape(-1, cout, cin)
+        out = np.matmul(per_offset[0], flat[:, :, :span])
+        tmp = np.empty_like(out)
+        for n, o in enumerate(offsets[1:], 1):
+            out += np.matmul(per_offset[n], flat[:, :, o : o + span], out=tmp)
+    return out.reshape(batch, cout, ho, wp)
+
+
 def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over NCHW input, no bias.
 
     kernels has shape (out_channels, in_channels, k, k); zero padding.
+    Stride > 1 subsamples the stride-1 result; its gradient flows back
+    through the stride-1 gradient, zero between the samples.
     """
     x, kt = _astensor(x), _astensor(kernels)
     if x.data.ndim != 4:
@@ -419,32 +473,27 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     if kh > hp or kw > wp:
         raise DimensionError(f"kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
-    ho, wo = windows.shape[2], windows.shape[3]
-    out = np.tensordot(windows, kt.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    flat, _, _ = _pad_flat(x.data, padding, padding)
+    ho, wo = hp - kh + 1, wp - kw + 1
+    out = np.ascontiguousarray(_xcorr(flat, hp, wp, kt.data)[:, :, ::stride, :wo:stride])
 
     def grad_fn(up, fresh):
+        # stride-1 gradient, widened with zero columns to the padded row width
+        g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
+        g1[:, :, ::stride, :wo:stride] = up
         if kt.requires_grad:
-            gk = np.tensordot(up, windows, axes=([0, 2, 3], [0, 2, 3]))
+            span = ho * wp
+            rows = g1.reshape(batch, cout, span)
+            gk = np.empty(kt.data.shape, dtype=np.result_type(up, flat))
+            for i in range(kh):
+                for j in range(kw):
+                    window = flat[:, :, i * wp + j : i * wp + j + span]
+                    gk[:, :, i, j] = np.matmul(rows, window.transpose(0, 2, 1)).sum(axis=0)
             _push(fresh, kt, gk)
         if x.requires_grad:
-            gcols = np.tensordot(up, kt.data, axes=([1], [0]))  # (B, Ho, Wo, C, kh, kw)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                re = i + (ho - 1) * stride + 1
-                for j in range(kw):
-                    ce = j + (wo - 1) * stride + 1
-                    gxp[:, :, i:re:stride, j:ce:stride] += gcols[..., i, j].transpose(0, 3, 1, 2)
-            if padding:
-                gxp = gxp[:, :, padding : padding + h, padding : padding + w]
-            _push(fresh, x, gxp)
+            flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gflat, ghp, gwp = _pad_flat(g1[..., :wo], kh - 1 - padding, kw - 1 - padding)
+            _push(fresh, x, _xcorr(gflat, ghp, gwp, flipped)[..., :w])
 
     return _node(out, (x, kt), grad_fn)
 

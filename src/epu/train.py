@@ -9,6 +9,7 @@ are a small self-describing binary format with a payload checksum.
 from __future__ import annotations
 
 import dataclasses
+import os
 import zlib
 from dataclasses import dataclass
 
@@ -217,8 +218,18 @@ def save_checkpoint(model: EpuModel, path: str, epoch: int = 0, seed: int = 0) -
     count = sum(a.size for _, a in entries)
     blob = CHECKPOINT_MAGIC + _header_blob(model, epoch, seed, count) + b"\n"
     blob += payload + zlib.crc32(payload).to_bytes(4, "little")
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    # a crash mid-write leaves the temporary file, never a truncated checkpoint
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_checkpoint_header(path: str) -> dict:
@@ -289,9 +300,13 @@ def load_checkpoint(path: str) -> EpuModel:
         pfm_labels=pfm_labels,
         class_names=class_names,
     )
+    entries = model.state_entries()
+    size = sum(arr.size for _, arr in entries)
+    if size != count:
+        raise CheckpointError(f"header describes a model of {size} floats, param_count says {count}")
     flat = np.frombuffer(payload, dtype="<f4")
     offset = 0
-    for _, arr in model.state_entries():
+    for _, arr in entries:
         arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
         offset += arr.size
     return model

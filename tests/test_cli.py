@@ -271,6 +271,31 @@ def test_explain_garbage_checkpoint_exit3(tmp_path, ds_root):
     assert proc.returncode == 3
 
 
+def test_explain_header_size_mismatch_exit3(tmp_path, trained, ds_root):
+    blob = (trained / "checkpoint.epu").read_bytes()
+    for width in (b"3", b"5"):
+        edited = tmp_path / f"fc{width.decode()}.epu"
+        edited.write_bytes(blob.replace(b"fc_width = 4\n", b"fc_width = " + width + b"\n", 1))
+        proc = run_cli(
+            ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"),
+             "--out", str(tmp_path / "e")],
+            tmp_path,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "param_count" in proc.stderr
+
+
+def test_train_comma_class_dir_exit2(tmp_path, ds_root):
+    data = tmp_path / "data"
+    (data / "a,b").mkdir(parents=True)
+    (data / "c").mkdir()
+    for cls, src in (("a,b", "disk/00000.ppm"), ("c", "crescent/00000.ppm")):
+        (data / cls / "0.ppm").write_bytes((ds_root / src).read_bytes())
+    proc = run_cli(["train", "--data", str(data), "--out", str(tmp_path / "run"), *TINY_FLAGS], tmp_path)
+    assert proc.returncode == 2
+    assert "a,b" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # global-explain
 

@@ -184,6 +184,14 @@ def test_load_dataset_empty_class_dir_named(tmp_path):
     assert "banana" in str(exc.value)
 
 
+def test_load_dataset_rejects_comma_class_name(tmp_path):
+    # "a,b" would reload from a checkpoint header as two class names
+    _make_tree(str(tmp_path), ["a,b", "c"])
+    with pytest.raises(IngestionError) as exc:
+        load_dataset(str(tmp_path))
+    assert "a,b" in str(exc.value)
+
+
 def test_load_dataset_binary_mode_needs_two(tmp_path):
     _make_tree(str(tmp_path), ["a", "b", "c"])
     with pytest.raises(IngestionError):

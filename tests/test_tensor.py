@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,23 +39,52 @@ def test_conv2d_channel_mismatch():
         T.conv2d(x, k)
 
 
+def _conv2d_direct(x, k, up, stride, pad):
+    """Forward, grad-w and grad-x of conv2d by direct float64 loops over output pixels."""
+    kh, kw = k.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    out = np.zeros((x.shape[0], k.shape[0], ho, wo))
+    gk = np.zeros(k.shape)
+    gxp = np.zeros(xp.shape)
+    for i in range(ho):
+        for j in range(wo):
+            rows = slice(i * stride, i * stride + kh)
+            cols = slice(j * stride, j * stride + kw)
+            patch = xp[:, :, rows, cols]
+            for b in range(x.shape[0]):
+                for o in range(k.shape[0]):
+                    out[b, o, i, j] = (patch[b] * k[o]).sum()
+                    gk[o] += up[b, o, i, j] * patch[b]
+                    gxp[b, :, rows, cols] += up[b, o, i, j] * k[o]
+    gx = gxp[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]]
+    return out, gk, gx
+
+
 def test_conv2d_matches_direct_loops():
+    # forward, grad-w and grad-x against float64 loops, with a non-uniform upstream
+    # gradient; input channels on both sides of the stacked/per-offset GEMM choice,
+    # padding 3 > kernel 3 - 1 crops the upstream gradient for grad-x
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 3, 6, 7))
-    k = rng.standard_normal((4, 3, 3, 3))
-    for stride, pad in [(1, 0), (1, 1), (2, 1), (3, 0)]:
-        out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, padding=pad).data
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        ho = (xp.shape[2] - 3) // stride + 1
-        wo = (xp.shape[3] - 3) // stride + 1
-        ref = np.zeros((2, 4, ho, wo), dtype=x.dtype)
-        for b in range(2):
-            for o in range(4):
-                for i in range(ho):
-                    for j in range(wo):
-                        patch = xp[b, :, i * stride : i * stride + 3, j * stride : j * stride + 3]
-                        ref[b, o, i, j] = (patch * k[o]).sum()
-        assert np.allclose(out, ref, atol=1e-5)
+    grid = itertools.product((1, 3, 8), (3, 5), (1, 2, 3), (0, 1, 2, 3), (1, 3))
+    for cin, ksize, stride, pad, batch in grid:
+        x = rng.standard_normal((batch, cin, 7, 9))
+        k = rng.standard_normal((2, cin, ksize, ksize))
+        ho = (7 + 2 * pad - ksize) // stride + 1
+        wo = (9 + 2 * pad - ksize) // stride + 1
+        up = rng.standard_normal((batch, 2, ho, wo))
+        ref_out, ref_gk, ref_gx = _conv2d_direct(x, k, up, stride, pad)
+        for dtype, rtol in ((np.float64, 1e-10), (np.float32, 1e-4)):
+            xt = T.Tensor(x.astype(dtype), requires_grad=True)
+            kt = T.Tensor(k.astype(dtype), requires_grad=True)
+            out = T.conv2d(xt, kt, stride=stride, padding=pad)
+            T.mul(out, T.Tensor(up.astype(dtype))).sum().backward()
+            case = (cin, ksize, stride, pad, batch, dtype.__name__)
+            for got, ref in ((out.data, ref_out), (kt.grad, ref_gk), (xt.grad, ref_gx)):
+                assert got.dtype == dtype, case
+                assert got.shape == ref.shape, case
+                assert np.allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max()), case
 
 
 def test_conv2d_gradcheck_spec_shape():

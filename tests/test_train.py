@@ -373,6 +373,33 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_header_size_mismatch(tmp_path):
+    # a narrower fc layer used to load with misaligned weights, a wider one raised ValueError
+    model = _trained_tiny()
+    path = str(tmp_path / "m.epu")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    for width in (b"3", b"5"):
+        edited = str(tmp_path / f"fc{width.decode()}.epu")
+        open(edited, "wb").write(blob.replace(b"fc_width = 4\n", b"fc_width = " + width + b"\n", 1))
+        with pytest.raises(CheckpointError, match=r"header describes a model of \d+ floats, param_count says \d+"):
+            load_checkpoint(edited)
+
+
+def test_checkpoint_save_replaces_whole(tmp_path):
+    path = tmp_path / "m.epu"
+    save_checkpoint(build_model(PRESETS["desk"], seed=0, class_names=("a", "b")), str(path))
+    first_inode = path.stat().st_ino
+    model = _trained_tiny()
+    save_checkpoint(model, str(path))
+    save_checkpoint(model, str(tmp_path / "fresh.epu"))
+    # a new file renamed over the old one, not the old one rewritten in place
+    assert path.stat().st_ino != first_inode
+    assert path.read_bytes() == (tmp_path / "fresh.epu").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.epu", "m.epu"]
+    assert load_checkpoint(str(path)).arch == TINY
+
+
 def test_checkpoint_header_contents(tmp_path):
     model = build_model(PRESETS["desk"], seed=0, class_names=("a", "b"))
     path = str(tmp_path / "desk.epu")
