@@ -223,24 +223,30 @@ class EpuModel:
         multiclass returns (class distributions (B, n_classes), per-subnet
         logit tensors). Scores sum in sub-network index order.
         """
+        contribs = [
+            sn.forward(x, training, cache=cache)
+            for sn, x in zip(self.subnets, self.subnet_inputs(stacks))
+        ]
+        return self.head(contribs), contribs
+
+    def subnet_inputs(self, stacks) -> list[Tensor]:
+        """Split (B, N, S, S) stacks, or one PfmStack, into N (B, 1, S, S) inputs."""
         data = stacks.maps[None] if isinstance(stacks, PfmStack) else np.asarray(stacks)
         if data.ndim != 4 or data.shape[1] != self.n_pfms:
             raise DimensionError(
                 f"expected stacks shaped (B, {self.n_pfms}, S, S), got {data.shape}"
             )
-        contribs = []
-        for i, sn in enumerate(self.subnets):
-            xi = Tensor(np.ascontiguousarray(data[:, i : i + 1]))
-            contribs.append(sn.forward(xi, training, cache=cache))
+        return [Tensor(np.ascontiguousarray(data[:, i : i + 1])) for i in range(self.n_pfms)]
+
+    def head(self, contribs) -> Tensor:
+        """Scores summed in index order plus beta, then sigmoid or softmax."""
         total = contribs[0]
         for c in contribs[1:]:
             total = T.add(total, c)
         logits = T.add(total, self.beta.tensor)
         if self.mode == "binary":
-            prob = T.sigmoid(T.reshape(logits, (data.shape[0],)))
-        else:
-            prob = T.softmax(logits, axis=-1)
-        return prob, contribs
+            return T.sigmoid(T.reshape(logits, (logits.data.shape[0],)))
+        return T.softmax(logits, axis=-1)
 
 
 def build_model(

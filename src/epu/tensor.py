@@ -6,9 +6,12 @@ arithmetic glue for additive heads and cross-entropy losses. The operation
 graph is recorded on the tensors themselves (parent links plus a backward
 closure per node) and replayed in reverse topological order by `backward`.
 
-Gradients accumulate: each backward call adds its contribution to `.grad` of
-every requires-grad tensor in the ancestry, so two calls double the grads
-unless they are zeroed in between.
+Gradients land on leaves only: each backward call adds its contribution to
+`.grad` of every requires-grad leaf (a tensor with no backward closure) in the
+ancestry, so two calls double the grads unless they are zeroed in between.
+Intermediate nodes pass their gradient on and keep no `.grad`. A sweep may
+start from any node with an explicit seed gradient, so a graph can be cut at
+a node and swept in stages.
 """
 from __future__ import annotations
 
@@ -180,18 +183,26 @@ def _unbroadcast(g: Array, shape) -> Array:
     return g.reshape(shape)
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss.
+def backward(root: Tensor, grad: Array | None = None) -> None:
+    """Reverse-mode sweep from `root`, seeded with `grad`.
 
-    Accumulates into `.grad` of every requires-grad tensor reachable from
-    `loss`. Propagation uses per-call fresh gradients so repeated calls add
-    rather than compound.
+    Without `grad` the root must be a scalar loss and the seed is one. With
+    it, `grad` must have the root's shape and stands for d(loss)/d(root) of a
+    loss further down the graph. Accumulates into `.grad` of every
+    requires-grad leaf reachable from `root`. Propagation uses per-call fresh
+    gradients so repeated calls add rather than compound.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if grad is None:
+        if root.data.size != 1:
+            raise ContractError(f"backward requires a scalar loss, got shape {root.data.shape}")
+        grad = np.ones_like(root.data)
+    else:
+        grad = np.asarray(grad)
+        if grad.shape != root.data.shape:
+            raise ContractError(f"backward seed has shape {grad.shape}, root has shape {root.data.shape}")
     topo: list[Tensor] = []
     seen = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -205,17 +216,17 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    fresh: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    fresh: dict[int, Array] = {id(root): grad}
     for node in reversed(topo):
         g = fresh.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if node._grad_fn is not None:
+            node._grad_fn(g, fresh)
+        elif node.requires_grad:
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
-        if node._grad_fn is not None:
-            node._grad_fn(g, fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
 """Joint training of all sub-networks against one shared binary cross-entropy.
 
-Every batch takes a single backward pass, so sub-network weights and the
-intercept move together, never independently.  Orientation augmentation is
-applied to raw images each epoch, before feature-map extraction.  Checkpoints
-are a small self-describing binary format with a payload checksum.
+Every batch takes one loss, swept backward in two stages cut at the
+per-sub-network scores: first from the loss to the scores and the intercept,
+then from each score through its own sub-network. Sub-network weights and the
+intercept therefore move together, never independently. The sub-networks
+share nothing but the loss gradient at their scores, so their forward passes
+and their backward sweeps run on a thread pool of up to one worker per core;
+each runs on one thread, and the results do not depend on the worker count.
+Orientation augmentation is applied to raw images each epoch, before
+feature-map extraction.  Checkpoints are a small self-describing binary format
+with a payload checksum.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +102,45 @@ def _batch_arrays(batch):
     return stacks, labels
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _pool_map(pool, fn, *iterables) -> list:
+    """`pool.map` with each call in a copy of the caller's context, so
+    context-local settings such as `np.errstate` reach the workers."""
+    futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in zip(*iterables)]
+    return [f.result() for f in futures]
+
+
+def _train_step(model: EpuModel, pool, stacks, labels, params, lr: float):
+    """Forward, backward and update on one batch; returns (loss, probabilities).
+
+    The graph lives only in this frame, so it is freed before the next batch.
+    The head runs on the scores' values wrapped in leaf tensors (the cuts),
+    so the first sweep stops there and leaves d(loss)/d(score) on each cut.
+    """
+    scores = _pool_map(
+        pool, lambda sn, x: sn.forward(x, training=True), model.subnets, model.subnet_inputs(stacks)
+    )
+    cuts = [Tensor(s.data, requires_grad=True) for s in scores]
+    prob = model.head(cuts)
+    loss = bce_loss(prob, labels)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise TrainingDivergedError(f"non-finite loss {value}")
+    T.zero_grads(params)
+    T.backward(loss)
+    _pool_map(pool, lambda s, c: T.backward(s, c.grad), scores, cuts)
+    T.sgd_step(params, lr)
+    return value, prob.data
+
+
 def train_epoch(model: EpuModel, samples, config: TrainConfig, rng=None) -> EpochStats:
-    """One pass over shuffled mini-batches; one backward per batch."""
+    """One pass over shuffled mini-batches; one loss and update per batch."""
     if model.mode != "binary":
         raise ConfigError("train_epoch drives binary models only")
     if len(samples) == 0:
@@ -109,19 +154,13 @@ def train_epoch(model: EpuModel, samples, config: TrainConfig, rng=None) -> Epoc
     params = model.parameters()
     loss_sum = 0.0
     correct = 0
-    for start in range(0, len(samples), config.batch_size):
-        batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
-        stacks, labels = _batch_arrays(batch)
-        prob, _ = model.forward_batch(stacks, training=True)
-        loss = bce_loss(prob, labels)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise TrainingDivergedError(f"non-finite loss {value}")
-        T.zero_grads(params)
-        T.backward(loss)
-        T.sgd_step(params, config.lr)
-        loss_sum += value * len(batch)
-        correct += int(np.sum((prob.data >= 0.5).astype(np.int64) == labels.astype(np.int64)))
+    with ThreadPoolExecutor(max_workers=min(model.n_pfms, _usable_cores())) as pool:
+        for start in range(0, len(samples), config.batch_size):
+            batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
+            stacks, labels = _batch_arrays(batch)
+            value, prob = _train_step(model, pool, stacks, labels, params, config.lr)
+            loss_sum += value * len(batch)
+            correct += int(np.sum((prob >= 0.5).astype(np.int64) == labels.astype(np.int64)))
     n = len(samples)
     return EpochStats(loss=loss_sum / n, accuracy=correct / n)
 
@@ -287,19 +326,22 @@ def load_checkpoint(path: str) -> EpuModel:
         class_names = (
             tuple(header["class_names"].split(",")) if "class_names" in header else None
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"bad header field: {exc}") from exc
     if len(payload) != 4 * count:
         raise CheckpointError(f"payload holds {len(payload) // 4} floats, header says {count}")
-    model = build_model(
-        arch,
-        n_pfms=n_pfms,
-        mode=mode,
-        seed=0,
-        n_classes=n_classes,
-        pfm_labels=pfm_labels,
-        class_names=class_names,
-    )
+    try:
+        model = build_model(
+            arch,
+            n_pfms=n_pfms,
+            mode=mode,
+            seed=0,
+            n_classes=n_classes,
+            pfm_labels=pfm_labels,
+            class_names=class_names,
+        )
+    except ConfigError as exc:
+        raise CheckpointError(f"bad header field: {exc}") from exc
     entries = model.state_entries()
     size = sum(arr.size for _, arr in entries)
     if size != count:

@@ -285,6 +285,27 @@ def test_explain_header_size_mismatch_exit3(tmp_path, trained, ds_root):
         assert "param_count" in proc.stderr
 
 
+def test_explain_header_out_of_range_exit3(tmp_path, trained, ds_root):
+    blob = (trained / "checkpoint.epu").read_bytes()
+    edits = (
+        (b"kernel_size = 3\n", b"kernel_size = 4\n"),
+        (b"fc_width = 4\n", b"fc_width = 0\n"),
+        (b"mode = binary\n", b"mode = other\n"),
+        (b"n_pfms = 4\n", b"n_pfms = 0\n"),
+    )
+    for n, (old, new) in enumerate(edits):
+        assert old in blob
+        edited = tmp_path / f"edit{n}.epu"
+        edited.write_bytes(blob.replace(old, new, 1))
+        proc = run_cli(
+            ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"),
+             "--out", str(tmp_path / "e")],
+            tmp_path,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "bad header field" in proc.stderr
+
+
 def test_train_comma_class_dir_exit2(tmp_path, ds_root):
     data = tmp_path / "data"
     (data / "a,b").mkdir(parents=True)

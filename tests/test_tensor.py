@@ -283,6 +283,46 @@ def test_backward_accumulates_across_calls():
     assert np.allclose(x.grad, 2.0 * first)
 
 
+def _fan_out_graph(rng):
+    """Leaves (x, k, w) and a (2, 3) root whose conv output feeds two branches."""
+    x = T.Tensor(rng.standard_normal((2, 1, 5, 5)), requires_grad=True)
+    k = T.Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((8, 3)), requires_grad=True)
+    h = T.relu(T.conv2d(x, k, padding=1))
+    h = T.add(T.maxpool2d(h, 2), T.tanh(T.maxpool2d(h, 2)))
+    return (x, k, w), T.matmul(T.flatten_batch(T.maxpool2d(h, 2)), w)
+
+
+def test_backward_seed_matches_weighted_sum():
+    # seeding d(loss)/d(root) directly equals sweeping sum(root * g) from the top
+    g = np.random.default_rng(1).standard_normal((2, 3))
+    leaves, root = _fan_out_graph(np.random.default_rng(0))
+    T.backward(root, g)
+    seeded = [t.grad.copy() for t in leaves]
+    leaves, root = _fan_out_graph(np.random.default_rng(0))
+    T.backward(T.tsum(T.mul(root, T.Tensor(g))))
+    for got, ref in zip(seeded, (t.grad for t in leaves)):
+        assert np.array_equal(got, ref)
+
+
+def test_backward_seed_shape_mismatch():
+    _, root = _fan_out_graph(np.random.default_rng(0))
+    for shape in ((3, 2), (2,), (1,), ()):
+        with pytest.raises(ContractError):
+            T.backward(root, np.ones(shape))
+
+
+def test_backward_keeps_grads_on_leaves_only():
+    x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = T.Tensor(np.array([0.5, 0.5, 0.5]), requires_grad=True)
+    hidden = T.relu(T.mul(x, w))
+    scaled = T.mul(hidden, 2.0)
+    T.tsum(scaled).backward()
+    assert hidden.grad is None and scaled.grad is None
+    assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
+    assert np.array_equal(w.grad, [2.0, 0.0, 6.0])
+
+
 def test_broadcast_add_unbroadcasts_grad():
     a = T.Tensor(np.ones((3, 4)), requires_grad=True)
     b = T.Tensor(np.ones(4), requires_grad=True)

@@ -6,10 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from epu import tensor as T
 from epu.errors import (
     CheckpointError,
     ConfigError,
     ContractError,
+    DimensionError,
     TrainingDivergedError,
 )
 from epu.data import SynthConfig, load_dataset, load_images, synth_generate
@@ -147,6 +149,37 @@ def test_train_epoch_rejects_multiclass_model():
     samples = _separable_samples(np.random.default_rng(0), per_class=2)
     with pytest.raises(ConfigError):
         train_epoch(model, samples, TrainConfig(epochs=1))
+
+
+def test_train_epoch_matches_whole_graph_step():
+    # the split, threaded step updates exactly as one sweep over the whole graph
+    samples = _separable_samples(np.random.default_rng(6), per_class=5)
+    config = TrainConfig(batch_size=4, lr=0.05, epochs=1)
+    model = build_model(TINY, seed=2)
+    train_epoch(model, samples, config, np.random.default_rng(8))
+
+    ref = build_model(TINY, seed=2)
+    params = ref.parameters()
+    order = np.random.default_rng(8).permutation(len(samples))
+    for start in range(0, len(samples), config.batch_size):
+        batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
+        prob, _ = ref.forward_batch(np.stack([s.stack.maps for s in batch]), training=True)
+        loss = bce_loss(prob, np.array([s.label for s in batch], dtype=np.float32))
+        T.zero_grads(params)
+        T.backward(loss)
+        T.sgd_step(params, config.lr)
+
+    assert len(samples) > 2 * config.batch_size
+    for (name, got), (_, want) in zip(model.state_entries(), ref.state_entries()):
+        assert np.array_equal(got, want), name
+
+
+def test_train_epoch_worker_error_reaches_caller():
+    # the sub-network forward that rejects the side runs on a pool worker
+    model = build_model(TINY, seed=0)
+    samples = _separable_samples(np.random.default_rng(0), per_class=2, side=16)
+    with pytest.raises(DimensionError, match="subnet expects"):
+        train_epoch(model, samples, TrainConfig(batch_size=4, epochs=1))
 
 
 def test_sample_rejects_negative_label():
@@ -383,6 +416,26 @@ def test_checkpoint_header_size_mismatch(tmp_path):
         edited = str(tmp_path / f"fc{width.decode()}.epu")
         open(edited, "wb").write(blob.replace(b"fc_width = 4\n", b"fc_width = " + width + b"\n", 1))
         with pytest.raises(CheckpointError, match=r"header describes a model of \d+ floats, param_count says \d+"):
+            load_checkpoint(edited)
+
+
+def test_checkpoint_header_out_of_range(tmp_path):
+    # values the model builder rejects mark a corrupt checkpoint, not a bad config
+    model = _trained_tiny()
+    path = str(tmp_path / "m.epu")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    edits = (
+        (b"kernel_size = 3\n", b"kernel_size = 4\n"),
+        (b"fc_width = 4\n", b"fc_width = 0\n"),
+        (b"mode = binary\n", b"mode = other\n"),
+        (b"n_pfms = 4\n", b"n_pfms = 0\n"),
+    )
+    for n, (old, new) in enumerate(edits):
+        assert old in blob
+        edited = str(tmp_path / f"edit{n}.epu")
+        open(edited, "wb").write(blob.replace(old, new, 1))
+        with pytest.raises(CheckpointError, match="bad header field"):
             load_checkpoint(edited)
 
 
