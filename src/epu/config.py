@@ -101,7 +101,11 @@ def parse_config_text(text: str) -> dict:
 
 def load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True)

@@ -489,12 +489,26 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     out = np.ascontiguousarray(_xcorr(flat, hp, wp, kt.data)[:, :, ::stride, :wo:stride])
 
     def grad_fn(up, fresh):
-        # stride-1 gradient, widened with zero columns to the padded row width
-        g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
-        g1[:, :, ::stride, :wo:stride] = up
-        if kt.requires_grad:
-            span = ho * wp
+        span = ho * wp
+        # grad-x pads the stride-1 gradient by kernel - 1 - padding on each side
+        qh, qw = kh - 1 - padding, kw - 1 - padding
+        shared = x.requires_grad and qh == qw == padding
+        if shared:
+            # "same" padding: grad-x's padded gradient has the padded row width,
+            # so grad-w reads its rows from that buffer, where the columns that
+            # wrap into the next row are zero padding. Grad-w alone keeps the
+            # smaller buffer below.
+            gflat = np.zeros((batch, cout, hp + 1, wp), dtype=up.dtype)
+            gflat[:, :, qh : qh + ho : stride, qw : qw + wo : stride] = up
+            gflat = gflat.reshape(batch, cout, (hp + 1) * wp)
+            start = qh * wp + qw
+            rows = gflat[:, :, start : start + span]
+        else:
+            # stride-1 gradient, widened with zero columns to the padded row width
+            g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
+            g1[:, :, ::stride, :wo:stride] = up
             rows = g1.reshape(batch, cout, span)
+        if kt.requires_grad:
             gk = np.empty(kt.data.shape, dtype=np.result_type(up, flat))
             for i in range(kh):
                 for j in range(kw):
@@ -503,8 +517,9 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
             _push(fresh, kt, gk)
         if x.requires_grad:
             flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gflat, ghp, gwp = _pad_flat(g1[..., :wo], kh - 1 - padding, kw - 1 - padding)
-            _push(fresh, x, _xcorr(gflat, ghp, gwp, flipped)[..., :w])
+            if not shared:
+                gflat, _, _ = _pad_flat(g1[..., :wo], qh, qw)
+            _push(fresh, x, _xcorr(gflat, ho + 2 * qh, wo + 2 * qw, flipped)[..., :w])
 
     return _node(out, (x, kt), grad_fn)
 
@@ -512,8 +527,11 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
 def maxpool2d(x, window: int) -> Tensor:
     """Square max pooling; ragged edges padded with -inf (output ceil(H/w)).
 
-    Within-window ties route the gradient to the first maximum in row-major
-    order.
+    The output is the elementwise maximum of the window² strided views
+    xp[:, :, i::w, j::w], taken in row-major order of (i, j). A NaN in a
+    window makes its output NaN. Ties keep the first maximum's value, and the
+    gradient goes to the first maximum in row-major order, or to the first
+    NaN; the backward pass finds it again from the saved input and output.
     """
     x = _astensor(x)
     if x.data.ndim != 4:
@@ -527,19 +545,30 @@ def maxpool2d(x, window: int) -> Tensor:
         xp = np.pad(x.data, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
     else:
         xp = x.data
-    tiles = xp.reshape(batch, ch, ho, window, wo, window)
-    flat = np.ascontiguousarray(tiles.transpose(0, 1, 2, 4, 3, 5)).reshape(
-        batch, ch, ho, wo, window * window
-    )
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    offsets = [(i, j) for i in range(window) for j in range(window)]
+    out = xp[:, :, ::window, ::window].copy()
+    for i, j in offsets[1:]:
+        # the running maximum goes second: numpy returns the second operand of
+        # an equal pair, so a tie (-0.0 against +0.0) keeps the earlier value
+        np.maximum(xp[:, :, i::window, j::window], out, out=out)
 
     def grad_fn(up, fresh):
-        g = np.zeros((batch, ch, ho, wo, window * window), dtype=up.dtype)
-        np.put_along_axis(g, idx[..., None], up[..., None], axis=-1)
-        g = g.reshape(batch, ch, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5)
-        g = g.reshape(batch, ch, ho * window, wo * window)
-        _push(fresh, x, np.ascontiguousarray(g[:, :, :h, :w]))
+        # Multiplying up's bit pattern by the 0/1 mask writes up's exact bits
+        # where the gradient goes and +0.0 elsewhere (a masked float copy is
+        # several times slower on strided views). The views tile g, so every
+        # element is written once and g needs no zero fill.
+        bits = np.dtype(f"u{up.dtype.itemsize}")
+        g = np.empty(xp.shape, dtype=up.dtype)
+        free = np.ones(out.shape, dtype=bool)
+        hit, nan = np.empty_like(free), np.empty_like(free)
+        for i, j in offsets:
+            v = xp[:, :, i::window, j::window]
+            np.equal(v, out, out=hit)
+            hit |= np.isnan(v, out=nan)
+            hit &= free
+            free ^= hit
+            np.multiply(up.view(bits), hit, out=g.view(bits)[:, :, i::window, j::window])
+        _push(fresh, x, np.ascontiguousarray(g[:, :, :h, :w]) if ph or pw else g)
 
     return _node(out, (x,), grad_fn)
 

@@ -284,7 +284,10 @@ def _parse_header(blob: bytes):
     if sep < 0:
         raise CheckpointError("missing header terminator")
     header = {}
-    text = blob[len(CHECKPOINT_MAGIC) : sep + 1].decode("utf-8")
+    try:
+        text = blob[len(CHECKPOINT_MAGIC) : sep + 1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"header is not UTF-8: {exc}") from exc
     for line in text.splitlines():
         if " = " not in line:
             raise CheckpointError(f"malformed header line {line!r}")

@@ -185,6 +185,17 @@ def test_train_config_file_unknown_key_line(tmp_path, ds_root):
     assert "line 3" in proc.stderr
 
 
+def test_train_config_file_not_utf8_exit2(tmp_path, ds_root):
+    cfg = tmp_path / "run.conf"
+    cfg.write_bytes(b"[train]\nlr = \xff\n")
+    proc = run_cli(
+        ["train", "--data", str(ds_root), "--out", str(tmp_path / "o"), "--config", str(cfg)],
+        tmp_path,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert str(cfg) in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_train_config_file_drives_run(tmp_path, ds_root):
     cfg = tmp_path / "run.conf"
     cfg.write_text(
@@ -283,6 +294,19 @@ def test_explain_header_size_mismatch_exit3(tmp_path, trained, ds_root):
         )
         assert proc.returncode == 3, proc.stderr
         assert "param_count" in proc.stderr
+
+
+def test_explain_header_not_utf8_exit3(tmp_path, trained, ds_root):
+    edited = tmp_path / "bad.epu"
+    blob = (trained / "checkpoint.epu").read_bytes()
+    edited.write_bytes(blob.replace(b"format = 1\n", b"format = \xff1\n", 1))
+    proc = run_cli(
+        ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"),
+         "--out", str(tmp_path / "e")],
+        tmp_path,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "UTF-8" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_explain_header_out_of_range_exit3(tmp_path, trained, ds_root):

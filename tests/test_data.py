@@ -90,6 +90,21 @@ def test_decode_ppm_non_integer_header():
         decode_ppm(b"P6\n2 one\n255\n" + bytes(6))
 
 
+def test_decode_ppm_byte_mutation_fuzz():
+    # a corrupt PPM either decodes or raises ParseError, never anything else
+    rng = np.random.default_rng(2024)
+    blob = b"P6 # 4x3 image\n4 3\n255\n" + rng.integers(0, 256, size=36, dtype=np.uint8).tobytes()
+    for _ in range(2000):
+        data = bytearray(blob)
+        for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+            data[pos] = rng.integers(0, 256)
+        try:
+            img = decode_ppm(bytes(data))
+        except ParseError:
+            continue
+        assert img.pixels.dtype == np.uint8 and img.pixels.ndim == 3 and img.pixels.shape[2] == 3
+
+
 def test_encode_ppm_header():
     blob = encode_ppm(_img(np.zeros((3, 5, 3), dtype=np.uint8)))
     assert blob.startswith(b"P6\n5 3\n255\n")

@@ -143,6 +143,68 @@ def test_maxpool_tie_routes_to_first():
     assert np.array_equal(x.grad[0, 0], np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+def _maxpool_direct(x, window, up):
+    """Forward and gradient of max pooling by loops over each window's real pixels.
+
+    The first maximum in row-major order, or the first NaN, gives the window
+    its value and takes its upstream gradient.
+    """
+    batch, ch, h, w = x.shape
+    ho, wo = -(-h // window), -(-w // window)
+    out = np.empty((batch, ch, ho, wo), dtype=x.dtype)
+    gx = np.zeros(x.shape, dtype=up.dtype)
+    for b, c, i, j in itertools.product(range(batch), range(ch), range(ho), range(wo)):
+        best = None
+        for r in range(i * window, min((i + 1) * window, h)):
+            for s in range(j * window, min((j + 1) * window, w)):
+                v = x[b, c, r, s]
+                if best is None or v > x[best] or (np.isnan(v) and not np.isnan(x[best])):
+                    best = (b, c, r, s)
+        out[b, c, i, j] = x[best]
+        gx[best] = up[b, c, i, j]
+    return out, gx
+
+
+def _maxpool_argmax(x, window, up):
+    """Max pooling as an argmax over each window copied into a last axis."""
+    batch, ch, h, w = x.shape
+    ho, wo = -(-h // window), -(-w // window)
+    xp = np.pad(x, ((0, 0), (0, 0), (0, ho * window - h), (0, wo * window - w)), constant_values=-np.inf)
+    tiles = xp.reshape(batch, ch, ho, window, wo, window).transpose(0, 1, 2, 4, 3, 5)
+    flat = np.ascontiguousarray(tiles).reshape(batch, ch, ho, wo, window * window)
+    idx = flat.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
+    g = np.zeros(flat.shape, dtype=up.dtype)
+    np.put_along_axis(g, idx, up[..., None], axis=-1)
+    g = g.reshape(batch, ch, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5)
+    return out, g.reshape(xp.shape)[:, :, :h, :w]
+
+
+def test_maxpool_matches_references():
+    # forward and gradient bitwise against loops and the argmax formula: values
+    # rounded to 0.5 give many ties (signed zeros among them), NaNs take over their
+    # window, and ragged sides pool over -inf padding
+    rng = np.random.default_rng(17)
+    kinds = ("plain", "ties", "nans")
+    grid = itertools.product((1, 2, 3), ((6, 6), (5, 7)), (1, 3), (np.float32, np.float64), kinds)
+    for window, (h, w), batch, dtype, kind in grid:
+        x = rng.standard_normal((batch, 2, h, w))
+        if kind != "plain":
+            x = np.round(x * 2) / 2
+        if kind == "nans":
+            x[rng.random(x.shape) < 0.15] = np.nan
+        x = x.astype(dtype)
+        up = rng.standard_normal((batch, 2, -(-h // window), -(-w // window))).astype(dtype)
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.maxpool2d(xt, window)
+        T.backward(out, up)
+        case = (window, h, w, batch, dtype.__name__, kind)
+        assert out.data.dtype == dtype and xt.grad.dtype == dtype, case
+        for ref_out, ref_grad in (_maxpool_direct(x, window, up), _maxpool_argmax(x, window, up)):
+            assert out.data.tobytes() == ref_out.tobytes(), case
+            assert xt.grad.tobytes() == ref_grad.tobytes(), case
+
+
 def test_maxpool_gradcheck():
     base = np.random.default_rng(11)
     # unique spaced values keep windows far from ties at the probe step

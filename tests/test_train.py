@@ -439,6 +439,27 @@ def test_checkpoint_header_out_of_range(tmp_path):
             load_checkpoint(edited)
 
 
+def test_checkpoint_byte_mutation_fuzz(tmp_path):
+    # a corrupt checkpoint either loads or raises CheckpointError, never anything else;
+    # mutations go to the header, because the payload CRC catches the rest
+    path = str(tmp_path / "m.epu")
+    save_checkpoint(_trained_tiny(), path)
+    blob = open(path, "rb").read()
+    header_end = blob.index(b"\n\n") + 2
+    rng = np.random.default_rng(2024)
+    mutant = str(tmp_path / "mutant.epu")
+    for _ in range(1500):
+        data = bytearray(blob)
+        for pos in rng.integers(0, header_end, size=rng.integers(1, 4)):
+            data[pos] = rng.integers(0, 256)
+        with open(mutant, "wb") as fh:
+            fh.write(data)
+        try:
+            load_checkpoint(mutant)
+        except CheckpointError:
+            pass
+
+
 def test_checkpoint_save_replaces_whole(tmp_path):
     path = tmp_path / "m.epu"
     save_checkpoint(build_model(PRESETS["desk"], seed=0, class_names=("a", "b")), str(path))
