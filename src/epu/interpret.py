@@ -3,8 +3,11 @@
 A relevance map condenses one sub-network's cached conv activations: rank the
 maps of the chosen layer by Shannon entropy, keep the most informative half,
 average them, upsample to input size, then cut at the threshold maximizing
-Yen's entropic correlation. Charts are emitted as self-contained SVG strings
-whose bar geometry and data-* attributes are machine-checkable.
+Yen's entropic correlation. All maps of a layer are binned and counted in one
+pass (with `np.histogram`'s bin rule), and Yen's criterion is evaluated for
+every split at once, taking the first maximum. Charts are emitted as
+self-contained SVG strings whose bar geometry and data-* attributes are
+machine-checkable.
 """
 from __future__ import annotations
 
@@ -69,27 +72,71 @@ def _minmax01(plane: np.ndarray) -> np.ndarray:
     return (plane.astype(np.float64) - lo) / (hi - lo)
 
 
-def shannon_entropy(plane: np.ndarray, bins: int = 256) -> float:
-    """Entropy in bits of the histogram of the min-max normalized plane."""
+def _bin_counts(rows: np.ndarray, bins: int) -> np.ndarray:
+    """Per-row counts over `bins` equal bins of [0, 1], one `np.bincount` for all rows.
+
+    Each row's counts equal `np.histogram(row, bins, range=(0, 1))`: the bin
+    is floor(x * bins), a value on the last edge goes into the last bin, the
+    index is corrected against the bin edges where the product rounded across
+    one, and values outside [0, 1] (NaN included) are not counted.
+    """
+    n = rows.shape[0]
+    inside = (rows >= 0.0) & (rows <= 1.0)
+    x = np.where(inside, rows, 0.0)
+    idx = (x * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    idx[x < edges[idx]] -= 1
+    idx[(x >= edges[idx + 1]) & (idx != bins - 1)] += 1
+    # uncounted values go to a spare last column of their row, dropped below
+    idx = np.where(inside, idx, bins) + (bins + 1) * np.arange(n)[:, None]
+    counts = np.bincount(idx.ravel(), minlength=n * (bins + 1))
+    return counts.reshape(n, bins + 1)[:, :bins]
+
+
+def _entropies(rows: np.ndarray, bins: int) -> np.ndarray:
+    """Entropy in bits of each row's histogram after min-max normalizing the row."""
     if bins < 2:
         raise ContractError(f"bins must be >= 2, got {bins}")
+    lo = rows.min(axis=1, keepdims=True)
+    hi = rows.max(axis=1, keepdims=True)
+    flat = (hi == lo)[:, 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        counts = _bin_counts((rows - lo) / np.where(flat[:, None], 1.0, hi - lo), bins)
+    nonzero = counts > 0
+    p = counts[nonzero] / rows.shape[1]
+    terms = p * np.log2(p)
+    sizes = nonzero.sum(axis=1)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    out = np.zeros(rows.shape[0])
+    # one sum per row over that row's terms only: the same rounding as a
+    # histogram of that map alone
+    for r in np.flatnonzero(~flat):
+        out[r] = -terms[starts[r] : ends[r]].sum()
+    return out
+
+
+def shannon_entropy(plane: np.ndarray, bins: int = 256) -> float:
+    """Entropy in bits of the histogram of the min-max normalized plane.
+
+    A constant plane has entropy 0.0. This is the one-map case of the
+    counting that `select_informative` does for a whole stack.
+    """
     plane = np.asarray(plane, dtype=np.float64)
-    if plane.max() == plane.min():
-        return 0.0
-    norm = _minmax01(plane)
-    counts, _ = np.histogram(norm, bins=bins, range=(0.0, 1.0))
-    p = counts[counts > 0] / norm.size
-    return float(-(p * np.log2(p)).sum())
+    return float(_entropies(plane.reshape(1, -1), bins)[0])
 
 
 def select_informative(stack: FeatureMapStack, bins: int = 256) -> np.ndarray:
     """Keep the ceil(n/2) highest-entropy maps; ties go to the lower index.
 
+    All n maps are normalized and binned together and counted in one pass;
+    each entropy is bitwise what `shannon_entropy` gives for that map alone.
     Returns the selected maps in their original relative order.
     """
     n = stack.count
     keep = -(-n // 2)
-    entropies = np.array([shannon_entropy(m, bins) for m in stack.maps])
+    entropies = _entropies(stack.maps.reshape(n, -1), bins)
     # stable sort on negated entropy: equal entropies keep index order
     ranked = np.argsort(-entropies, kind="mergesort")[:keep]
     chosen = np.sort(ranked)
@@ -107,9 +154,11 @@ def aggregate(maps: np.ndarray) -> np.ndarray:
 def yen_index(hist: np.ndarray) -> int:
     """Index t maximizing the entropic correlation over prefix splits.
 
-    The split keeps bins 0..t on one side and t+1.. on the other; ties
-    resolve to the lowest t. A histogram with all mass in one bin has no
-    valid split and raises DegenerateInputError.
+    The split keeps bins 0..t on one side and t+1.. on the other. The
+    criterion is computed for all splits at once; a split with an empty side
+    (or a NaN criterion) is never chosen, and `argmax` takes the first
+    maximum, so ties resolve to the lowest t. A histogram with all mass in
+    one bin has no valid split and raises DegenerateInputError.
     """
     counts = np.asarray(hist, dtype=np.float64)
     total = counts.sum()
@@ -117,24 +166,16 @@ def yen_index(hist: np.ndarray) -> int:
         raise DegenerateInputError("empty histogram")
     p = counts / total
     sq = p * p
-    prefix_p = np.cumsum(p)
-    prefix_q = np.cumsum(sq)
     # Suffix sums accumulated directly: cumulating nonnegative terms keeps an
     # empty side exactly zero, which subtraction from the total would not.
-    suffix_p = np.cumsum(p[::-1])[::-1]
-    suffix_q = np.cumsum(sq[::-1])[::-1]
-    best_t, best_tc = -1, -np.inf
-    for t in range(len(p) - 1):
-        pp, sp = prefix_p[t], suffix_p[t + 1]
-        if pp <= 0.0 or sp <= 0.0:
-            continue
-        qp, qs = prefix_q[t], suffix_q[t + 1]
-        tc = -np.log(qp / (pp * pp)) - np.log(qs / (sp * sp))
-        if tc > best_tc:
-            best_tc, best_t = tc, t
-    if best_t < 0:
+    prefix_p, prefix_q = np.cumsum(p)[:-1], np.cumsum(sq)[:-1]
+    suffix_p, suffix_q = np.cumsum(p[::-1])[::-1][1:], np.cumsum(sq[::-1])[::-1][1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tc = -np.log(prefix_q / (prefix_p * prefix_p)) - np.log(suffix_q / (suffix_p * suffix_p))
+    valid = (prefix_p > 0.0) & (suffix_p > 0.0) & (tc > -np.inf)
+    if not valid.any():
         raise DegenerateInputError("histogram mass concentrated in a single bin")
-    return best_t
+    return int(np.argmax(np.where(valid, tc, -np.inf)))
 
 
 def yen_threshold(plane: np.ndarray, bins: int = 256) -> float:
@@ -144,8 +185,7 @@ def yen_threshold(plane: np.ndarray, bins: int = 256) -> float:
     plane = np.asarray(plane, dtype=np.float64)
     if plane.max() == plane.min():
         raise DegenerateInputError("constant plane has no threshold")
-    counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0))
-    t = yen_index(counts)
+    t = yen_index(_bin_counts(plane.reshape(1, -1), bins)[0])
     return (t + 1) / bins
 
 

@@ -100,10 +100,21 @@ class _BnState:
         self.prefix = prefix
 
 
-class SubNetwork:
-    """One per-PFM CNN: conv blocks with pooling and batchnorm, then dense."""
+def _init_weights(shape, fan_in: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Kaiming-uniform weights drawn from `rng`, or zeros when there is no rng."""
+    if rng is None:
+        return np.zeros(shape, np.float32)
+    return T.kaiming_uniform(shape, fan_in=fan_in, rng=rng)
 
-    def __init__(self, arch: ArchConfig, index: int, head_units: int, rng: np.random.Generator):
+
+class SubNetwork:
+    """One per-PFM CNN: conv blocks with pooling and batchnorm, then dense.
+
+    Weights are drawn from `rng`; with `rng=None` they are zeros, for a caller
+    that overwrites every one of them.
+    """
+
+    def __init__(self, arch: ArchConfig, index: int, head_units: int, rng: np.random.Generator | None):
         self.arch = arch
         self.index = index
         self.head_units = head_units
@@ -116,7 +127,7 @@ class SubNetwork:
         cin, side = 1, arch.input_side
         for b, (count, depth) in enumerate(arch.blocks):
             for c in range(count):
-                kernels = T.kaiming_uniform((depth, cin, k, k), fan_in=cin * k * k, rng=rng)
+                kernels = _init_weights((depth, cin, k, k), cin * k * k, rng)
                 self.conv_kernels.append(
                     Param(f"{name}.block{b}.conv{c}.kernels", Tensor(kernels, requires_grad=True))
                 )
@@ -125,10 +136,10 @@ class SubNetwork:
             self.bn.append(_BnState(f"{name}.block{b}.bn", depth))
         self.flat_dim = cin * side * side
 
-        fc_w = T.kaiming_uniform((self.flat_dim, arch.fc_width), fan_in=self.flat_dim, rng=rng)
+        fc_w = _init_weights((self.flat_dim, arch.fc_width), self.flat_dim, rng)
         self.fc_weight = Param(f"{name}.fc.weight", Tensor(fc_w, requires_grad=True))
         self.fc_bias = Param(f"{name}.fc.bias", Tensor(np.zeros(arch.fc_width, np.float32), requires_grad=True))
-        head_w = T.kaiming_uniform((arch.fc_width, head_units), fan_in=arch.fc_width, rng=rng)
+        head_w = _init_weights((arch.fc_width, head_units), arch.fc_width, rng)
         self.head_weight = Param(f"{name}.head.weight", Tensor(head_w, requires_grad=True))
         self.head_bias = Param(f"{name}.head.bias", Tensor(np.zeros(head_units, np.float32), requires_grad=True))
 
@@ -253,12 +264,17 @@ def build_model(
     arch: ArchConfig,
     n_pfms: int = 4,
     mode: str = "binary",
-    seed: int = 0,
+    seed: int | None = 0,
     n_classes: int | None = None,
     pfm_labels=None,
     class_names=None,
 ) -> EpuModel:
-    """Construct N independently initialized sub-networks and a zero intercept."""
+    """Construct N independently initialized sub-networks and a zero intercept.
+
+    Sub-network i draws its weights from `default_rng([seed, i])`. With
+    `seed=None` no weights are drawn and all are zero, for a caller that
+    restores every parameter afterwards (as `load_checkpoint` does).
+    """
     if n_pfms < 1:
         raise ConfigError(f"n_pfms must be >= 1, got {n_pfms}")
     if mode not in ("binary", "multiclass"):
@@ -275,7 +291,8 @@ def build_model(
         raise ConfigError(f"need {n_pfms} pfm labels, got {len(pfm_labels)}")
 
     subnets = [
-        SubNetwork(arch, i, head_units, np.random.default_rng([seed, i])) for i in range(n_pfms)
+        SubNetwork(arch, i, head_units, None if seed is None else np.random.default_rng([seed, i]))
+        for i in range(n_pfms)
     ]
     beta = Param("beta", Tensor(np.zeros(head_units if mode == "multiclass" else 1, np.float32), requires_grad=True))
     return EpuModel(arch, subnets, beta, mode, pfm_labels, class_names)

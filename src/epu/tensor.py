@@ -225,8 +225,10 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
             node._grad_fn(g, fresh)
         elif node.requires_grad:
             if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+                # an owned copy: `g` may be shared with other nodes or the seed
+                node.grad = np.array(g, dtype=node.data.dtype)
+            else:
+                node.grad += g
 
 
 # ---------------------------------------------------------------------------

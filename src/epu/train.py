@@ -338,7 +338,7 @@ def load_checkpoint(path: str) -> EpuModel:
             arch,
             n_pfms=n_pfms,
             mode=mode,
-            seed=0,
+            seed=None,
             n_classes=n_classes,
             pfm_labels=pfm_labels,
             class_names=class_names,

@@ -330,6 +330,47 @@ def test_explain_header_out_of_range_exit3(tmp_path, trained, ds_root):
         assert "bad header field" in proc.stderr
 
 
+BAD_PPMS = {
+    "magic_p3": b"P3\n2 2\n255\n" + b"0 " * 12,
+    "maxval_1": b"P6\n2 2\n1\n" + bytes(12),
+    "maxval_65535": b"P6\n2 2\n65535\n" + bytes(24),
+    "truncated": b"P6\n4 4\n255\n" + bytes(47),
+    "zero_dims": b"P6\n0 0\n255\n",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PPMS))
+def test_explain_bad_image_exit3(tmp_path, trained, case):
+    image = tmp_path / "in.ppm"
+    if BAD_PPMS[case] is not None:
+        image.write_bytes(BAD_PPMS[case])
+    proc = run_cli(
+        ["explain", "--model", str(trained / "checkpoint.epu"), "--image", str(image),
+         "--out", str(tmp_path / "e")],
+        tmp_path,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("side", [8, 1])
+def test_explain_black_and_one_pixel_images(tmp_path, trained, side):
+    # constant inputs give constant feature maps: the zero-entropy branch of ranking
+    image = tmp_path / "flat.ppm"
+    image.write_bytes(encode_ppm(RgbImage(np.zeros((side, side, 3), dtype=np.uint8))))
+    out = tmp_path / "e"
+    proc = run_cli(
+        ["explain", "--model", str(trained / "checkpoint.epu"), "--image", str(image),
+         "--out", str(out), "--layer", "1"],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = ["chart.svg", "rss.jsonl"] + [f"prm-{s}.ppm" for s in ("lightdark", "coarsefine", "blueyellow", "greenred")]
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"flat.{n}" for n in names)
+
+
 def test_train_comma_class_dir_exit2(tmp_path, ds_root):
     data = tmp_path / "data"
     (data / "a,b").mkdir(parents=True)

@@ -99,6 +99,75 @@ def test_select_informative_matches_sort_oracle():
             assert np.array_equal(got, maps[want])
 
 
+def _histogram_entropy(plane, bins):
+    """Entropy of one map through `np.histogram`, the per-map formula the batched count replaced."""
+    plane = np.asarray(plane, dtype=np.float64)
+    if plane.max() == plane.min():
+        return 0.0
+    lo, hi = float(plane.min()), float(plane.max())
+    norm = (plane - lo) / (hi - lo)
+    counts, _ = np.histogram(norm, bins=bins, range=(0.0, 1.0))
+    p = counts[counts > 0] / norm.size
+    return float(-(p * np.log2(p)).sum())
+
+
+def _random_stack(rng, case):
+    n, side = int(rng.integers(2, 33)), int(rng.integers(4, 65))
+    maps = rng.standard_normal((n, side, side))
+    kind = case % 5
+    if kind == 0:
+        maps = np.maximum(maps, 0.0)  # ReLU zeros
+    elif kind == 1:
+        maps = np.round(2.0 * maps) / 2.0  # heavy ties, signed zeros
+    elif kind == 2:
+        maps[rng.integers(0, n)] = 3.3  # a constant map
+        maps[rng.integers(0, n)] = 0.0
+    elif kind == 3:
+        maps = np.maximum(maps, 0.0).astype(np.float32).astype(np.float64)
+    else:
+        maps = rng.integers(0, 11, size=maps.shape).astype(np.float64)  # values k/10 after scaling
+    return maps
+
+
+def test_batched_entropies_bitwise_match_histogram_per_map():
+    rng = np.random.default_rng(11)
+    for case in range(160):
+        maps = _random_stack(rng, case)
+        bins = (2, 10, 16, 256)[case % 4]
+        got = I._entropies(maps.reshape(len(maps), -1), bins)
+        want = np.array([_histogram_entropy(m, bins) for m in maps])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), case
+        assert [I.shannon_entropy(m, bins) for m in maps] == want.tolist()
+        keep = -(-len(maps) // 2)
+        order = sorted(range(len(maps)), key=lambda i: (-want[i], i))[:keep]
+        assert np.array_equal(I.select_informative(stack_of(maps), bins), maps[sorted(order)])
+
+
+def test_batched_entropies_nonfinite_maps_match_histogram_per_map():
+    m = np.random.default_rng(12).uniform(size=(4, 6, 6))
+    m[0] = np.nan
+    m[1, 2, 3] = np.inf
+    m[2, 0, 0] = -np.inf
+    with np.errstate(invalid="ignore"):
+        want = [_histogram_entropy(x, 16) for x in m]
+    got = I._entropies(m.reshape(4, -1), 16)
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_bin_counts_match_numpy_histogram_at_edges():
+    rng = np.random.default_rng(13)
+    # at 5 and 10 bins a value just below an edge rounds up onto it: np.histogram moves it back
+    for bins in (2, 3, 5, 10, 16, 255, 256):
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        vals = np.concatenate([
+            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+            rng.uniform(size=200), [-0.0, -1e-300, 1.5, -2.0, np.nan, np.inf, -np.inf],
+        ])
+        rows = np.stack([vals, rng.permutation(vals)])
+        want = [np.histogram(r, bins=bins, range=(0.0, 1.0))[0] for r in rows]
+        assert np.array_equal(I._bin_counts(rows, bins), want)
+
+
 def test_feature_map_stack_needs_two_maps():
     with pytest.raises(ContractError):
         stack_of(np.ones((1, 4, 4)))
@@ -150,6 +219,75 @@ def test_yen_tie_takes_lowest():
     counts[[1, 6]] = 10.0
     got = I.yen_index(counts)
     assert got == brute_yen_index(counts)
+
+
+def _scalar_loop_yen_index(hist):
+    """The split scan the array form replaced: strict `>` over splits in order."""
+    p = np.asarray(hist, dtype=np.float64)
+    total = p.sum()
+    if total <= 0:
+        raise DegenerateInputError("empty histogram")
+    p = p / total
+    sq = p * p
+    prefix_p, prefix_q = np.cumsum(p), np.cumsum(sq)
+    suffix_p, suffix_q = np.cumsum(p[::-1])[::-1], np.cumsum(sq[::-1])[::-1]
+    best_t, best_tc = -1, -np.inf
+    for t in range(len(p) - 1):
+        pp, sp = prefix_p[t], suffix_p[t + 1]
+        if pp <= 0.0 or sp <= 0.0:
+            continue
+        tc = -np.log(prefix_q[t] / (pp * pp)) - np.log(suffix_q[t + 1] / (sp * sp))
+        if tc > best_tc:
+            best_tc, best_t = tc, t
+    if best_t < 0:
+        raise DegenerateInputError("histogram mass concentrated in a single bin")
+    return best_t
+
+
+def _yen_or_error(fn, hist):
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return fn(hist)
+    except DegenerateInputError:
+        return "degenerate"
+
+
+def test_yen_index_matches_scalar_loop():
+    rng = np.random.default_rng(14)
+    cases = []
+    for bins in (1, 2, 3, 8, 16, 256):
+        for _ in range(40):
+            cases.append(rng.integers(0, 50, bins))  # random
+            spikes = np.zeros(bins)
+            spikes[rng.integers(0, bins, 2)] = 10.0  # symmetric ties, or one spike
+            cases.append(spikes)
+            single = np.zeros(bins)
+            single[rng.integers(0, bins)] = 7.0  # single-bin mass
+            cases.append(single)
+            cases.append(rng.integers(0, 3, bins) * rng.integers(0, 2, bins))  # sparse, empty sides
+            cases.append(rng.permutation(np.r_[np.full(bins // 2, 5.0), np.zeros(bins - bins // 2)]))
+    # no mass; an underflowing square (NaN criterion); an exact two-bin tie
+    cases += [np.zeros(8), np.array([1.0, 1e-300]), np.array([1.0, 1e-300, 1.0]), np.array([3.0, 3.0])]
+    raised = 0
+    for hist in cases:
+        want = _yen_or_error(_scalar_loop_yen_index, hist)
+        assert _yen_or_error(I.yen_index, hist) == want, hist
+        raised += want == "degenerate"
+    assert 0 < raised < len(cases)
+
+
+def test_yen_threshold_matches_numpy_histogram():
+    rng = np.random.default_rng(15)
+    for case in range(60):
+        side = int(rng.integers(2, 65))
+        plane = rng.uniform(size=(side, side)) ** rng.uniform(0.3, 4.0)
+        if case % 3 == 0:
+            plane = np.round(plane * 8.0) / 8.0
+        bins = (2, 16, 256)[case % 3]
+        counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0))
+        want = _yen_or_error(_scalar_loop_yen_index, counts)
+        got = _yen_or_error(lambda p: I.yen_threshold(p, bins), plane)
+        assert got == (want if want == "degenerate" else (want + 1) / bins)
 
 
 def test_yen_degenerate_inputs():

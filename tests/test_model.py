@@ -72,6 +72,20 @@ def test_same_seed_is_bitwise_identical():
                               c.subnets[0].conv_kernels[0].tensor.data)
 
 
+def test_build_model_weights_follow_seeded_draws():
+    # sub-network i draws kaiming-uniform weights from default_rng([seed, i]):
+    # every conv kernel in order, then the dense layer, then the head
+    m = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=5)
+    for i, sn in enumerate(m.subnets):
+        rng = np.random.default_rng([5, i])
+        weights = [p.tensor.data for p in sn.conv_kernels] + [sn.fc_weight.tensor.data, sn.head_weight.tensor.data]
+        for w in weights:
+            fan_in = int(np.prod(w.shape[1:])) if w.ndim == 4 else w.shape[0]
+            bound = np.sqrt(6.0 / fan_in)
+            want = rng.uniform(-bound, bound, size=w.shape).astype(np.float32)
+            assert np.array_equal(w.view(np.int32), want.view(np.int32))
+
+
 def test_subnets_initialized_independently():
     m = tiny_model(seed=3)
     k0 = m.subnets[0].conv_kernels[0].tensor.data

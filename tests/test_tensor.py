@@ -367,6 +367,23 @@ def test_backward_seed_matches_weighted_sum():
         assert np.array_equal(got, ref)
 
 
+def test_backward_leaf_grad_is_an_owned_copy_of_the_first_gradient():
+    # the pooled position receives the seed's exact bits, -0.0 included
+    x = T.Tensor(np.array([[[[1.0, 4.0], [2.0, 3.0]]]], dtype=np.float32), requires_grad=True)
+    T.backward(T.maxpool2d(x, 2), np.full((1, 1, 1, 1), -0.0, dtype=np.float32))
+    assert np.signbit(x.grad[0, 0, 0, 1])
+    assert x.grad.dtype == np.float32
+    # the gradient follows the leaf's dtype, not the seed's
+    leaf = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    seed = np.array([1.0, -0.0, 2.5])
+    T.backward(leaf, seed)
+    assert leaf.grad.dtype == np.float32
+    assert np.signbit(leaf.grad[1])
+    # changing the seed afterwards leaves .grad alone
+    seed[:] = 7.0
+    assert np.array_equal(leaf.grad, [1.0, -0.0, 2.5])
+
+
 def test_backward_seed_shape_mismatch():
     _, root = _fan_out_graph(np.random.default_rng(0))
     for shape in ((3, 2), (2,), (1,), ()):

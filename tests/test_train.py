@@ -368,6 +368,23 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert loaded.arch == model.arch
 
 
+def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
+    model = _trained_tiny()
+    path = tmp_path / "m.epu"
+    save_checkpoint(model, str(path), epoch=1, seed=0)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random weights")
+
+    monkeypatch.setattr(T, "kaiming_uniform", no_draws)
+    loaded = load_checkpoint(str(path))
+    for (name, want), (_, got) in zip(model.state_entries(), loaded.state_entries()):
+        assert np.array_equal(want.view(np.int32), got.view(np.int32)), name
+    again = tmp_path / "again.epu"
+    save_checkpoint(loaded, str(again), epoch=1, seed=0)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_checkpoint_corrupt_payload_byte(tmp_path):
     model = _trained_tiny()
     path = str(tmp_path / "m.epu")
