@@ -63,6 +63,7 @@ from .interpret import (  # noqa: E402
 from .model import epu_forward  # noqa: E402
 from .pfm import PFM_SLUGS, build_pfm_stack  # noqa: E402
 from .train import (  # noqa: E402
+    check_val_splits,
     cross_validate,
     evaluate,
     fit,
@@ -185,6 +186,7 @@ def cmd_train(args) -> int:
         return 0
 
     train_idx, val_idx = _holdout_split(labels, settings.holdout, settings.train.seed)
+    check_val_splits(labels, [(train_idx, val_idx)], manifest.class_names)
     os.makedirs(out_dir, exist_ok=True)
     epoch_lines: list = []
 

@@ -170,13 +170,16 @@ def load_dataset(root: str, mode: str = "binary") -> DatasetManifest:
 
 
 def read_image(path: str) -> RgbImage:
-    """Read and decode one PPM file."""
+    """Read and decode one PPM file; a decode error names the file."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    return decode_ppm(blob)
+    try:
+        return decode_ppm(blob)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_images(manifest: DatasetManifest, side: int | None = None):

@@ -241,13 +241,17 @@ class EpuModel:
         return self.head(contribs), contribs
 
     def subnet_inputs(self, stacks) -> list[Tensor]:
-        """Split (B, N, S, S) stacks, or one PfmStack, into N (B, 1, S, S) inputs."""
+        """Split (B, N, S, S) stacks, or one PfmStack, into N (B, 1, S, S) inputs.
+
+        Each input is a view of its channel, not a copy: conv2d copies it into
+        its padded buffer anyway.
+        """
         data = stacks.maps[None] if isinstance(stacks, PfmStack) else np.asarray(stacks)
         if data.ndim != 4 or data.shape[1] != self.n_pfms:
             raise DimensionError(
                 f"expected stacks shaped (B, {self.n_pfms}, S, S), got {data.shape}"
             )
-        return [Tensor(np.ascontiguousarray(data[:, i : i + 1])) for i in range(self.n_pfms)]
+        return [Tensor(data[:, i : i + 1]) for i in range(self.n_pfms)]
 
     def head(self, contribs) -> Tensor:
         """Scores summed in index order plus beta, then sigmoid or softmax."""

@@ -2,16 +2,23 @@
 
 Implements exactly the layer set the perceptual ensembles need: conv2d,
 maxpool2d, batchnorm2d, dense, elementwise activations, reductions, and the
-arithmetic glue for additive heads and cross-entropy losses. The operation
-graph is recorded on the tensors themselves (parent links plus a backward
-closure per node) and replayed in reverse topological order by `backward`.
+arithmetic glue for additive heads and cross-entropy losses.
+
+The operation graph is kept apart from tensor data. A computed tensor points
+at a private op record, its vertex: the backward closure plus the vertices of
+the op's inputs. A requires-grad leaf is its own vertex. Closures capture
+arrays and vertices, never tensors, and each op saves only the arrays its
+gradient reads. An output that no gradient reads, such as a conv's
+pre-activation once ReLU has consumed it, is therefore freed as soon as its
+tensor is dropped, and a graph holds no reference cycle: reference counting
+frees it when its root goes. `backward` replays the vertices in reverse
+topological order.
 
 Gradients land on leaves only: each backward call adds its contribution to
-`.grad` of every requires-grad leaf (a tensor with no backward closure) in the
-ancestry, so two calls double the grads unless they are zeroed in between.
-Intermediate nodes pass their gradient on and keep no `.grad`. A sweep may
-start from any node with an explicit seed gradient, so a graph can be cut at
-a node and swept in stages.
+`.grad` of every requires-grad leaf in the ancestry, so two calls double the
+grads unless they are zeroed in between. Computed tensors pass their gradient
+on and keep no `.grad`. A sweep may start from any tensor with an explicit
+seed gradient, so a graph can be cut at a tensor and swept in stages.
 """
 from __future__ import annotations
 
@@ -43,10 +50,24 @@ def no_grad():
         _State.grad_enabled = prev
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+class _Op:
+    """Graph vertex of a computed tensor: its backward closure and input vertices.
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _grad_fn=None):
+    `grad_fn(up, fresh)` turns the upstream gradient into `_push` calls on
+    the input vertices it captured.
+    """
+
+    __slots__ = ("grad_fn", "inputs")
+
+    def __init__(self, grad_fn, inputs):
+        self.grad_fn = grad_fn
+        self.inputs = inputs
+
+
+class Tensor:
+    __slots__ = ("data", "grad", "requires_grad", "_op")
+
+    def __init__(self, data, requires_grad=False, dtype=None, _op=None):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data, dtype=dtype)
@@ -55,8 +76,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._grad_fn = _grad_fn
+        self._op = _op
 
     @property
     def shape(self):
@@ -154,17 +174,27 @@ def _astensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _node(data: Array, parents, grad_fn) -> Tensor:
-    if _State.grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _grad_fn=grad_fn)
+def _vertex(t: Tensor):
+    """The graph vertex of `t`: its op record, `t` itself for a requires-grad
+    leaf, or None when no gradient flows to it."""
+    if t._op is not None:
+        return t._op
+    return t if t.requires_grad else None
+
+
+def _node(data: Array, vertices, grad_fn) -> Tensor:
+    """Wrap an op's output; `grad_fn` pushes onto `vertices` (None entries skipped)."""
+    inputs = tuple(v for v in vertices if v is not None)
+    if _State.grad_enabled and inputs:
+        return Tensor(data, requires_grad=True, _op=_Op(grad_fn, inputs))
     return Tensor(data)
 
 
-def _push(fresh: dict, t: Tensor, g: Array) -> None:
-    """Add a per-call gradient contribution for tensor `t`."""
-    if not t.requires_grad:
+def _push(fresh: dict, v, g: Array) -> None:
+    """Add a per-call gradient contribution for vertex `v` (None: no gradient)."""
+    if v is None:
         return
-    key = id(t)
+    key = id(v)
     if key in fresh:
         fresh[key] = fresh[key] + g
     else:
@@ -200,35 +230,38 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
         grad = np.asarray(grad)
         if grad.shape != root.data.shape:
             raise ContractError(f"backward seed has shape {grad.shape}, root has shape {root.data.shape}")
-    topo: list[Tensor] = []
+    start = _vertex(root)
+    if start is None:
+        return
+    topo: list = []
     seen = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list = [(start, False)]
     while stack:
-        node, processed = stack.pop()
+        vertex, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(vertex)
             continue
-        if id(node) in seen:
+        if id(vertex) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        seen.add(id(vertex))
+        stack.append((vertex, True))
+        if type(vertex) is _Op:
+            for p in vertex.inputs:
+                if id(p) not in seen:
+                    stack.append((p, False))
 
-    fresh: dict[int, Array] = {id(root): grad}
-    for node in reversed(topo):
-        g = fresh.pop(id(node), None)
+    fresh: dict[int, Array] = {id(start): grad}
+    for vertex in reversed(topo):
+        g = fresh.pop(id(vertex), None)
         if g is None:
             continue
-        if node._grad_fn is not None:
-            node._grad_fn(g, fresh)
-        elif node.requires_grad:
-            if node.grad is None:
-                # an owned copy: `g` may be shared with other nodes or the seed
-                node.grad = np.array(g, dtype=node.data.dtype)
-            else:
-                node.grad += g
+        if type(vertex) is _Op:
+            vertex.grad_fn(g, fresh)
+        elif vertex.grad is None:
+            # an owned copy: `g` may be shared with other vertices or the seed
+            vertex.grad = np.array(g, dtype=vertex.data.dtype)
+        else:
+            vertex.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -238,43 +271,47 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
 def add(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b)
     out = a.data + b.data
+    av, bv, ashape, bshape = _vertex(a), _vertex(b), a.data.shape, b.data.shape
 
     def grad_fn(up, fresh):
-        _push(fresh, a, _unbroadcast(up, a.data.shape))
-        _push(fresh, b, _unbroadcast(up, b.data.shape))
+        _push(fresh, av, _unbroadcast(up, ashape))
+        _push(fresh, bv, _unbroadcast(up, bshape))
 
-    return _node(out, (a, b), grad_fn)
+    return _node(out, (av, bv), grad_fn)
 
 
 def sub(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b)
     out = a.data - b.data
+    av, bv, ashape, bshape = _vertex(a), _vertex(b), a.data.shape, b.data.shape
 
     def grad_fn(up, fresh):
-        _push(fresh, a, _unbroadcast(up, a.data.shape))
-        _push(fresh, b, _unbroadcast(-up, b.data.shape))
+        _push(fresh, av, _unbroadcast(up, ashape))
+        _push(fresh, bv, _unbroadcast(-up, bshape))
 
-    return _node(out, (a, b), grad_fn)
+    return _node(out, (av, bv), grad_fn)
 
 
 def neg(x) -> Tensor:
     x = _astensor(x)
+    xv = _vertex(x)
 
     def grad_fn(up, fresh):
-        _push(fresh, x, -up)
+        _push(fresh, xv, -up)
 
-    return _node(-x.data, (x,), grad_fn)
+    return _node(-x.data, (xv,), grad_fn)
 
 
 def mul(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b)
     out = a.data * b.data
+    ad, bd, av, bv = a.data, b.data, _vertex(a), _vertex(b)
 
     def grad_fn(up, fresh):
-        _push(fresh, a, _unbroadcast(up * b.data, a.data.shape))
-        _push(fresh, b, _unbroadcast(up * a.data, b.data.shape))
+        _push(fresh, av, _unbroadcast(up * bd, ad.shape))
+        _push(fresh, bv, _unbroadcast(up * ad, bd.shape))
 
-    return _node(out, (a, b), grad_fn)
+    return _node(out, (av, bv), grad_fn)
 
 
 def matmul(a, b) -> Tensor:
@@ -284,12 +321,13 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.data.shape} vs {b.data.shape}")
     out = a.data @ b.data
+    ad, bd, av, bv = a.data, b.data, _vertex(a), _vertex(b)
 
     def grad_fn(up, fresh):
-        _push(fresh, a, up @ b.data.T)
-        _push(fresh, b, a.data.T @ up)
+        _push(fresh, av, up @ bd.T)
+        _push(fresh, bv, ad.T @ up)
 
-    return _node(out, (a, b), grad_fn)
+    return _node(out, (av, bv), grad_fn)
 
 
 def dense(x, weight, bias) -> Tensor:
@@ -300,49 +338,54 @@ def dense(x, weight, bias) -> Tensor:
 def log(x) -> Tensor:
     x = _astensor(x)
     out = np.log(x.data)
+    xd, xv = x.data, _vertex(x)
 
     def grad_fn(up, fresh):
-        _push(fresh, x, up / x.data)
+        _push(fresh, xv, up / xd)
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
     if lo >= hi:
         raise ContractError(f"clip bounds inverted: [{lo}, {hi}]")
     x = _astensor(x)
+    xv = _vertex(x)
     out = np.clip(x.data, lo, hi)
     passthrough = (x.data >= lo) & (x.data <= hi)
 
     def grad_fn(up, fresh):
-        _push(fresh, x, up * passthrough)
+        _push(fresh, xv, up * passthrough)
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def relu(x) -> Tensor:
+    """max(x, 0). Keeps only its output; the gradient passes where it is > 0."""
     x = _astensor(x)
+    xv = _vertex(x)
     out = np.maximum(x.data, 0)
-    mask = out > 0
 
     def grad_fn(up, fresh):
-        _push(fresh, x, up * mask)
+        _push(fresh, xv, up * (out > 0))
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def tanh(x) -> Tensor:
     x = _astensor(x)
+    xv = _vertex(x)
     out = np.tanh(x.data)
 
     def grad_fn(up, fresh):
-        _push(fresh, x, up * (1.0 - out * out))
+        _push(fresh, xv, up * (1.0 - out * out))
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def sigmoid(x) -> Tensor:
     x = _astensor(x)
+    xv = _vertex(x)
     out = np.empty_like(x.data)
     pos = x.data >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
@@ -350,53 +393,56 @@ def sigmoid(x) -> Tensor:
     out[~pos] = ex / (1.0 + ex)
 
     def grad_fn(up, fresh):
-        _push(fresh, x, up * out * (1.0 - out))
+        _push(fresh, xv, up * out * (1.0 - out))
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
     x = _astensor(x)
+    xv = _vertex(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
     def grad_fn(up, fresh):
         dot = (up * out).sum(axis=axis, keepdims=True)
-        _push(fresh, x, out * (up - dot))
+        _push(fresh, xv, out * (up - dot))
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def tsum(x) -> Tensor:
     x = _astensor(x)
     out = np.asarray(x.data.sum(), dtype=x.data.dtype)
+    xv, shape = _vertex(x), x.data.shape
 
     def grad_fn(up, fresh):
-        _push(fresh, x, np.broadcast_to(up, x.data.shape))
+        _push(fresh, xv, np.broadcast_to(up, shape))
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def tmean(x) -> Tensor:
     x = _astensor(x)
     out = np.asarray(x.data.mean(), dtype=x.data.dtype)
-    n = x.data.size
+    xv, shape, n = _vertex(x), x.data.shape, x.data.size
 
     def grad_fn(up, fresh):
-        _push(fresh, x, np.broadcast_to(up / n, x.data.shape))
+        _push(fresh, xv, np.broadcast_to(up / n, shape))
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def reshape(x, shape) -> Tensor:
     x = _astensor(x)
     out = x.data.reshape(shape)
+    xv, in_shape = _vertex(x), x.data.shape
 
     def grad_fn(up, fresh):
-        _push(fresh, x, up.reshape(x.data.shape))
+        _push(fresh, xv, up.reshape(in_shape))
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
 
 
 def flatten_batch(x) -> Tensor:
@@ -467,7 +513,9 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
 
     kernels has shape (out_channels, in_channels, k, k); zero padding.
     Stride > 1 subsamples the stride-1 result; its gradient flows back
-    through the stride-1 gradient, zero between the samples.
+    through the stride-1 gradient, zero between the samples. Backward keeps
+    the input and the kernels, not the padded input copy: grad-w pads the
+    input again.
     """
     x, kt = _astensor(x), _astensor(kernels)
     if x.data.ndim != 4:
@@ -486,15 +534,16 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     if kh > hp or kw > wp:
         raise DimensionError(f"kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
 
-    flat, _, _ = _pad_flat(x.data, padding, padding)
+    xd, kd, xv, kv = x.data, kt.data, _vertex(x), _vertex(kt)
     ho, wo = hp - kh + 1, wp - kw + 1
-    out = np.ascontiguousarray(_xcorr(flat, hp, wp, kt.data)[:, :, ::stride, :wo:stride])
+    flat, _, _ = _pad_flat(xd, padding, padding)
+    out = np.ascontiguousarray(_xcorr(flat, hp, wp, kd)[:, :, ::stride, :wo:stride])
 
     def grad_fn(up, fresh):
         span = ho * wp
         # grad-x pads the stride-1 gradient by kernel - 1 - padding on each side
         qh, qw = kh - 1 - padding, kw - 1 - padding
-        shared = x.requires_grad and qh == qw == padding
+        shared = xv is not None and qh == qw == padding
         if shared:
             # "same" padding: grad-x's padded gradient has the padded row width,
             # so grad-w reads its rows from that buffer, where the columns that
@@ -510,20 +559,22 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
             g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
             g1[:, :, ::stride, :wo:stride] = up
             rows = g1.reshape(batch, cout, span)
-        if kt.requires_grad:
-            gk = np.empty(kt.data.shape, dtype=np.result_type(up, flat))
+        if kv is not None:
+            flat, _, _ = _pad_flat(xd, padding, padding)
+            gk = np.empty(kd.shape, dtype=np.result_type(up, flat))
             for i in range(kh):
                 for j in range(kw):
                     window = flat[:, :, i * wp + j : i * wp + j + span]
                     gk[:, :, i, j] = np.matmul(rows, window.transpose(0, 2, 1)).sum(axis=0)
-            _push(fresh, kt, gk)
-        if x.requires_grad:
-            flipped = kt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            del flat, window  # freed before grad-x allocates its buffers
+            _push(fresh, kv, gk)
+        if xv is not None:
+            flipped = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             if not shared:
                 gflat, _, _ = _pad_flat(g1[..., :wo], qh, qw)
-            _push(fresh, x, _xcorr(gflat, ho + 2 * qh, wo + 2 * qw, flipped)[..., :w])
+            _push(fresh, xv, _xcorr(gflat, ho + 2 * qh, wo + 2 * qw, flipped)[..., :w])
 
-    return _node(out, (x, kt), grad_fn)
+    return _node(out, (xv, kv), grad_fn)
 
 
 def maxpool2d(x, window: int) -> Tensor:
@@ -540,6 +591,7 @@ def maxpool2d(x, window: int) -> Tensor:
         raise DimensionError(f"maxpool2d expects NCHW input, got shape {x.data.shape}")
     if window < 1:
         raise ContractError(f"maxpool2d window must be >= 1, got {window}")
+    xv = _vertex(x)
     batch, ch, h, w = x.data.shape
     ho, wo = -(-h // window), -(-w // window)
     ph, pw = ho * window - h, wo * window - w
@@ -570,9 +622,20 @@ def maxpool2d(x, window: int) -> Tensor:
             hit &= free
             free ^= hit
             np.multiply(up.view(bits), hit, out=g.view(bits)[:, :, i::window, j::window])
-        _push(fresh, x, np.ascontiguousarray(g[:, :, :h, :w]) if ph or pw else g)
+        _push(fresh, xv, np.ascontiguousarray(g[:, :, :h, :w]) if ph or pw else g)
 
-    return _node(out, (x,), grad_fn)
+    return _node(out, (xv,), grad_fn)
+
+
+def _bn_normalize(xd: Array, mean: Array, ivstd: Array):
+    """Centered input and normalized input of training-mode batchnorm.
+
+    Forward and backward both call this, so backward's recomputed arrays are
+    bitwise the ones forward used.
+    """
+    bc = (1, xd.shape[1], 1, 1)
+    xc = xd - mean.reshape(bc)
+    return xc, xc * ivstd.reshape(bc)
 
 
 def batchnorm2d(
@@ -588,8 +651,10 @@ def batchnorm2d(
     """Channel-wise batch normalization for NCHW input.
 
     Training mode uses biased batch statistics and updates the running
-    buffers in place: new = momentum*old + (1-momentum)*batch. Evaluation
-    mode normalizes with the running buffers.
+    buffers in place: new = momentum*old + (1-momentum)*batch. Backward keeps
+    the input, the batch mean and the inverse std, and recomputes the centered
+    and normalized input from them. Evaluation mode normalizes with the
+    running buffers and keeps the normalized input.
     """
     x, gt, bt = _astensor(x), _astensor(gamma), _astensor(beta)
     if x.data.ndim != 4:
@@ -603,24 +668,26 @@ def batchnorm2d(
         raise DimensionError(f"batchnorm2d running buffers must have shape ({ch},)")
     axes = (0, 2, 3)
     bc = (1, ch, 1, 1)
+    xd, gd = x.data, gt.data
+    xv, gv, bv = _vertex(x), _vertex(gt), _vertex(bt)
 
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        xc = x.data - mean.reshape(bc)
+        mean = xd.mean(axis=axes)
+        var = xd.var(axis=axes)
         ivstd = 1.0 / np.sqrt(var + eps)
-        xhat = xc * ivstd.reshape(bc)
+        _, xhat = _bn_normalize(xd, mean, ivstd)
         running_mean[:] = momentum * running_mean + (1.0 - momentum) * mean
         running_var[:] = momentum * running_var + (1.0 - momentum) * var
-        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        m = xd.shape[0] * xd.shape[2] * xd.shape[3]
 
         def grad_fn(up, fresh):
-            if gt.requires_grad:
-                _push(fresh, gt, (up * xhat).sum(axis=axes))
-            if bt.requires_grad:
-                _push(fresh, bt, up.sum(axis=axes))
-            if x.requires_grad:
-                dxhat = up * gt.data.reshape(bc)
+            xc, xhat = _bn_normalize(xd, mean, ivstd)
+            if gv is not None:
+                _push(fresh, gv, (up * xhat).sum(axis=axes))
+            if bv is not None:
+                _push(fresh, bv, up.sum(axis=axes))
+            if xv is not None:
+                dxhat = up * gd.reshape(bc)
                 dvar = (dxhat * xc).sum(axis=axes) * -0.5 * ivstd**3
                 dmean = -(dxhat.sum(axis=axes)) * ivstd + dvar * (-2.0 / m) * xc.sum(axis=axes)
                 dx = (
@@ -628,22 +695,22 @@ def batchnorm2d(
                     + (2.0 / m) * dvar.reshape(bc) * xc
                     + dmean.reshape(bc) / m
                 )
-                _push(fresh, x, dx)
+                _push(fresh, xv, dx)
 
     else:
         ivstd = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x.data - running_mean.reshape(bc)) * ivstd.reshape(bc)
+        xhat = (xd - running_mean.reshape(bc)) * ivstd.reshape(bc)
 
         def grad_fn(up, fresh):
-            if gt.requires_grad:
-                _push(fresh, gt, (up * xhat).sum(axis=axes))
-            if bt.requires_grad:
-                _push(fresh, bt, up.sum(axis=axes))
-            if x.requires_grad:
-                _push(fresh, x, up * (gt.data * ivstd).reshape(bc))
+            if gv is not None:
+                _push(fresh, gv, (up * xhat).sum(axis=axes))
+            if bv is not None:
+                _push(fresh, bv, up.sum(axis=axes))
+            if xv is not None:
+                _push(fresh, xv, up * (gd * ivstd).reshape(bc))
 
-    out = gt.data.reshape(bc) * xhat + bt.data.reshape(bc)
-    return _node(out, (x, gt, bt), grad_fn)
+    out = gd.reshape(bc) * xhat + bt.data.reshape(bc)
+    return _node(out, (xv, gv, bv), grad_fn)
 
 
 # ---------------------------------------------------------------------------

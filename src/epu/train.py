@@ -224,6 +224,26 @@ def kfold_split(samples, folds: int, seed: int = 0):
     return splits
 
 
+def check_val_splits(labels, splits, class_names=None) -> None:
+    """Refuse splits whose validation part lacks a class, before any training.
+
+    Evaluation reports AUC, which needs a sample of each class, so such a
+    split would fail only after its model had been trained. Raises
+    `ConfigError` naming the first missing class.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    classes = np.unique(labels)
+    for fold, (_, val) in enumerate(splits):
+        missing = np.setdiff1d(classes, labels[val])
+        if missing.size:
+            cls = int(missing[0])
+            name = class_names[cls] if class_names else str(cls)
+            where = "the validation split" if len(splits) == 1 else f"the validation split of fold {fold}"
+            raise ConfigError(
+                f"{where} has no sample of class {name!r}; AUC needs at least one sample of each class"
+            )
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -467,6 +487,7 @@ def cross_validate(
     """k-fold protocol: fresh seed-derived init per fold, report per fold."""
     labels = np.asarray(labels, dtype=np.int64)
     splits = kfold_split(labels, config.folds, config.seed)
+    check_val_splits(labels, splits, class_names)
     paths = paths if paths is not None else [""] * len(images)
     reports = []
     for fold, (tr, va) in enumerate(splits):

@@ -382,6 +382,78 @@ def test_train_comma_class_dir_exit2(tmp_path, ds_root):
     assert "a,b" in proc.stderr
 
 
+def _one_error_line(proc):
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
+
+
+def _layout(tmp_path, ds_root, case):
+    """A dataset root broken as `case` describes; returns (root, bad file or None)."""
+    root = tmp_path / "data"
+    ppm = (ds_root / "disk/00000.ppm").read_bytes()
+    if case == "missing_root":
+        return root, None
+    if case == "file_as_root":
+        root.write_bytes(ppm)
+        return root, None
+    # the trained checkpoint's classes, so global-explain gets as far as the images
+    classes = ("crescent", "disk", "extra")[: {"one_class": 1, "three_classes": 3}.get(case, 2)]
+    for cls in classes:
+        (root / cls).mkdir(parents=True)
+        if not (case == "empty_class" and cls == "disk"):
+            (root / cls / "0.ppm").write_bytes(ppm)
+    if case == "not_ppm":
+        bad = root / "disk" / "1.ppm"
+        bad.write_bytes(b"hello, not a pixmap")
+        return root, bad
+    return root, None
+
+
+LAYOUT_CASES = ["missing_root", "file_as_root", "one_class", "three_classes", "empty_class", "not_ppm"]
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+@pytest.mark.parametrize("command", ["train", "global-explain"])
+def test_dataset_layout_exit_codes(tmp_path, ds_root, trained, command, case):
+    root, bad = _layout(tmp_path, ds_root, case)
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["train", "--data", str(root), "--out", str(out), *TINY_FLAGS, "--epochs", "1"]
+    else:
+        args = ["global-explain", "--model", str(trained / "checkpoint.epu"), "--data", str(root), "--out", str(out)]
+    proc = run_cli(args, tmp_path)
+    assert proc.returncode == (3 if bad else 2), proc.stderr
+    line = _one_error_line(proc)
+    if bad:
+        assert str(bad) in line
+    assert "epoch" not in proc.stdout
+    assert not out.exists()
+
+
+def _one_image_per_class(tmp_path, ds_root):
+    root = tmp_path / "tiny"
+    for cls in ("crescent", "disk"):
+        (root / cls).mkdir(parents=True)
+        (root / cls / "0.ppm").write_bytes((ds_root / cls / "00000.ppm").read_bytes())
+    return root
+
+
+@pytest.mark.parametrize("split", [["--holdout", "0.5"], ["--folds", "2"]])
+def test_train_validation_split_missing_class_fails_before_training(tmp_path, ds_root, split):
+    out = tmp_path / "out"
+    proc = run_cli(
+        ["train", "--data", str(_one_image_per_class(tmp_path, ds_root)), "--out", str(out),
+         *TINY_FLAGS, "--epochs", "1", *split],
+        tmp_path,
+    )
+    assert proc.returncode == 2, proc.stderr
+    line = _one_error_line(proc)
+    assert "validation split" in line and "'disk'" in line
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # global-explain
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,3 +257,29 @@ def test_build_model_validation():
         M.build_model(TINY, mode="multiclass")  # missing n_classes
     with pytest.raises(ConfigError):
         M.build_model(TINY, n_pfms=3, pfm_labels=("a", "b"))
+
+
+def test_training_forward_retains_only_what_backward_reads():
+    arch = M.PRESETS["desk"]
+    batch = 8
+    subnet = M.SubNetwork(arch, 0, 1, np.random.default_rng(0))
+    base = np.random.default_rng(1).standard_normal((batch, 1, arch.input_side, arch.input_side))
+    base = base.astype(np.float32)
+    # the arrays backward reads: the input, each ReLU output, each max-pool and
+    # batchnorm output, and the dense head's ReLU and tanh outputs
+    side, needed = arch.input_side, base.nbytes
+    for count, depth in arch.blocks:
+        needed += count * batch * depth * side * side * 4
+        side = math.ceil(side / 2)
+        needed += 2 * batch * depth * side * side * 4
+    needed += batch * (arch.fc_width + 1) * 4
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = subnet.forward(M.Tensor(base.copy()), training=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert retained <= 1.1 * needed, (retained, needed)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -493,7 +495,7 @@ def test_no_grad_blocks_graph():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
         y = (x * 2.0).sum()
-    assert y._grad_fn is None and y._parents == ()
+    assert y._op is None
 
 
 def test_kaiming_uniform_bound_and_determinism():
@@ -504,3 +506,164 @@ def test_kaiming_uniform_bound_and_determinism():
     assert a.dtype == np.float32
     assert np.all(np.abs(a) <= bound)
     assert np.abs(a).max() > 0.8 * bound  # actually spans the range
+
+
+# ---------------------------------------------------------------------------
+# what the graph keeps
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_conv_preactivation_freed_once_relu_consumed_it():
+    rng = np.random.default_rng(11)
+    x_np = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+    k_np = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    grads = []
+    for keep in (True, False):
+        x = T.Tensor(x_np.copy(), requires_grad=True)
+        k = T.Tensor(k_np.copy(), requires_grad=True)
+        c = T.conv2d(x, k, padding=1)
+        h = T.relu(c)
+        if not keep:
+            ref = weakref.ref(c.data)
+            del c
+            # no gc.collect(): reference counting alone frees the array
+            assert ref() is None
+        T.backward(T.tsum(h))
+        grads.append((x.grad, k.grad))
+    for got, want in zip(grads[1], grads[0]):
+        assert _same_bits(got, want)
+
+
+def test_graph_has_no_cycles_and_closures_hold_no_tensors():
+    rng = np.random.default_rng(12)
+    x = T.Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+    k = T.Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+    g = T.Tensor(np.ones(2), requires_grad=True)
+    b = T.Tensor(np.zeros(2), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((8, 3)), requires_grad=True)
+    leaves = {id(t) for t in (x, k, g, b, w)}
+
+    def build():
+        h = T.relu(T.conv2d(x, k, padding=1))
+        h = T.maxpool2d(h, 2)
+        h = T.batchnorm2d(h, g, b, np.zeros(2), np.ones(2), training=True)
+        h = T.matmul(T.flatten_batch(h), w)
+        h = T.add(T.tanh(h), T.softmax(h))
+        h = T.mul(T.sigmoid(h), T.neg(T.sub(1.0, h)))
+        return T.tmean(T.log(T.clip(T.mul(h, h), 1e-3, 1.0)))
+
+    def op_closures(root):
+        """Every op record's closure; checks what each closure holds."""
+        ops, stack = [], [root._op]
+        while stack:
+            op = stack.pop()
+            if any(op is seen for seen in ops):
+                continue
+            ops.append(op)
+            for cell in op.grad_fn.__closure__ or ():
+                held = cell.cell_contents
+                assert held is not op
+                # a closure may hold a requires-grad leaf (its vertex), never a computed tensor
+                if isinstance(held, T.Tensor):
+                    assert id(held) in leaves
+            stack.extend(v for v in op.inputs if isinstance(v, T._Op))
+        return [op.grad_fn for op in ops]
+
+    gc.disable()  # only reference counting may free the graph
+    try:
+        loss = build()
+        closures = op_closures(loss)
+        assert len(closures) >= 15
+        # an op record outlives its closure only in a cycle
+        refs = [weakref.ref(fn) for fn in closures]
+        del loss, closures
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+def _bn_backward_saved(x, gamma, up, eps=1e-5):
+    """Training-mode batchnorm backward as formulated with saved xc and xhat."""
+    axes = (0, 2, 3)
+    bc = (1, x.shape[1], 1, 1)
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    xc = x - mean.reshape(bc)
+    ivstd = 1.0 / np.sqrt(var + eps)
+    xhat = xc * ivstd.reshape(bc)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    dgamma = (up * xhat).sum(axis=axes)
+    dbeta = up.sum(axis=axes)
+    dxhat = up * gamma.reshape(bc)
+    dvar = (dxhat * xc).sum(axis=axes) * -0.5 * ivstd**3
+    dmean = -(dxhat.sum(axis=axes)) * ivstd + dvar * (-2.0 / m) * xc.sum(axis=axes)
+    dx = dxhat * ivstd.reshape(bc) + (2.0 / m) * dvar.reshape(bc) * xc + dmean.reshape(bc) / m
+    return dx, dgamma, dbeta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_train_backward_bitwise_saved_form(dtype):
+    rng = np.random.default_rng(13)
+    x = (rng.standard_normal((5, 3, 4, 6)) * 3.0 + 1.0).astype(dtype)
+    x[:, 1] = 2.5  # a constant channel: zero variance
+    gamma = rng.standard_normal(3).astype(dtype)
+    up = rng.standard_normal(x.shape).astype(dtype)
+    xt = T.Tensor(x, requires_grad=True)
+    gt = T.Tensor(gamma, requires_grad=True)
+    bt = T.Tensor(rng.standard_normal(3).astype(dtype), requires_grad=True)
+    out = T.batchnorm2d(xt, gt, bt, np.zeros(3, dtype), np.ones(3, dtype), training=True)
+    T.backward(out, up)
+    for got, want in zip((xt.grad, gt.grad, bt.grad), _bn_backward_saved(x, gamma, up)):
+        assert _same_bits(got, want)
+
+
+def test_relu_backward_bitwise_masked_form():
+    x = np.array([-1.5, -0.0, 0.0, np.nan, 2.0, 3.0, -np.inf, np.inf], dtype=np.float32)
+    up = np.array([1.0, 2.0, -0.0, 4.0, -0.0, 5.0, 6.0, -7.0], dtype=np.float32)
+    xt = T.Tensor(x, requires_grad=True)
+    T.backward(T.relu(xt), up)
+    mask = np.maximum(x, 0) > 0
+    assert _same_bits(xt.grad, up * mask)
+    assert np.signbit(xt.grad[4])  # -0.0 upstream at a positive input keeps its sign
+
+
+def _conv_grad_w_saved(x, k, up, stride, pad, x_grad):
+    """Conv grad-w as the loop over a padded input copy saved at forward time."""
+    batch, _, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    flat, hp, wp = T._pad_flat(x, pad, pad)  # the saved copy
+    ho, wo = hp - kh + 1, wp - kw + 1
+    span = ho * wp
+    qh, qw = kh - 1 - pad, kw - 1 - pad
+    if x_grad and qh == qw == pad:
+        gflat = np.zeros((batch, cout, hp + 1, wp), dtype=up.dtype)
+        gflat[:, :, qh : qh + ho : stride, qw : qw + wo : stride] = up
+        gflat = gflat.reshape(batch, cout, (hp + 1) * wp)
+        rows = gflat[:, :, qh * wp + qw : qh * wp + qw + span]
+    else:
+        g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
+        g1[:, :, ::stride, :wo:stride] = up
+        rows = g1.reshape(batch, cout, span)
+    gk = np.empty(k.shape, dtype=np.result_type(up, flat))
+    for i in range(kh):
+        for j in range(kw):
+            window = flat[:, :, i * wp + j : i * wp + j + span]
+            gk[:, :, i, j] = np.matmul(rows, window.transpose(0, 2, 1)).sum(axis=0)
+    return gk
+
+
+def test_conv_grad_w_bitwise_saved_padded_copy():
+    rng = np.random.default_rng(14)
+    for cin, stride, pad, x_grad in itertools.product((1, 8), (1, 2), (0, 1, 2), (False, True)):
+        x = rng.standard_normal((3, cin, 7, 9)).astype(np.float32)
+        k = rng.standard_normal((4, cin, 3, 3)).astype(np.float32)
+        xt = T.Tensor(x, requires_grad=x_grad)
+        kt = T.Tensor(k, requires_grad=True)
+        out = T.conv2d(xt, kt, stride=stride, padding=pad)
+        up = rng.standard_normal(out.shape).astype(np.float32)
+        T.backward(out, up)
+        assert _same_bits(kt.grad, _conv_grad_w_saved(x, k, up, stride, pad, x_grad)), (cin, stride, pad, x_grad)
