@@ -60,7 +60,7 @@ from .interpret import (  # noqa: E402
     render_local_chart,
     rss_sidecar,
 )
-from .model import epu_forward  # noqa: E402
+from .model import RssVector, predict  # noqa: E402
 from .pfm import PFM_SLUGS, build_pfm_stack  # noqa: E402
 from .train import (  # noqa: E402
     check_val_splits,
@@ -76,8 +76,17 @@ from .train import (  # noqa: E402
 
 
 def _read_rgb(path: str):
+    """Read and decode one PPM; a decode error names the file.
+
+    A missing or unreadable file stays an `OSError` (exit 3), where a dataset
+    read through `data.read_image` is an ingestion error (exit 2).
+    """
     with open(path, "rb") as fh:
-        return decode_ppm(fh.read())
+        blob = fh.read()
+    try:
+        return decode_ppm(blob)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _write_bytes(path: str, blob: bytes) -> None:
@@ -162,7 +171,7 @@ def cmd_train(args) -> int:
     out_dir = settings.out_dir
     if out_dir is None:
         raise ConfigError("no output directory; pass --out or set [output] dir")
-    manifest = load_dataset(args.data, mode="binary")
+    manifest = load_dataset(args.data)
     images, labels = load_images(manifest)
     paths = [rel for rel, _ in manifest.entries]
 
@@ -253,36 +262,31 @@ def cmd_explain(args) -> int:
         return 2
     image = _read_rgb(args.image)
     stack = build_pfm_stack(image, side)
-    pred = epu_forward(model, stack)
+    prob, scores, acts = predict(model, stack, layer=settings.layer)
+    p = float(prob[0])
+    rss = RssVector(scores[0], model.pfm_labels)
     names = model.class_names or ("class0", "class1")
     print(
-        f"predicted={names[pred.label]}"
-        f" probability={float(pred.probability)!r} beta={float(pred.beta[0])!r}"
+        f"predicted={names[int(p >= 0.5)]}"
+        f" probability={p!r} beta={float(model.beta.tensor.data[0])!r}"
     )
     out_dir = settings.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     stem = _stem(args.image)
 
     chart_path = os.path.join(out_dir, f"{stem}.chart.svg")
-    _write_text(chart_path, render_local_chart(pred.rss, names))
+    _write_text(chart_path, render_local_chart(rss, names))
     print(chart_path)
 
     resized = resize_bilinear(image, side)
-    for i, slug in enumerate(PFM_SLUGS[: model.n_pfms]):
-        prm = build_prm(
-            model.subnets[i].cached_activations,
-            settings.layer,
-            side,
-            side,
-            pfm_index=i,
-            bins=settings.bins,
-        )
+    for slug, maps in zip(PFM_SLUGS, acts):
+        prm = build_prm(maps[0], side, side, bins=settings.bins)
         path = os.path.join(out_dir, f"{stem}.prm-{slug}.ppm")
         _write_bytes(path, encode_ppm(overlay_prm(resized, prm)))
         print(path)
 
     sidecar_path = os.path.join(out_dir, f"{stem}.rss.jsonl")
-    _write_text(sidecar_path, rss_sidecar(pred.rss))
+    _write_text(sidecar_path, rss_sidecar(rss))
     print(sidecar_path)
     return 0
 
@@ -290,7 +294,7 @@ def cmd_explain(args) -> int:
 def cmd_global_explain(args) -> int:
     settings = _settings(args)
     model = load_checkpoint(args.model)
-    manifest = load_dataset(args.data, mode="binary")
+    manifest = load_dataset(args.data)
     if model.class_names and tuple(model.class_names) != tuple(manifest.class_names):
         raise ConfigError(
             f"checkpoint classes {model.class_names} do not match dataset"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IngestionError, ParseError
-from .pfm import RgbImage, resize_rgb, srgb_to_lab
+from .pfm import RgbImage, resize_rgb
 
 MANIFEST_NAME = "manifest.tsv"
 
@@ -29,10 +29,6 @@ class DatasetManifest:
     root: str
     class_names: tuple
     entries: tuple
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -128,10 +124,11 @@ def encode_pgm(plane: np.ndarray) -> bytes:
 # dataset loading
 
 
-def load_dataset(root: str, mode: str = "binary") -> DatasetManifest:
-    """Scan ``root/<class>/*`` into a manifest with lexicographic ordering."""
-    if mode not in ("binary", "multiclass"):
-        raise ConfigError(f"unknown mode {mode!r}")
+def load_dataset(root: str) -> DatasetManifest:
+    """Scan ``root/<class>/*`` into a manifest with lexicographic ordering.
+
+    A dataset holds exactly two classes: every model is binary.
+    """
     if not os.path.isdir(root):
         raise IngestionError(f"dataset root is not a directory: {root}")
     class_names = sorted(
@@ -145,12 +142,8 @@ def load_dataset(root: str, mode: str = "binary") -> DatasetManifest:
             raise IngestionError(
                 f"class directory name contains a comma or line break: {os.path.join(root, name)!r}"
             )
-    if mode == "binary" and len(class_names) != 2:
-        raise IngestionError(
-            f"binary mode needs exactly 2 classes, found {len(class_names)} under {root}"
-        )
-    if len(class_names) < 2:
-        raise IngestionError(f"need at least 2 classes, found {len(class_names)} under {root}")
+    if len(class_names) != 2:
+        raise IngestionError(f"need exactly 2 classes, found {len(class_names)} under {root}")
     entries = []
     for index, name in enumerate(class_names):
         class_dir = os.path.join(root, name)
@@ -299,14 +292,3 @@ def synth_generate(config: SynthConfig, out_dir: str) -> DatasetManifest:
     manifest = DatasetManifest(root=out_dir, class_names=CLASS_NAMES, entries=tuple(entries))
     write_manifest(manifest, os.path.join(out_dir, MANIFEST_NAME))
     return manifest
-
-
-def class_mean_b(manifest: DatasetManifest):
-    """Mean Lab b per class over every pixel; diagnostic for color separation."""
-    sums = np.zeros(manifest.n_classes, dtype=np.float64)
-    counts = np.zeros(manifest.n_classes, dtype=np.int64)
-    for rel, cls in manifest.entries:
-        lab = srgb_to_lab(read_image(os.path.join(manifest.root, rel)))
-        sums[cls] += float(lab.b.sum())
-        counts[cls] += lab.b.size
-    return sums / counts

@@ -1,13 +1,13 @@
 """Interpretation artifacts: relevance maps, score charts, overlays.
 
-A relevance map condenses one sub-network's cached conv activations: rank the
-maps of the chosen layer by Shannon entropy, keep the most informative half,
-average them, upsample to input size, then cut at the threshold maximizing
-Yen's entropic correlation. All maps of a layer are binned and counted in one
-pass (with `np.histogram`'s bin rule), and Yen's criterion is evaluated for
-every split at once, taking the first maximum. Charts are emitted as
-self-contained SVG strings whose bar geometry and data-* attributes are
-machine-checkable.
+A relevance map condenses one sub-network's activations at the chosen conv
+layer, as `model.predict` returns them: rank the layer's maps by Shannon
+entropy, keep the most informative half, average them, upsample to input
+size, then cut at the threshold maximizing Yen's entropic correlation. All
+maps of a layer are binned and counted in one pass (with `np.histogram`'s
+bin rule), and Yen's criterion is evaluated for every split at once, taking
+the first maximum. Charts are emitted as self-contained SVG strings whose bar
+geometry and data-* attributes are machine-checkable.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateInputError, DimensionError
+from .errors import ContractError, DegenerateInputError, DimensionError
 from .model import RssVector
 from .pfm import RgbImage, upsample
 
@@ -37,8 +37,6 @@ class FeatureMapStack:
     """Conv activations of one layer of one sub-network, shaped (n, h, w)."""
 
     maps: np.ndarray
-    layer_index: int
-    pfm_index: int
 
     def __post_init__(self):
         m = np.asarray(self.maps, dtype=np.float64)
@@ -189,22 +187,13 @@ def yen_threshold(plane: np.ndarray, bins: int = 256) -> float:
     return (t + 1) / bins
 
 
-def build_prm(activations, layer_index: int, out_h: int, out_w: int, pfm_index: int = 0, bins: int = 256) -> Prm:
-    """Compose the relevance-map pipeline from cached conv activations.
+def build_prm(maps, out_h: int, out_w: int, bins: int = 256) -> Prm:
+    """Compose the relevance-map pipeline from one layer's (C, H, W) activations.
 
-    layer_index is 1-based over conv layers. A constant aggregate (e.g.
-    all-zero activations) yields threshold None and an empty mask.
+    A constant aggregate (e.g. all-zero activations) yields threshold None
+    and an empty mask.
     """
-    if activations is None or len(activations) == 0:
-        raise ConfigError("no cached activations; run a forward pass with caching first")
-    if layer_index < 1 or layer_index > len(activations):
-        raise ConfigError(
-            f"layer_index {layer_index} outside cached range 1..{len(activations)}"
-        )
-    stack = FeatureMapStack(
-        maps=activations[layer_index - 1], layer_index=layer_index, pfm_index=pfm_index
-    )
-    selected = select_informative(stack, bins)
+    selected = select_informative(FeatureMapStack(maps=maps), bins)
     plane = upsample(aggregate(selected), out_h, out_w)
     try:
         threshold = yen_threshold(plane, bins)

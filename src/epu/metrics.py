@@ -13,9 +13,6 @@ import numpy as np
 
 from .errors import ContractError, MetricError
 
-_JACCARD_METHODS = ("tokens", "matchrate")
-
-
 @dataclass
 class InterpLabel:
     """Sign pattern over the feature maps; entries are -1 or +1, never 0."""
@@ -99,25 +96,21 @@ def predicted_interp(rss) -> InterpLabel:
     return InterpLabel(signs)
 
 
-def jaccard_signed(a: InterpLabel, b: InterpLabel, method: str = "tokens") -> float:
+def jaccard_signed(a: InterpLabel, b: InterpLabel) -> float:
     """Agreement between two sign patterns.
 
-    tokens: each pattern becomes the set of (position, sign) tokens and the
-    Jaccard index (intersection over union) reduces to m/(2N-m) for m
-    matching positions. matchrate: plain m/N.
+    Each pattern becomes the set of (position, sign) tokens, and the Jaccard
+    index (intersection over union) reduces to m/(2N-m) for m matching
+    positions.
     """
-    if method not in _JACCARD_METHODS:
-        raise ContractError(f"unknown jaccard method {method!r}")
     if len(a.signs) != len(b.signs):
         raise ContractError(f"sign vectors differ in length: {len(a.signs)} vs {len(b.signs)}")
     n = len(a.signs)
     m = int((a.signs == b.signs).sum())
-    if method == "matchrate":
-        return m / n
     return m / (2 * n - m)
 
 
-def interpretability_accuracy(rss_rows, labels, method: str = "tokens") -> float:
+def interpretability_accuracy(rss_rows, labels) -> float:
     """Mean signed-Jaccard agreement over evaluated samples, in [0, 1]."""
     rows = np.atleast_2d(np.asarray(rss_rows, dtype=np.float64))
     labels = np.asarray(labels)
@@ -128,5 +121,5 @@ def interpretability_accuracy(rss_rows, labels, method: str = "tokens") -> float
     n = rows.shape[1]
     total = 0.0
     for row, y in zip(rows, labels):
-        total += jaccard_signed(predicted_interp(row), ground_truth_interp(int(y), n), method)
+        total += jaccard_signed(predicted_interp(row), ground_truth_interp(int(y), n))
     return total / rows.shape[0]

@@ -2,14 +2,16 @@
 
 Each perceptual feature map feeds its own small CNN whose tanh head emits a
 relative similarity score in [-1, 1]. The binary prediction is
-sigmoid(beta + sum of scores); in multiclass mode each head emits one value
-per class and the summed vector goes through softmax. The additive structure
-makes every sub-network's contribution directly readable.
+sigmoid(beta + sum of scores), so every sub-network's contribution is directly
+readable. `EpuModel.forward_batch` is the one forward path; `predict` runs it
+in evaluation mode without a graph. Neither keeps any state on the model: the
+activations that relevance maps read are returned by the call that asks for
+them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,21 +76,6 @@ class RssVector:
             raise DimensionError("RssVector needs one value per label")
 
 
-@dataclass
-class Prediction:
-    """Model output plus the additive evidence behind it.
-
-    Binary: probability is a float and rss an RssVector. Multiclass:
-    probability is the class distribution and rss the (n_pfms, n_classes)
-    pre-softmax contribution matrix.
-    """
-
-    probability: object
-    rss: object
-    label: int
-    beta: np.ndarray = field(default_factory=lambda: np.zeros(1))
-
-
 class _BnState:
     """Scale/shift params plus running stats for one batchnorm layer."""
 
@@ -114,10 +101,9 @@ class SubNetwork:
     that overwrites every one of them.
     """
 
-    def __init__(self, arch: ArchConfig, index: int, head_units: int, rng: np.random.Generator | None):
+    def __init__(self, arch: ArchConfig, index: int, rng: np.random.Generator | None):
         self.arch = arch
         self.index = index
-        self.head_units = head_units
         k = arch.kernel_size
         self.pad = k // 2
         name = f"subnet{index}"
@@ -139,11 +125,9 @@ class SubNetwork:
         fc_w = _init_weights((self.flat_dim, arch.fc_width), self.flat_dim, rng)
         self.fc_weight = Param(f"{name}.fc.weight", Tensor(fc_w, requires_grad=True))
         self.fc_bias = Param(f"{name}.fc.bias", Tensor(np.zeros(arch.fc_width, np.float32), requires_grad=True))
-        head_w = _init_weights((arch.fc_width, head_units), arch.fc_width, rng)
+        head_w = _init_weights((arch.fc_width, 1), arch.fc_width, rng)
         self.head_weight = Param(f"{name}.head.weight", Tensor(head_w, requires_grad=True))
-        self.head_bias = Param(f"{name}.head.bias", Tensor(np.zeros(head_units, np.float32), requires_grad=True))
-
-        self.cached_activations: list[np.ndarray] | None = None
+        self.head_bias = Param(f"{name}.head.bias", Tensor(np.zeros(1, np.float32), requires_grad=True))
 
     def parameters(self) -> list[Param]:
         out: list[Param] = []
@@ -162,50 +146,47 @@ class SubNetwork:
             out.append((f"{bn.prefix}.running_var", bn.running_var))
         return out
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
-        """Map (B, 1, S, S) input to (B, head_units); tanh head in binary mode."""
+    def forward(self, x: Tensor, training: bool, layer: int | None = None):
+        """Map (B, 1, S, S) input to (B, 1) tanh scores.
+
+        With `layer`, a 1-based conv layer index, returns (scores, that
+        layer's post-ReLU activations (B, C, H, W)) instead.
+        """
         if x.data.ndim != 4 or x.data.shape[2] != self.arch.input_side or x.data.shape[3] != self.arch.input_side:
             raise DimensionError(
                 f"subnet expects (B, 1, {self.arch.input_side}, {self.arch.input_side}), got {x.data.shape}"
             )
-        acts: list[np.ndarray] | None = [] if cache else None
+        if layer is not None and not 1 <= layer <= self.arch.conv_layer_count:
+            raise ConfigError(f"layer {layer} outside the conv layers 1..{self.arch.conv_layer_count}")
         h = x
-        conv_iter = iter(self.conv_kernels)
+        kernels = enumerate(self.conv_kernels, 1)
         for (count, _), bn in zip(self.arch.blocks, self.bn):
             for _ in range(count):
-                h = T.relu(T.conv2d(h, next(conv_iter), stride=1, padding=self.pad))
-                if acts is not None:
-                    acts.append(h.data)
+                n, kernel = next(kernels)
+                h = T.relu(T.conv2d(h, kernel, stride=1, padding=self.pad))
+                if n == layer:
+                    acts = h.data
             h = T.maxpool2d(h, 2)
             h = T.batchnorm2d(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
         h = T.flatten_batch(h)
         h = T.relu(T.dense(h, self.fc_weight, self.fc_bias))
-        out = T.dense(h, self.head_weight, self.head_bias)
-        if self.head_units == 1:
-            out = T.tanh(out)
-        if cache:
-            self.cached_activations = acts
-        return out
+        out = T.tanh(T.dense(h, self.head_weight, self.head_bias))
+        return out if layer is None else (out, acts)
 
 
 class EpuModel:
     """N sub-networks plus a learnable intercept."""
 
-    def __init__(self, arch, subnets, beta: Param, mode: str, pfm_labels, class_names=None):
+    def __init__(self, arch, subnets, beta: Param, pfm_labels, class_names=None):
         self.arch = arch
         self.subnets = list(subnets)
         self.beta = beta
-        self.mode = mode
         self.pfm_labels = tuple(pfm_labels)
         self.class_names = tuple(class_names) if class_names else None
 
     @property
     def n_pfms(self) -> int:
         return len(self.subnets)
-
-    @property
-    def n_classes(self) -> int:
-        return self.subnets[0].head_units if self.mode == "multiclass" else 2
 
     def parameters(self) -> list[Param]:
         out: list[Param] = []
@@ -227,18 +208,18 @@ class EpuModel:
         """Checkpoint payload order: all params, then all running buffers."""
         return [(p.name, p.tensor.data) for p in self.parameters()] + self.buffers()
 
-    def forward_batch(self, stacks, training: bool, cache: bool = False):
+    def forward_batch(self, stacks, training: bool, layer: int | None = None):
         """Run all sub-networks on (B, N, S, S) stacks.
 
-        Binary mode returns (probabilities (B,), per-subnet score tensors);
-        multiclass returns (class distributions (B, n_classes), per-subnet
-        logit tensors). Scores sum in sub-network index order.
+        Returns (probabilities (B,), per-subnet (B, 1) score tensors); with
+        `layer`, a third item lists each sub-network's activations at that
+        1-based conv layer. Scores sum in sub-network index order.
         """
-        contribs = [
-            sn.forward(x, training, cache=cache)
-            for sn, x in zip(self.subnets, self.subnet_inputs(stacks))
-        ]
-        return self.head(contribs), contribs
+        results = [sn.forward(x, training, layer) for sn, x in zip(self.subnets, self.subnet_inputs(stacks))]
+        if layer is None:
+            return self.head(results), results
+        scores, acts = (list(part) for part in zip(*results))
+        return self.head(scores), scores, acts
 
     def subnet_inputs(self, stacks) -> list[Tensor]:
         """Split (B, N, S, S) stacks, or one PfmStack, into N (B, 1, S, S) inputs.
@@ -253,23 +234,19 @@ class EpuModel:
             )
         return [Tensor(data[:, i : i + 1]) for i in range(self.n_pfms)]
 
-    def head(self, contribs) -> Tensor:
-        """Scores summed in index order plus beta, then sigmoid or softmax."""
-        total = contribs[0]
-        for c in contribs[1:]:
-            total = T.add(total, c)
+    def head(self, scores) -> Tensor:
+        """Scores summed in index order plus beta, through the sigmoid: (B,)."""
+        total = scores[0]
+        for s in scores[1:]:
+            total = T.add(total, s)
         logits = T.add(total, self.beta.tensor)
-        if self.mode == "binary":
-            return T.sigmoid(T.reshape(logits, (logits.data.shape[0],)))
-        return T.softmax(logits, axis=-1)
+        return T.sigmoid(T.reshape(logits, (logits.data.shape[0],)))
 
 
 def build_model(
     arch: ArchConfig,
     n_pfms: int = 4,
-    mode: str = "binary",
     seed: int | None = 0,
-    n_classes: int | None = None,
     pfm_labels=None,
     class_names=None,
 ) -> EpuModel:
@@ -281,85 +258,28 @@ def build_model(
     """
     if n_pfms < 1:
         raise ConfigError(f"n_pfms must be >= 1, got {n_pfms}")
-    if mode not in ("binary", "multiclass"):
-        raise ConfigError(f"mode must be binary or multiclass, got {mode!r}")
-    if mode == "multiclass":
-        if n_classes is None or n_classes < 2:
-            raise ConfigError("multiclass mode needs n_classes >= 2")
-        head_units = n_classes
-    else:
-        head_units = 1
     if pfm_labels is None:
         pfm_labels = PFM_LABELS if n_pfms == 4 else tuple(f"pfm{i}" for i in range(n_pfms))
     if len(pfm_labels) != n_pfms:
         raise ConfigError(f"need {n_pfms} pfm labels, got {len(pfm_labels)}")
 
     subnets = [
-        SubNetwork(arch, i, head_units, None if seed is None else np.random.default_rng([seed, i]))
+        SubNetwork(arch, i, None if seed is None else np.random.default_rng([seed, i]))
         for i in range(n_pfms)
     ]
-    beta = Param("beta", Tensor(np.zeros(head_units if mode == "multiclass" else 1, np.float32), requires_grad=True))
-    return EpuModel(arch, subnets, beta, mode, pfm_labels, class_names)
+    beta = Param("beta", Tensor(np.zeros(1, np.float32), requires_grad=True))
+    return EpuModel(arch, subnets, beta, pfm_labels, class_names)
 
 
-def subnet_forward(subnet: SubNetwork, pfm_plane: np.ndarray):
-    """Score a single feature-map plane; caches per-conv-layer activations."""
-    plane = np.asarray(pfm_plane, dtype=np.float32)
-    if plane.ndim != 2:
-        raise DimensionError(f"expected a 2-D plane, got shape {plane.shape}")
+def predict(model: EpuModel, stacks, layer: int | None = None):
+    """Evaluation-mode `forward_batch` without a graph, as float64 arrays.
+
+    `stacks` is (B, N, S, S) or one PfmStack. Returns (probabilities (B,),
+    scores (B, N)); with `layer`, a third item lists each sub-network's
+    activations at that 1-based conv layer, (B, C, H, W) each.
+    """
     with T.no_grad():
-        out = subnet.forward(Tensor(plane[None, None]), training=False, cache=True)
-    subnet.cached_activations = [a[0] for a in subnet.cached_activations]
-    if subnet.head_units == 1:
-        return float(out.data[0, 0]), subnet.cached_activations
-    return out.data[0].copy(), subnet.cached_activations
-
-
-def epu_forward(model: EpuModel, stack: PfmStack) -> Prediction:
-    """Binary prediction with per-PFM scores; caches activations for maps."""
-    if model.mode != "binary":
-        raise ContractError("epu_forward requires a binary-mode model")
-    if stack.count != model.n_pfms:
-        raise DimensionError(f"stack has {stack.count} maps, model expects {model.n_pfms}")
-    with T.no_grad():
-        prob, contribs = model.forward_batch(stack.maps[None], training=False, cache=True)
-    for sn in model.subnets:
-        sn.cached_activations = [a[0] for a in sn.cached_activations]
-    values = np.array([float(c.data[0, 0]) for c in contribs])
-    p = float(prob.data[0])
-    return Prediction(
-        probability=p,
-        rss=RssVector(values, model.pfm_labels),
-        label=int(p >= 0.5),
-        beta=model.beta.tensor.data.copy(),
-    )
-
-
-def epu_forward_multiclass(model: EpuModel, stack: PfmStack) -> Prediction:
-    """Multiclass prediction; rss holds the (n_pfms, n_classes) contributions."""
-    if model.mode != "multiclass":
-        raise ContractError("epu_forward_multiclass requires a multiclass-mode model")
-    if stack.count != model.n_pfms:
-        raise DimensionError(f"stack has {stack.count} maps, model expects {model.n_pfms}")
-    with T.no_grad():
-        dist, contribs = model.forward_batch(stack.maps[None], training=False, cache=True)
-    for sn in model.subnets:
-        sn.cached_activations = [a[0] for a in sn.cached_activations]
-    matrix = np.stack([c.data[0] for c in contribs]).astype(np.float64)
-    probs = dist.data[0].copy()
-    return Prediction(
-        probability=probs,
-        rss=matrix,
-        label=int(np.argmax(probs)),
-        beta=model.beta.tensor.data.copy(),
-    )
-
-
-def multiclass_interp_values(prediction: Prediction) -> np.ndarray:
-    """Per-PFM pull toward the predicted class vs the best competing class."""
-    matrix = np.asarray(prediction.rss, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ContractError("multiclass interpretation needs a contribution matrix")
-    label = prediction.label
-    others = np.delete(matrix, label, axis=1)
-    return matrix[:, label] - others.max(axis=1)
+        result = model.forward_batch(stacks, training=False, layer=layer)
+    prob = result[0].data.astype(np.float64)
+    scores = np.concatenate([s.data for s in result[1]], axis=1).astype(np.float64)
+    return (prob, scores) if layer is None else (prob, scores, result[2])

@@ -2,7 +2,9 @@
 
 Implements exactly the layer set the perceptual ensembles need: conv2d,
 maxpool2d, batchnorm2d, dense, elementwise activations, reductions, and the
-arithmetic glue for additive heads and cross-entropy losses.
+arithmetic glue for additive heads and cross-entropy losses. Every op is a
+module-level function (`add`, `relu`, `tsum`, `backward`, ...); a `Tensor`
+has no operator overloads.
 
 The operation graph is kept apart from tensor data. A computed tensor points
 at a private op record, its vertex: the backward closure plus the vertices of
@@ -78,73 +80,9 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._op = _op
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def log(self):
-        return log(self)
-
-    def clip(self, lo, hi):
-        return clip(self, lo, hi)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
 
 
 @dataclass(eq=False)
@@ -394,20 +332,6 @@ def sigmoid(x) -> Tensor:
 
     def grad_fn(up, fresh):
         _push(fresh, xv, up * out * (1.0 - out))
-
-    return _node(out, (xv,), grad_fn)
-
-
-def softmax(x, axis: int = -1) -> Tensor:
-    x = _astensor(x)
-    xv = _vertex(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(up, fresh):
-        dot = (up * out).sum(axis=axis, keepdims=True)
-        _push(fresh, xv, out * (up - dot))
 
     return _node(out, (xv,), grad_fn)
 

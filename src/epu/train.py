@@ -31,7 +31,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .metrics import ScoredSet, accuracy, auc, interpretability_accuracy
-from .model import ArchConfig, EpuModel, build_model, epu_forward
+from .model import ArchConfig, EpuModel, build_model, predict
 from .pfm import PfmStack, RgbImage, build_pfm_stack
 from .tensor import Tensor
 
@@ -141,8 +141,6 @@ def _train_step(model: EpuModel, pool, stacks, labels, params, lr: float):
 
 def train_epoch(model: EpuModel, samples, config: TrainConfig, rng=None) -> EpochStats:
     """One pass over shuffled mini-batches; one loss and update per batch."""
-    if model.mode != "binary":
-        raise ConfigError("train_epoch drives binary models only")
     if len(samples) == 0:
         raise ContractError("cannot train on an empty sample set")
     for s in samples:
@@ -252,9 +250,10 @@ def _header_blob(model: EpuModel, epoch: int, seed: int, count: int) -> bytes:
     a = model.arch
     pairs = [
         ("format", CHECKPOINT_FORMAT),
-        ("mode", model.mode),
+        # every model is binary; both fields stay in the format, and loading checks the mode
+        ("mode", "binary"),
         ("n_pfms", str(model.n_pfms)),
-        ("n_classes", str(model.n_classes)),
+        ("n_classes", "2"),
         ("pfm_labels", ",".join(model.pfm_labels)),
         ("blocks", ",".join(f"{r}x{c}" for r, c in a.blocks)),
         ("kernel_size", str(a.kernel_size)),
@@ -291,12 +290,6 @@ def save_checkpoint(model: EpuModel, path: str, epoch: int = 0, seed: int = 0) -
         raise
 
 
-def read_checkpoint_header(path: str) -> dict:
-    with open(path, "rb") as fh:
-        blob = fh.read(65536)
-    return _parse_header(blob)[0]
-
-
 def _parse_header(blob: bytes):
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"bad magic {blob[:5]!r}")
@@ -323,7 +316,9 @@ def load_checkpoint(path: str) -> EpuModel:
     with open(path, "rb") as fh:
         blob = fh.read()
     header, body_start = _parse_header(blob)
-    body = blob[body_start:]
+    # a view: slicing the bytes would copy the whole payload twice, and those
+    # fresh copies are page-faulted in again on every load
+    body = memoryview(blob)[body_start:]
     if len(body) < 4:
         raise CheckpointError("truncated payload")
     payload, crc = body[:-4], body[-4:]
@@ -342,9 +337,9 @@ def load_checkpoint(path: str) -> EpuModel:
             input_side=int(header["input_side"]),
             preset=header.get("preset", ""),
         )
-        mode = header["mode"]
+        if header["mode"] != "binary":
+            raise CheckpointError(f"bad header field: mode {header['mode']!r}, only binary models exist")
         n_pfms = int(header["n_pfms"])
-        n_classes = int(header["n_classes"]) if mode == "multiclass" else None
         pfm_labels = tuple(header["pfm_labels"].split(","))
         class_names = (
             tuple(header["class_names"].split(",")) if "class_names" in header else None
@@ -354,15 +349,7 @@ def load_checkpoint(path: str) -> EpuModel:
     if len(payload) != 4 * count:
         raise CheckpointError(f"payload holds {len(payload) // 4} floats, header says {count}")
     try:
-        model = build_model(
-            arch,
-            n_pfms=n_pfms,
-            mode=mode,
-            seed=None,
-            n_classes=n_classes,
-            pfm_labels=pfm_labels,
-            class_names=class_names,
-        )
+        model = build_model(arch, n_pfms=n_pfms, seed=None, pfm_labels=pfm_labels, class_names=class_names)
     except ConfigError as exc:
         raise CheckpointError(f"bad header field: {exc}") from exc
     entries = model.state_entries()
@@ -408,7 +395,7 @@ def fit(
     """Train a fresh binary model; rebuilds feature maps per augmented epoch."""
     if len(images) == 0:
         raise ContractError("cannot fit on an empty image set")
-    model = build_model(arch, n_pfms=4, mode="binary", seed=config.seed, class_names=class_names)
+    model = build_model(arch, n_pfms=4, seed=config.seed, class_names=class_names)
     side = arch.input_side
     history = []
     plain = None if config.augment else make_samples(images, labels, side, paths)
@@ -448,19 +435,20 @@ class EvalReport:
 
 
 def evaluate(model: EpuModel, samples) -> EvalReport:
-    """Score held-out samples; reports AUC, accuracy, and sign agreement."""
+    """Score held-out samples one at a time; reports AUC, accuracy, and sign agreement."""
     if len(samples) == 0:
         raise ContractError("cannot evaluate an empty sample set")
     records = []
     for s in samples:
-        pred = epu_forward(model, s.stack)
+        prob, scores = predict(model, s.stack)
+        p = float(prob[0])
         records.append(
             EvalRecord(
                 source_path=s.source_path,
                 label=s.label,
-                probability=pred.probability,
-                predicted=pred.label,
-                rss=pred.rss.values,
+                probability=p,
+                predicted=int(p >= 0.5),
+                rss=scores[0],
             )
         )
     labels = np.array([r.label for r in records], dtype=np.int64)

@@ -1,7 +1,7 @@
 """Finite-difference gradient oracles shared by unit and acceptance tests."""
 import numpy as np
 
-from epu.tensor import Tensor
+from epu.tensor import Tensor, backward
 
 
 def leaf(arr):
@@ -15,7 +15,7 @@ def coord_check(make_loss, leaves, rng, step=1e-3, rtol=1e-3, coords=16):
     Returns a list of (tensor_index, flat_index, analytic, numeric) failures.
     """
     loss = make_loss(leaves)
-    loss.backward()
+    backward(loss)
     grads = [None if t.grad is None else t.grad.copy() for t in leaves]
     failures = []
     for ti, t in enumerate(leaves):
@@ -52,7 +52,7 @@ def directional_check(make_loss, leaves, rng, step=1e-3, rtol=1e-3, directions=8
     of (direction_index, analytic, numeric) failures.
     """
     loss = make_loss(leaves)
-    loss.backward()
+    backward(loss)
     grads = [t.grad.copy() for t in leaves]
     for t in leaves:
         t.grad = None

@@ -24,7 +24,7 @@ from epu.metrics import (
     interpretability_accuracy,
     jaccard_signed,
 )
-from epu.model import ArchConfig, PRESETS, build_model, epu_forward
+from epu.model import ArchConfig, PRESETS, build_model, predict
 from epu.pfm import PfmStack, dwt2_level, idwt2_level, srgb_to_lab, upsample, RgbImage
 from epu.tensor import Tensor
 from epu.train import bce_loss
@@ -164,7 +164,7 @@ def test_c01_gradient_correctness():
                 return bce_loss(prob, label)
 
             T.zero_grads(params)
-            loss_node().backward()
+            T.backward(loss_node())
             _, base = rec.run(loss_value)
             valid = 0
             for li in rng.choice(len(params), size=40, replace=False):
@@ -200,10 +200,10 @@ def test_c02_additive_identity():
         rng = np.random.default_rng([21, seed])
         model = build_model(TINY, seed=seed)
         stack = PfmStack(maps=rng.uniform(-1, 1, size=(4, 8, 8)).astype(np.float32))
-        pred = epu_forward(model, stack)
-        logit = float(pred.beta[0]) + float(pred.rss.values.sum())
+        prob, scores = predict(model, stack)
+        logit = float(model.beta.tensor.data[0]) + float(scores[0].sum())
         rebuilt = 1.0 / (1.0 + math.exp(-logit))
-        worst = max(worst, abs(rebuilt - pred.probability))
+        worst = max(worst, abs(rebuilt - prob[0]))
     assert worst <= 1e-6, f"worst deviation {worst}"
 
 
@@ -422,7 +422,7 @@ def test_c09_prm_pipeline():
         maps = rng.standard_normal((n, h, w)).astype(np.float32)
         out_h, out_w = 2 * h + 3, 2 * w + 1
 
-        prm = build_prm([maps], layer_index=1, out_h=out_h, out_w=out_w)
+        prm = build_prm(maps, out_h=out_h, out_w=out_w)
 
         ents = np.array([_oracle_entropy(m) for m in maps])
         order = np.argsort(-ents, kind="stable")
@@ -446,5 +446,5 @@ def test_c09_prm_pipeline():
         assert np.all(lower[prm.mask]) and np.all(prm.mask[higher])
 
     flat = np.zeros((3, 6, 6), dtype=np.float32)
-    prm = build_prm([flat], layer_index=1, out_h=12, out_w=12)
+    prm = build_prm(flat, out_h=12, out_w=12)
     assert prm.threshold is None and not prm.mask.any()

@@ -111,9 +111,12 @@ def test_pfm_gray_input_gives_midgray_chroma(tmp_path):
 
 def test_pfm_decode_error_exit3(tmp_path):
     bad = tmp_path / "bad.ppm"
-    bad.write_bytes(b"not a pixmap at all")
-    proc = run_cli(["pfm", "--image", str(bad)], tmp_path)
-    assert proc.returncode == 3
+    for blob in (b"not a pixmap at all", b"hello"):
+        bad.write_bytes(blob)
+        proc = run_cli(["pfm", "--image", str(bad)], tmp_path)
+        assert proc.returncode == 3
+        # one line that names the file
+        assert str(bad) in _one_error_line(proc)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +266,15 @@ def test_explain_side_mismatch_names_both(tmp_path, trained, ds_root):
 
 
 def test_explain_layer_out_of_range(tmp_path, trained, ds_root):
-    proc = run_cli(
-        ["explain", "--model", str(trained / "checkpoint.epu"),
-         "--image", str(ds_root / "disk/00000.ppm"), "--out", str(tmp_path / "o"),
-         "--layer", "9"],
-        tmp_path,
-    )
-    assert proc.returncode == 2
+    # the fixture has two conv layers, so 3 is the first one past the end
+    for layer in ("9", "3"):
+        proc = run_cli(
+            ["explain", "--model", str(trained / "checkpoint.epu"),
+             "--image", str(ds_root / "disk/00000.ppm"), "--out", str(tmp_path / "o"),
+             "--layer", layer],
+            tmp_path,
+        )
+        assert proc.returncode == 2
 
 
 def test_explain_garbage_checkpoint_exit3(tmp_path, ds_root):
@@ -315,6 +320,7 @@ def test_explain_header_out_of_range_exit3(tmp_path, trained, ds_root):
         (b"kernel_size = 3\n", b"kernel_size = 4\n"),
         (b"fc_width = 4\n", b"fc_width = 0\n"),
         (b"mode = binary\n", b"mode = other\n"),
+        (b"mode = binary\n", b"mode = multiclass\n"),
         (b"n_pfms = 4\n", b"n_pfms = 0\n"),
     )
     for n, (old, new) in enumerate(edits):
@@ -336,6 +342,7 @@ BAD_PPMS = {
     "maxval_65535": b"P6\n2 2\n65535\n" + bytes(24),
     "truncated": b"P6\n4 4\n255\n" + bytes(47),
     "zero_dims": b"P6\n0 0\n255\n",
+    "text": b"hello",
     "missing": None,
 }
 
@@ -352,6 +359,7 @@ def test_explain_bad_image_exit3(tmp_path, trained, case):
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert str(image) in proc.stderr
     assert not (tmp_path / "e").exists()
 
 

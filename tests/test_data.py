@@ -10,7 +10,6 @@ from epu.data import (
     MANIFEST_NAME,
     DatasetManifest,
     SynthConfig,
-    class_mean_b,
     decode_ppm,
     encode_pgm,
     encode_ppm,
@@ -22,7 +21,7 @@ from epu.data import (
     write_manifest,
 )
 from epu.errors import ConfigError, IngestionError, ParseError
-from epu.pfm import RgbImage
+from epu.pfm import RgbImage, srgb_to_lab
 
 
 def _img(pixels):
@@ -210,21 +209,13 @@ def test_load_dataset_rejects_comma_class_name(tmp_path):
 def test_load_dataset_binary_mode_needs_two(tmp_path):
     _make_tree(str(tmp_path), ["a", "b", "c"])
     with pytest.raises(IngestionError):
-        load_dataset(str(tmp_path), mode="binary")
-    man = load_dataset(str(tmp_path), mode="multiclass")
-    assert man.n_classes == 3
+        load_dataset(str(tmp_path))
 
 
 def test_load_dataset_single_class_rejected(tmp_path):
     _make_tree(str(tmp_path), ["only"])
-    for mode in ("binary", "multiclass"):
-        with pytest.raises(IngestionError):
-            load_dataset(str(tmp_path), mode=mode)
-
-
-def test_load_dataset_unknown_mode(tmp_path):
-    with pytest.raises(ConfigError):
-        load_dataset(str(tmp_path), mode="ternary")
+    with pytest.raises(IngestionError):
+        load_dataset(str(tmp_path))
 
 
 def test_read_image_missing_file(tmp_path):
@@ -318,16 +309,26 @@ def test_synth_images_decode_and_resize(tmp_path):
 
 def test_synth_loadable_by_dataset_scanner(tmp_path):
     synth_generate(SynthConfig(count=2, side=16, seed=9), str(tmp_path))
-    man = load_dataset(str(tmp_path), mode="binary")
+    man = load_dataset(str(tmp_path))
     # scanning must skip the manifest file at the root and match the classes
     assert man.class_names == CLASS_NAMES
     assert len(man) == 4
 
 
+def _class_mean_b(manifest):
+    """Mean Lab b per class over every pixel."""
+    sums, counts = np.zeros(2), np.zeros(2)
+    for rel, cls in manifest.entries:
+        b = srgb_to_lab(read_image(os.path.join(manifest.root, rel))).b
+        sums[cls] += float(b.sum())
+        counts[cls] += b.size
+    return sums / counts
+
+
 def test_synth_class_color_separation(tmp_path):
     # yellowness ordering by construction: crescents sit above disks on Lab b
     man = synth_generate(SynthConfig(count=12, side=48, seed=0), str(tmp_path))
-    mean_b = class_mean_b(man)
+    mean_b = _class_mean_b(man)
     assert mean_b[0] > mean_b[1] + 2.0
 
 
@@ -335,5 +336,5 @@ def test_synth_separation_holds_across_seeds(tmp_path):
     for seed in (1, 2, 3):
         root = tmp_path / f"s{seed}"
         man = synth_generate(SynthConfig(count=8, side=32, seed=seed), str(root))
-        mean_b = class_mean_b(man)
+        mean_b = _class_mean_b(man)
         assert mean_b[0] > mean_b[1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from epu import interpret as I
-from epu.errors import ConfigError, ContractError, DegenerateInputError, DimensionError
+from epu.errors import ContractError, DegenerateInputError, DimensionError
 from epu.model import RssVector
 from epu.pfm import RgbImage
 
@@ -27,7 +27,7 @@ def brute_yen_index(counts):
 
 
 def stack_of(maps):
-    return I.FeatureMapStack(maps=np.asarray(maps, dtype=np.float64), layer_index=1, pfm_index=0)
+    return I.FeatureMapStack(maps=np.asarray(maps, dtype=np.float64))
 
 
 def svg_elems(svg, tag):
@@ -308,7 +308,7 @@ def test_yen_degenerate_inputs():
 def test_build_prm_shape_and_stage_composition():
     rng = np.random.default_rng(7)
     acts = [rng.uniform(size=(4, 8, 8)), rng.uniform(size=(6, 4, 4)) ** 2]
-    prm = I.build_prm(acts, layer_index=2, out_h=32, out_w=32)
+    prm = I.build_prm(acts[1], out_h=32, out_w=32)
     assert prm.plane.shape == (32, 32)
     assert prm.mask.shape == (32, 32)
     assert 0.0 <= prm.plane.min() and prm.plane.max() <= 1.0
@@ -326,21 +326,10 @@ def test_build_prm_shape_and_stage_composition():
 
 
 def test_build_prm_zero_activations_empty_mask():
-    acts = [np.zeros((4, 6, 6))]
-    prm = I.build_prm(acts, layer_index=1, out_h=12, out_w=12)
+    prm = I.build_prm(np.zeros((4, 6, 6)), out_h=12, out_w=12)
     assert prm.threshold is None
     assert not prm.mask.any()
     assert np.all(prm.plane == 0.0)
-
-
-def test_build_prm_layer_bounds():
-    acts = [np.ones((3, 4, 4)), np.ones((3, 2, 2))]
-    with pytest.raises(ConfigError):
-        I.build_prm(acts, layer_index=0, out_h=8, out_w=8)
-    with pytest.raises(ConfigError):
-        I.build_prm(acts, layer_index=3, out_h=8, out_w=8)
-    with pytest.raises(ConfigError):
-        I.build_prm([], layer_index=1, out_h=8, out_w=8)
 
 
 def test_prm_mask_monotone_in_threshold():

@@ -109,14 +109,6 @@ def test_jaccard_symmetry_random():
         assert (MX.jaccard_signed(a, b) == 1.0) == bool(np.array_equal(a.signs, b.signs))
 
 
-def test_jaccard_matchrate_switch():
-    a = MX.InterpLabel(np.array([1, 1, -1, -1]))
-    b = MX.InterpLabel(np.array([1, 1, 1, 1]))
-    assert MX.jaccard_signed(a, b, method="matchrate") == pytest.approx(0.5)
-    with pytest.raises(ContractError):
-        MX.jaccard_signed(a, b, method="dice")
-
-
 def test_jaccard_length_mismatch():
     with pytest.raises(ContractError):
         MX.jaccard_signed(MX.InterpLabel(np.array([1, 1])), MX.InterpLabel(np.array([1, 1, 1])))

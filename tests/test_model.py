@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epu import model as M
-from epu.errors import ConfigError, ContractError, DimensionError
+from epu.errors import ConfigError, DimensionError
 from epu.pfm import PfmStack
 
 TINY = M.ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8, preset="")
@@ -51,7 +51,7 @@ def test_build_desk_model_structure():
     assert len(m.subnets) == 4
     for sn in m.subnets:
         assert len(sn.conv_kernels) == 7
-        assert sn.head_units == 1
+        assert sn.head_weight.tensor.data.shape == (32, 1)
     assert m.beta.tensor.data.shape == (1,)
     assert float(m.beta.tensor.data[0]) == 0.0
 
@@ -107,29 +107,71 @@ def test_rss_always_in_tanh_range():
     m = tiny_model(seed=2)
     for _ in range(5):
         stack = rand_stack(rng)
-        pred = M.epu_forward(m, stack)
-        assert np.all(np.abs(pred.rss.values) <= 1.0)
+        _, scores = M.predict(m, stack)
+        assert np.all(np.abs(scores) <= 1.0)
 
 
 def test_zero_head_gives_zero_rss():
     m = tiny_model(seed=4)
     zero_heads(m)
-    pred = M.epu_forward(m, rand_stack(np.random.default_rng(6)))
-    assert np.all(pred.rss.values == 0.0)
-    assert pred.probability == pytest.approx(0.5)
-    assert pred.label == 1  # ties classify as class 1
+    prob, scores = M.predict(m, rand_stack(np.random.default_rng(6)))
+    assert np.all(scores == 0.0)
+    assert prob[0] == pytest.approx(0.5)
+    assert prob[0] >= 0.5  # ties classify as class 1
 
 
 def test_cached_activation_count_and_shapes():
     m = M.build_model(M.PRESETS["desk"], n_pfms=1, seed=0)
-    plane = np.random.default_rng(0).uniform(-1, 1, size=(64, 64)).astype(np.float32)
-    rss, acts = M.subnet_forward(m.subnets[0], plane)
-    assert isinstance(rss, float) and abs(rss) <= 1.0
-    assert len(acts) == 7
-    shapes = [a.shape for a in acts]
-    assert shapes[:2] == [(8, 64, 64)] * 2
-    assert shapes[2:4] == [(16, 32, 32)] * 2
-    assert shapes[4:] == [(32, 16, 16)] * 3
+    stacks = np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 64, 64)).astype(np.float32)
+    prob, scores = M.predict(m, stacks)
+    shapes = [(8, 64, 64)] * 2 + [(16, 32, 32)] * 2 + [(32, 16, 16)] * 3
+    for k, shape in enumerate(shapes, 1):
+        got_prob, got_scores, acts = M.predict(m, stacks, layer=k)
+        assert len(acts) == 1 and acts[0].shape == (2, *shape)
+        assert np.all(acts[0] >= 0.0)  # post-ReLU
+        # asking for a layer changes nothing else
+        assert np.array_equal(got_prob, prob) and np.array_equal(got_scores, scores)
+    assert scores.shape == (2, 1) and np.all(np.abs(scores) <= 1.0)
+    for bad in (0, 8):
+        with pytest.raises(ConfigError):
+            M.predict(m, stacks, layer=bad)
+
+
+def test_predict_leaves_no_state_on_the_model():
+    m = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=3)
+    stacks = np.random.default_rng(1).uniform(-1, 1, size=(1, 2, 64, 64)).astype(np.float32)
+
+    def snapshot():
+        objs = [m] + m.subnets
+        return [dict(vars(o)) for o in objs], [a.copy() for _, a in m.state_entries()]
+
+    attrs, arrays = snapshot()
+    M.predict(m, stacks)
+    M.predict(m, stacks, layer=5)
+    after_attrs, after_arrays = snapshot()
+    assert len(after_attrs) == len(attrs)
+    for before, after in zip(attrs, after_attrs):
+        assert before.keys() == after.keys()
+        assert all(after[k] is before[k] for k in before)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, after_arrays))
+
+
+def test_evaluate_equals_one_forward_batch_per_sample():
+    from epu import tensor as T
+    from epu.train import Sample, evaluate
+
+    rng = np.random.default_rng(13)
+    m = tiny_model(seed=7)
+    m.beta.tensor.data[:] = 0.3
+    samples = [Sample(stack=rand_stack(rng), label=i % 2) for i in range(6)]
+    report = evaluate(m, samples)
+    for s, rec in zip(samples, report.records):
+        with T.no_grad():
+            prob, scores = m.forward_batch(s.stack.maps[None], training=False)
+        want = np.array([float(c.data[0, 0]) for c in scores])
+        assert np.float64(rec.probability).tobytes() == np.float64(prob.data[0]).tobytes()
+        assert rec.rss.dtype == np.float64 and rec.rss.tobytes() == want.tobytes()
+        assert rec.predicted == int(prob.data[0] >= 0.5)
 
 
 def test_forced_rss_values_hit_sigma4():
@@ -137,10 +179,10 @@ def test_forced_rss_values_hit_sigma4():
     zero_heads(m)
     for sn in m.subnets:
         sn.head_bias.tensor.data[:] = 20.0  # tanh(20) rounds to exactly 1.0
-    pred = M.epu_forward(m, rand_stack(np.random.default_rng(7)))
-    assert np.allclose(pred.rss.values, 1.0)
-    assert pred.probability == pytest.approx(1.0 / (1.0 + np.exp(-4.0)), abs=1e-6)
-    assert pred.probability == pytest.approx(0.98201, abs=1e-5)
+    prob, scores = M.predict(m, rand_stack(np.random.default_rng(7)))
+    assert np.allclose(scores, 1.0)
+    assert prob[0] == pytest.approx(1.0 / (1.0 + np.exp(-4.0)), abs=1e-6)
+    assert prob[0] == pytest.approx(0.98201, abs=1e-5)
 
 
 def test_cancelling_rss_gives_half():
@@ -148,8 +190,8 @@ def test_cancelling_rss_gives_half():
     zero_heads(m)
     for i, sn in enumerate(m.subnets):
         sn.head_bias.tensor.data[:] = 20.0 if i % 2 == 0 else -20.0
-    pred = M.epu_forward(m, rand_stack(np.random.default_rng(8)))
-    assert pred.probability == pytest.approx(0.5, abs=1e-7)
+    prob, _ = M.predict(m, rand_stack(np.random.default_rng(8)))
+    assert prob[0] == pytest.approx(0.5, abs=1e-7)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -159,102 +201,58 @@ def test_additive_identity_random_models(seed):
     m = tiny_model(seed=seed, n_pfms=n)
     m.beta.tensor.data[:] = rng.normal()
     stack = rand_stack(rng, n=n)
-    pred = M.epu_forward(m, stack)
-    recomputed = 1.0 / (1.0 + np.exp(-(float(m.beta.tensor.data[0]) + pred.rss.values.sum())))
-    assert abs(pred.probability - recomputed) <= 1e-6
+    prob, scores = M.predict(m, stack)
+    recomputed = 1.0 / (1.0 + np.exp(-(float(m.beta.tensor.data[0]) + scores[0].sum())))
+    assert abs(prob[0] - recomputed) <= 1e-6
 
 
 def test_permuted_subnets_same_probability():
     rng = np.random.default_rng(9)
     m = tiny_model(seed=5)
     stack = rand_stack(rng)
-    base = M.epu_forward(m, stack).probability
+    base = M.predict(m, stack)[0][0]
     perm = [2, 0, 3, 1]
     m2 = M.EpuModel(
         m.arch,
         [m.subnets[i] for i in perm],
         m.beta,
-        m.mode,
         [m.pfm_labels[i] for i in perm],
     )
     stack2 = PfmStack(maps=stack.maps[perm], labels=tuple(stack.labels[i] for i in perm))
-    assert abs(M.epu_forward(m2, stack2).probability - base) <= 1e-6
+    assert abs(M.predict(m2, stack2)[0][0] - base) <= 1e-6
     # identical ordering is bitwise stable
-    assert M.epu_forward(m, stack).probability == base
+    assert M.predict(m, stack)[0][0] == base
 
 
 def test_ablation_consistency():
     rng = np.random.default_rng(10)
     m = tiny_model(seed=6)
     stack = rand_stack(rng)
-    pred = M.epu_forward(m, stack)
-    logit = float(m.beta.tensor.data[0]) + pred.rss.values.sum()
+    _, scores = M.predict(m, stack)
+    logit = float(m.beta.tensor.data[0]) + scores[0].sum()
     for p in m.subnets[1].parameters():
         p.tensor.data[:] = 0.0
-    ablated = M.epu_forward(m, stack)
-    assert ablated.rss.values[1] == 0.0
-    new_logit = float(m.beta.tensor.data[0]) + ablated.rss.values.sum()
-    assert new_logit == pytest.approx(logit - pred.rss.values[1], abs=1e-6)
+    _, ablated = M.predict(m, stack)
+    assert ablated[0, 1] == 0.0
+    new_logit = float(m.beta.tensor.data[0]) + ablated[0].sum()
+    assert new_logit == pytest.approx(logit - scores[0, 1], abs=1e-6)
 
 
 def test_stack_count_mismatch_rejected():
     m = tiny_model(n_pfms=3)
     with pytest.raises(DimensionError):
-        M.epu_forward(m, rand_stack(np.random.default_rng(0), n=4))
+        M.predict(m, rand_stack(np.random.default_rng(0), n=4))
 
 
 def test_wrong_plane_size_rejected():
     m = tiny_model()
     with pytest.raises(DimensionError):
-        M.epu_forward(m, rand_stack(np.random.default_rng(0), side=16))
-
-
-def test_multiclass_uniform_and_sums():
-    m = tiny_model(seed=3, mode="multiclass", n_classes=3)
-    zero_heads(m)
-    stack = rand_stack(np.random.default_rng(11))
-    pred = M.epu_forward_multiclass(m, stack)
-    assert np.allclose(pred.probability, 1.0 / 3.0, atol=1e-6)
-    assert pred.probability.sum() == pytest.approx(1.0, abs=1e-6)
-    assert pred.rss.shape == (4, 3)
-
-
-def test_multiclass_shift_invariance():
-    rng = np.random.default_rng(12)
-    m = tiny_model(seed=4, mode="multiclass", n_classes=3)
-    stack = rand_stack(rng)
-    before = M.epu_forward_multiclass(m, stack).probability
-    m.subnets[2].head_bias.tensor.data += 1.7  # same shift for every class
-    after = M.epu_forward_multiclass(m, stack).probability
-    assert np.allclose(before, after, atol=1e-6)
-
-
-def test_multiclass_mode_guard():
-    m = tiny_model()
-    with pytest.raises(ContractError):
-        M.epu_forward_multiclass(m, rand_stack(np.random.default_rng(0)))
-    mm = tiny_model(mode="multiclass", n_classes=3)
-    with pytest.raises(ContractError):
-        M.epu_forward(mm, rand_stack(np.random.default_rng(0)))
-
-
-def test_multiclass_interp_values():
-    pred = M.Prediction(
-        probability=np.array([0.2, 0.5, 0.3]),
-        rss=np.array([[0.1, 0.4, 0.2], [0.9, 0.1, 0.3]]),
-        label=1,
-    )
-    vals = M.multiclass_interp_values(pred)
-    assert vals == pytest.approx([0.4 - 0.2, 0.1 - 0.9])
+        M.predict(m, rand_stack(np.random.default_rng(0), side=16))
 
 
 def test_build_model_validation():
     with pytest.raises(ConfigError):
         M.build_model(TINY, n_pfms=0)
-    with pytest.raises(ConfigError):
-        M.build_model(TINY, mode="ternary")
-    with pytest.raises(ConfigError):
-        M.build_model(TINY, mode="multiclass")  # missing n_classes
     with pytest.raises(ConfigError):
         M.build_model(TINY, n_pfms=3, pfm_labels=("a", "b"))
 
@@ -262,7 +260,7 @@ def test_build_model_validation():
 def test_training_forward_retains_only_what_backward_reads():
     arch = M.PRESETS["desk"]
     batch = 8
-    subnet = M.SubNetwork(arch, 0, 1, np.random.default_rng(0))
+    subnet = M.SubNetwork(arch, 0, np.random.default_rng(0))
     base = np.random.default_rng(1).standard_normal((batch, 1, arch.input_side, arch.input_side))
     base = base.astype(np.float32)
     # the arrays backward reads: the input, each ReLU output, each max-pool and
