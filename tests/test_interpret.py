@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from epu import interpret as I
-from epu.errors import ContractError, DegenerateInputError, DimensionError
-from epu.model import RssVector
+from epu.errors import ConfigError, ContractError, DegenerateInputError, DimensionError
+from epu.model import ArchConfig, RssVector, build_model, predict
 from epu.pfm import RgbImage
 
 
@@ -330,6 +330,22 @@ def test_build_prm_zero_activations_empty_mask():
     assert prm.threshold is None
     assert not prm.mask.any()
     assert np.all(prm.plane == 0.0)
+
+
+def test_build_prm_layer_bounds():
+    # the layer whose maps feed build_prm must be one of the conv layers
+    arch = ArchConfig(blocks=((1, 2), (1, 3)), fc_width=4, input_side=8)
+    model = build_model(arch, n_pfms=1, seed=0)
+    stacks = np.zeros((1, 1, 8, 8), dtype=np.float32)
+    acts = predict(model, stacks, layer=2)[2]
+    assert I.build_prm(acts[0][0], out_h=8, out_w=8).plane.shape == (8, 8)
+    for bad in (0, 3):
+        with pytest.raises(ConfigError):
+            predict(model, stacks, layer=bad)
+    with pytest.raises(ContractError):
+        I.build_prm(np.ones((1, 4, 4)), out_h=8, out_w=8)
+    with pytest.raises(DimensionError):
+        I.build_prm(np.ones((4, 4)), out_h=8, out_w=8)
 
 
 def test_prm_mask_monotone_in_threshold():
