@@ -7,6 +7,7 @@ with the same inputs and seed produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import ctypes
 import os
 
 
@@ -69,7 +70,6 @@ from .train import (  # noqa: E402
     fit,
     kfold_split,
     load_checkpoint,
-    make_samples,
     save_checkpoint,
     summarize_folds,
 )
@@ -219,11 +219,9 @@ def cmd_train(args) -> int:
         print(f"training diverged at epoch {exc.epoch}; last finite epoch: {last}", file=sys.stderr)
         return 4
 
-    val_samples = make_samples(
-        [images[i] for i in val_idx], labels[val_idx], settings.arch.input_side,
-        [paths[i] for i in val_idx],
+    report = evaluate(
+        result.model, [images[i] for i in val_idx], labels[val_idx], [paths[i] for i in val_idx]
     )
-    report = evaluate(result.model, val_samples)
     val_line = (
         f"val auc={report.auc!r} accuracy={report.accuracy!r}"
         f" a_int={report.interp_accuracy!r}"
@@ -258,8 +256,7 @@ def cmd_explain(args) -> int:
     model = load_checkpoint(args.model)
     side = model.arch.input_side
     if args.side is not None and args.side != side:
-        print(f"input side {args.side} does not match checkpoint side {side}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"input side {args.side} does not match checkpoint side {side}")
     image = _read_rgb(args.image)
     stack = build_pfm_stack(image, side)
     prob, scores, acts = predict(model, stack, layer=settings.layer)
@@ -301,10 +298,7 @@ def cmd_global_explain(args) -> int:
             f" classes {manifest.class_names}"
         )
     images, labels = load_images(manifest)
-    samples = make_samples(
-        images, labels, model.arch.input_side, [rel for rel, _ in manifest.entries]
-    )
-    report = evaluate(model, samples)
+    report = evaluate(model, images, labels, [rel for rel, _ in manifest.entries])
     rss_rows = np.stack([r.rss for r in report.records])
     rec_labels = np.array([r.label for r in report.records], dtype=np.int64)
     names = model.class_names or manifest.class_names
@@ -353,13 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100, help="images per class")
     p.add_argument("--side", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("pfm", help="emit the four perceptual feature maps as PGM")
     p.add_argument("--image", required=True, help="input PPM image")
     p.add_argument("--side", type=int, help="feature map side (default: arch input side)")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_pfm)
 
     p = subs.add_parser("train", help="train a binary model on a class-per-directory dataset")
     p.add_argument("--data", required=True, help="dataset root")
@@ -371,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, help="run k-fold cross-validation instead of holdout")
     p.add_argument("--holdout", type=float, help="held-out fraction (default 0.2)")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("explain", help="per-image prediction, score chart, relevance overlays")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -380,25 +371,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, help="1-based conv layer for relevance maps")
     p.add_argument("--bins", type=int)
     _add_config_flags(p, arch=False)
-    p.set_defaults(func=cmd_explain)
 
     p = subs.add_parser("global-explain", help="dataset-wide per-class score statistics")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="labeled dataset root")
     _add_config_flags(p, arch=False)
-    p.set_defaults(func=cmd_global_explain)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 2
+_PARSER = None
+_ALLOCATOR_SET = False
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+
+
+def _keep_heap_mapped() -> None:
+    """Let glibc keep freed memory mapped for the rest of the process.
+
+    By default glibc serves large arrays from fresh mappings and hands freed
+    heap tops back to the kernel, so each numpy temporary of a forward or
+    backward pass is page-faulted in again. One arena for all threads, arrays
+    up to 32 MiB from the heap and no trimming let them reuse the same pages.
+    Runs once per process; does nothing where the C library has no `mallopt`.
+    """
+    global _ALLOCATOR_SET
+    if _ALLOCATOR_SET:
+        return
+    _ALLOCATOR_SET = True
     try:
-        return args.func(args)
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+def main(argv=None) -> int:
+    global _PARSER
+    _keep_heap_mapped()
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    if args.command is None:
+        _PARSER.print_usage(sys.stderr)
+        return 2
+    # looked up at call time, so a replaced or wrapped command is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
+    try:
+        return command(args)
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -276,7 +276,9 @@ def predict(model: EpuModel, stacks, layer: int | None = None):
 
     `stacks` is (B, N, S, S) or one PfmStack. Returns (probabilities (B,),
     scores (B, N)); with `layer`, a third item lists each sub-network's
-    activations at that 1-based conv layer, (B, C, H, W) each.
+    activations at that 1-based conv layer, (B, C, H, W) each. Every layer
+    treats samples independently in evaluation mode, so each sample's outputs
+    are bitwise those of predicting it alone.
     """
     with T.no_grad():
         result = model.forward_batch(stacks, training=False, layer=layer)

@@ -38,6 +38,16 @@ _LAB_EPS = 216.0 / 24389.0
 _LAB_KAPPA = 24389.0 / 27.0
 
 
+def _srgb_decode_table() -> np.ndarray:
+    """Linear value of each 8-bit sRGB code, by the IEC 61966-2-1 formula."""
+    v = np.arange(256, dtype=np.float64) / 255.0
+    return np.where(v > 0.04045, ((v + 0.055) / 1.055) ** 2.4, v / 12.92)
+
+
+# every pixel is one of 256 codes, so the decode is a lookup
+_SRGB_DECODE = _srgb_decode_table()
+
+
 @dataclass
 class RgbImage:
     """8-bit RGB raster, pixels shaped (height, width, 3)."""
@@ -114,8 +124,7 @@ class PfmStack:
 
 def srgb_to_lab(image: RgbImage) -> LabImage:
     """Per-pixel sRGB -> linear RGB -> XYZ (D65) -> CIE-Lab."""
-    rgb = image.pixels.astype(np.float64) / 255.0
-    lin = np.where(rgb > 0.04045, ((rgb + 0.055) / 1.055) ** 2.4, rgb / 12.92)
+    lin = _SRGB_DECODE[image.pixels]
     xyz = lin @ _SRGB_TO_XYZ.T
     xyz /= _WHITE_D65
     f = np.where(xyz > _LAB_EPS, np.cbrt(xyz), (_LAB_KAPPA * xyz + 16.0) / 116.0)
@@ -129,13 +138,11 @@ def srgb_to_lab(image: RgbImage) -> LabImage:
 
 def _split_pairs(x: np.ndarray, axis: int):
     """One Haar analysis step along `axis`; odd length gets symmetric padding."""
-    x = np.moveaxis(x, axis, -1)
-    if x.shape[-1] % 2:
-        x = np.concatenate([x, x[..., -1:]], axis=-1)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    lo = (even + odd) / _SQRT2
-    hi = (even - odd) / _SQRT2
-    return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
+    lead = (slice(None),) * axis
+    if x.shape[axis] % 2:
+        x = np.concatenate([x, x[lead + (slice(-1, None),)]], axis=axis)
+    even, odd = x[lead + (slice(0, None, 2),)], x[lead + (slice(1, None, 2),)]
+    return (even + odd) / _SQRT2, (even - odd) / _SQRT2
 
 
 def _merge_pairs(lo: np.ndarray, hi: np.ndarray, axis: int) -> np.ndarray:
@@ -222,9 +229,10 @@ def upsample(plane: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     iy1 = np.minimum(iy + 1, h - 1)
     ix1 = np.minimum(ix + 1, w - 1)
     fy = fy[:, None]
-    fx = fx[None, :]
-    top = plane[np.ix_(iy, ix)] * (1 - fx) + plane[np.ix_(iy, ix1)] * fx
-    bot = plane[np.ix_(iy1, ix)] * (1 - fx) + plane[np.ix_(iy1, ix1)] * fx
+    # gather the top and bottom source rows at once, then their two columns
+    rows = plane[np.concatenate([iy, iy1])]
+    across = rows[:, ix] * (1 - fx) + rows[:, ix1] * fx
+    top, bot = across[:target_h], across[target_h:]
     return top * (1 - fy) + bot * fy
 
 

@@ -258,7 +258,10 @@ def matmul(a, b) -> Tensor:
         raise DimensionError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.data.shape} vs {b.data.shape}")
-    out = a.data @ b.data
+    # each row as its own vector-matrix product: a GEMM over several rows
+    # rounds differently from one row alone, and a row's result must not
+    # depend on the rows batched with it
+    out = np.matmul(a.data[:, None, :], b.data)[:, 0]
     ad, bd, av, bv = a.data, b.data, _vertex(a), _vertex(b)
 
     def grad_fn(up, fresh):

@@ -37,6 +37,9 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"EPU1\n"
 CHECKPOINT_FORMAT = "1"
+# images per `predict` call in `evaluate`: larger chunks held more memory
+# without scoring faster
+EVAL_CHUNK = 4
 
 
 @dataclass
@@ -434,27 +437,36 @@ class EvalReport:
     interp_accuracy: float
 
 
-def evaluate(model: EpuModel, samples) -> EvalReport:
-    """Score held-out samples one at a time; reports AUC, accuracy, and sign agreement."""
-    if len(samples) == 0:
-        raise ContractError("cannot evaluate an empty sample set")
-    records = []
-    for s in samples:
-        prob, scores = predict(model, s.stack)
-        p = float(prob[0])
-        records.append(
-            EvalRecord(
-                source_path=s.source_path,
-                label=s.label,
-                probability=p,
-                predicted=int(p >= 0.5),
-                rss=scores[0],
-            )
-        )
-    labels = np.array([r.label for r in records], dtype=np.int64)
-    probs = np.array([r.probability for r in records], dtype=np.float64)
-    preds = np.array([r.predicted for r in records], dtype=np.int64)
-    rss_rows = np.stack([r.rss for r in records])
+def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
+    """Score held-out images; reports AUC, accuracy, and sign agreement.
+
+    Images are turned into feature-map stacks and scored `EVAL_CHUNK` at a
+    time, so the whole set's stacks are never held at once. A forward pass
+    scores each sample independently of its chunk-mates, so the records do
+    not depend on the chunk size or on the order of the images.
+    """
+    if len(images) == 0:
+        raise ContractError("cannot evaluate an empty image set")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (len(images),):
+        raise ContractError(f"need one label per image, got {labels.shape} for {len(images)} images")
+    if np.any(labels < 0):
+        raise ContractError(f"labels must be >= 0, got {labels.min()}")
+    paths = paths if paths is not None else [""] * len(images)
+    side = model.arch.input_side
+    prob_parts, rss_parts = [], []
+    for start in range(0, len(images), EVAL_CHUNK):
+        stacks = np.stack([build_pfm_stack(img, side).maps for img in images[start : start + EVAL_CHUNK]])
+        prob, scores = predict(model, stacks)
+        prob_parts.append(prob)
+        rss_parts.append(scores)
+    probs = np.concatenate(prob_parts)
+    rss_rows = np.concatenate(rss_parts)
+    preds = (probs >= 0.5).astype(np.int64)
+    records = [
+        EvalRecord(source_path=path, label=int(y), probability=float(p), predicted=int(c), rss=rss)
+        for path, y, p, c, rss in zip(paths, labels, probs, preds, rss_rows)
+    ]
     return EvalReport(
         records=records,
         auc=auc(ScoredSet(scores=probs, labels=labels)),
@@ -488,10 +500,7 @@ def cross_validate(
             class_names=class_names,
             paths=[paths[i] for i in tr],
         )
-        val_samples = make_samples(
-            [images[i] for i in va], labels[va], arch.input_side, [paths[i] for i in va]
-        )
-        report = evaluate(result.model, val_samples)
+        report = evaluate(result.model, [images[i] for i in va], labels[va], [paths[i] for i in va])
         reports.append(report)
         if log is not None:
             log(fold, report)

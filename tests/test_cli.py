@@ -3,13 +3,17 @@
 import json
 import math
 import os
+import platform
 import re
+import subprocess
+import sys
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import SRC_DIR, run_cli
 from epu.data import SynthConfig, encode_ppm, synth_generate
 from epu.pfm import RgbImage
 
@@ -263,6 +267,8 @@ def test_explain_side_mismatch_names_both(tmp_path, trained, ds_root):
     proc, _ = _explain(tmp_path, trained, ds_root, "disk/00000.ppm", extra=("--side", "32"))
     assert proc.returncode == 2
     assert "32" in proc.stderr and "16" in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_explain_layer_out_of_range(tmp_path, trained, ds_root):
@@ -534,3 +540,87 @@ def test_threads_env_accepted(tmp_path, ds_root):
         env_extra={"EPU_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_main_builds_parser_once_and_runs_current_command(monkeypatch):
+    from epu import cli
+
+    builds, runs = [], []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    monkeypatch.setattr(cli, "cmd_synth", lambda args: runs.append(("synth", args.count)) or 0)
+    assert cli.main(["synth", "--out", "x", "--count", "3"]) == 0
+    # a command replaced after the parser exists is still the one that runs
+    monkeypatch.setattr(cli, "cmd_global_explain", lambda args: runs.append(("global", args.data)) or 0)
+    assert cli.main(["global-explain", "--model", "m", "--data", "d"]) == 0
+    assert cli.main(["synth", "--out", "y", "--count", "5"]) == 0
+    assert builds == [1]
+    assert runs == [("synth", 3), ("global", "d"), ("synth", 5)]
+
+
+def test_allocator_setup_runs_once(monkeypatch):
+    import ctypes
+
+    from epu import cli
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(cli, "_ALLOCATOR_SET", False)
+    cli._keep_heap_mapped()
+    cli._keep_heap_mapped()
+    # M_ARENA_MAX, M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert calls == [(-8, 1), (-3, 32 << 20), (-1, 1 << 30)]
+
+
+def test_allocator_setup_without_mallopt_does_nothing(monkeypatch):
+    import ctypes
+
+    from epu import cli
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    monkeypatch.setattr(cli, "_ALLOCATOR_SET", False)
+    cli._keep_heap_mapped()
+    assert cli._ALLOCATOR_SET
+
+
+FAULTS_SCRIPT = """
+import contextlib, io, os, resource, sys
+# one core, so training runs one pool worker and the heap's high-water mark
+# does not depend on how two workers' allocations interleave
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+from epu import cli
+from epu.data import SynthConfig, synth_generate
+
+data, out = sys.argv[1], sys.argv[2]
+synth_generate(SynthConfig(count=40, side=64, seed=1), data)
+argv = ["train", "--data", data, "--out", out, "--preset", "desk", "--epochs", "1",
+        "--batch-size", "64", "--seed", "1", "--augment", "true", "--holdout", "0.2"]
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+def test_repeated_train_reuses_heap_pages(tmp_path):
+    """A second in-process `epu train` (desk, 80 images at 64 px, batch 64)
+    finds its arrays' pages already mapped; without the allocator setting it
+    takes about 20k minor faults."""
+    env = dict(os.environ, EPU_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_SCRIPT, str(tmp_path / "data"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 1000

@@ -6,7 +6,7 @@ import pytest
 
 from epu import model as M
 from epu.errors import ConfigError, DimensionError
-from epu.pfm import PfmStack
+from epu.pfm import PfmStack, RgbImage, build_pfm_stack
 
 TINY = M.ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8, preset="")
 
@@ -156,22 +156,62 @@ def test_predict_leaves_no_state_on_the_model():
     assert all(np.array_equal(a, b) for a, b in zip(arrays, after_arrays))
 
 
+def rand_images(rng, count, h=11, w=13):
+    return [RgbImage(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)) for _ in range(count)]
+
+
 def test_evaluate_equals_one_forward_batch_per_sample():
     from epu import tensor as T
-    from epu.train import Sample, evaluate
+    from epu.train import evaluate
 
     rng = np.random.default_rng(13)
     m = tiny_model(seed=7)
     m.beta.tensor.data[:] = 0.3
-    samples = [Sample(stack=rand_stack(rng), label=i % 2) for i in range(6)]
-    report = evaluate(m, samples)
-    for s, rec in zip(samples, report.records):
+    # 9 images: two full chunks and a chunk of one
+    images = rand_images(rng, 9)
+    labels = np.arange(9) % 2
+    report = evaluate(m, images, labels)
+    assert len(report.records) == 9
+    for img, y, rec in zip(images, labels, report.records):
         with T.no_grad():
-            prob, scores = m.forward_batch(s.stack.maps[None], training=False)
+            prob, scores = m.forward_batch(build_pfm_stack(img, TINY.input_side).maps[None], training=False)
         want = np.array([float(c.data[0, 0]) for c in scores])
+        assert rec.label == y
         assert np.float64(rec.probability).tobytes() == np.float64(prob.data[0]).tobytes()
         assert rec.rss.dtype == np.float64 and rec.rss.tobytes() == want.tobytes()
         assert rec.predicted == int(prob.data[0] >= 0.5)
+
+
+def test_evaluate_records_do_not_depend_on_order():
+    from epu.train import evaluate
+
+    rng = np.random.default_rng(14)
+    m = tiny_model(seed=8)
+    images = rand_images(rng, 10)
+    labels = np.arange(10) % 2
+    paths = [f"img{i}" for i in range(10)]
+    order = rng.permutation(10)
+    plain = evaluate(m, images, labels, paths)
+    shuffled = evaluate(m, [images[i] for i in order], labels[order], [paths[i] for i in order])
+    by_path = {rec.source_path: rec for rec in plain.records}
+    for rec in shuffled.records:
+        ref = by_path[rec.source_path]
+        assert np.float64(rec.probability).tobytes() == np.float64(ref.probability).tobytes()
+        assert rec.rss.tobytes() == ref.rss.tobytes()
+        assert (rec.label, rec.predicted) == (ref.label, ref.predicted)
+
+
+@pytest.mark.parametrize("batch", [2, 3, 4, 5, 8])
+def test_predict_batch_equals_single_calls(batch):
+    rng = np.random.default_rng(100 + batch)
+    m = M.build_model(M.PRESETS["desk"], n_pfms=4, seed=batch)
+    stacks = rng.uniform(-1, 1, size=(batch, 4, 64, 64)).astype(np.float32)
+    prob, scores, acts = M.predict(m, stacks, layer=5)
+    for i in range(batch):
+        p1, s1, a1 = M.predict(m, stacks[i : i + 1], layer=5)
+        assert prob[i : i + 1].tobytes() == p1.tobytes()
+        assert scores[i : i + 1].tobytes() == s1.tobytes()
+        assert all(a[i : i + 1].tobytes() == b.tobytes() for a, b in zip(acts, a1))
 
 
 def test_forced_rss_values_hit_sigma4():

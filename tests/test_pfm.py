@@ -190,3 +190,97 @@ def test_constant_image_gives_zero_wavelet_maps():
     stack = pfm.build_pfm_stack(solid((120, 120, 120), 16, 16), 16)
     assert np.all(stack.maps[0] == 0.0)
     assert np.all(stack.maps[1] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the earlier per-pixel implementation, kept here as a bitwise reference
+
+
+def ref_srgb_to_lab(image):
+    rgb = image.pixels.astype(np.float64) / 255.0
+    lin = np.where(rgb > 0.04045, ((rgb + 0.055) / 1.055) ** 2.4, rgb / 12.92)
+    xyz = lin @ pfm._SRGB_TO_XYZ.T
+    xyz /= pfm._WHITE_D65
+    f = np.where(xyz > pfm._LAB_EPS, np.cbrt(xyz), (pfm._LAB_KAPPA * xyz + 16.0) / 116.0)
+    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    return 116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)
+
+
+def ref_split_pairs(x, axis):
+    x = np.moveaxis(x, axis, -1)
+    if x.shape[-1] % 2:
+        x = np.concatenate([x, x[..., -1:]], axis=-1)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    lo = (even + odd) / np.sqrt(2.0)
+    hi = (even - odd) / np.sqrt(2.0)
+    return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
+
+
+def ref_dwt2_level(plane):
+    lo_w, hi_w = ref_split_pairs(np.asarray(plane, np.float64), axis=1)
+    ll, lh = ref_split_pairs(lo_w, axis=0)
+    hl, hh = ref_split_pairs(hi_w, axis=0)
+    return ll, lh, hl, hh
+
+
+def ref_upsample(plane, target_h, target_w):
+    plane = np.asarray(plane, dtype=np.float64)
+    h, w = plane.shape
+    if (h, w) == (target_h, target_w):
+        return plane.copy()
+    iy, fy = pfm._axis_positions(h, target_h)
+    ix, fx = pfm._axis_positions(w, target_w)
+    iy1 = np.minimum(iy + 1, h - 1)
+    ix1 = np.minimum(ix + 1, w - 1)
+    fy = fy[:, None]
+    fx = fx[None, :]
+    top = plane[np.ix_(iy, ix)] * (1 - fx) + plane[np.ix_(iy, ix1)] * fx
+    bot = plane[np.ix_(iy1, ix)] * (1 - fx) + plane[np.ix_(iy1, ix1)] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def ref_build_pfm_stack(image, side):
+    px = image.pixels
+    if px.shape[:2] != (side, side):
+        out = np.stack([ref_upsample(px[..., c].astype(np.float64), side, side) for c in range(3)], axis=-1)
+        px = np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    L, a, b = ref_srgb_to_lab(pfm.RgbImage(px))
+    ll = L
+    for _ in range(3):
+        ll = ref_dwt2_level(ll)[0]
+    light_dark = pfm._minmax_pm1(ref_upsample(ll, side, side))
+    coarse_fine = pfm._minmax_pm1(ref_upsample(ref_dwt2_level(L)[3], side, side))
+    maps = [light_dark, coarse_fine, pfm._chroma_pm1(b), pfm._chroma_pm1(a)]
+    return np.stack(maps).astype(np.float32)
+
+
+def _reference_images():
+    rng = np.random.default_rng(21)
+    shapes = [(1, 1), (2, 3), (7, 5), (8, 8), (9, 9), (13, 21), (16, 16), (50, 70)]
+    for h, w in shapes:
+        yield f"random-{h}x{w}", pfm.RgbImage(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
+        yield f"constant-{h}x{w}", solid(tuple(int(v) for v in rng.integers(0, 256, 3)), h, w)
+
+
+def test_srgb_decode_table_matches_formula():
+    codes = pfm.RgbImage(np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2))
+    v = np.arange(256, dtype=np.float64) / 255.0
+    want = np.where(v > 0.04045, ((v + 0.055) / 1.055) ** 2.4, v / 12.92)
+    assert pfm._SRGB_DECODE.tobytes() == want.tobytes()
+    lab = pfm.srgb_to_lab(codes)
+    for got, ref in zip((lab.L, lab.a, lab.b), ref_srgb_to_lab(codes)):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name,image", list(_reference_images()))
+def test_pfm_matches_per_pixel_reference(name, image):
+    lab = pfm.srgb_to_lab(image)
+    for got, ref in zip((lab.L, lab.a, lab.b), ref_srgb_to_lab(image)):
+        assert got.tobytes() == ref.tobytes()
+    if min(image.height, image.width) >= 2:
+        for got, ref in zip(pfm.dwt2_level(lab.L), ref_dwt2_level(lab.L)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    for th, tw in ((1, 1), (8, 8), (16, 9), (64, 64)):
+        assert pfm.upsample(lab.L, th, tw).tobytes() == ref_upsample(lab.L, th, tw).tobytes()
+    for side in (8, 16, 64):
+        assert pfm.build_pfm_stack(image, side).maps.tobytes() == ref_build_pfm_stack(image, side).tobytes()

@@ -555,12 +555,13 @@ def test_fit_empty_rejected():
 
 
 def test_evaluate_separable(tmp_path):
+    images, labels = _tiny_dataset(tmp_path, count=8)
     model = build_model(TINY, seed=0)
-    samples = _separable_samples(np.random.default_rng(0), per_class=8)
+    samples = make_samples(images, labels, side=TINY.input_side)
     config = TrainConfig(batch_size=16, lr=0.05, epochs=1)
     for epoch in range(8):
         train_epoch(model, samples, config, np.random.default_rng([1, epoch]))
-    report = evaluate(model, samples)
+    report = evaluate(model, images, labels)
     assert len(report.records) == 16
     assert 0.9 <= report.auc <= 1.0
     assert 0.0 <= report.accuracy <= 1.0
@@ -573,7 +574,7 @@ def test_evaluate_separable(tmp_path):
 def test_evaluate_empty_rejected():
     model = build_model(TINY, seed=0)
     with pytest.raises(ContractError):
-        evaluate(model, [])
+        evaluate(model, [], np.array([], dtype=np.int64))
 
 
 def test_cross_validate_shapes(tmp_path):
