@@ -1,10 +1,10 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Implements exactly the layer set the perceptual ensembles need: conv2d,
-maxpool2d, batchnorm2d, dense, elementwise activations, reductions, and the
-arithmetic glue for additive heads and cross-entropy losses. Every op is a
-module-level function (`add`, `relu`, `tsum`, `backward`, ...); a `Tensor`
-has no operator overloads.
+maxpool2d, batchnorm2d, dense, elementwise activations, reductions, concat
+and the arithmetic glue for additive heads and cross-entropy losses. Every op
+is a module-level function (`add`, `relu`, `tsum`, `backward`, ...); a
+`Tensor` has no operator overloads.
 
 The operation graph is kept apart from tensor data. A computed tensor points
 at a private op record, its vertex: the backward closure plus the vertices of
@@ -24,6 +24,9 @@ seed gradient, so a graph can be cut at a tensor and swept in stages.
 """
 from __future__ import annotations
 
+import contextvars
+import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,19 +40,20 @@ Array = np.ndarray
 _FLOATS = (np.float32, np.float64)
 
 
-class _State:
-    grad_enabled = True
+# Per context, not per process: `no_grad` on one thread leaves another
+# thread's graph alone, and a call run in a copy of the caller's context (as
+# the training pool runs its workers) sees the caller's mode.
+_grad_enabled = contextvars.ContextVar("epu_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording within the block (evaluation paths)."""
-    prev = _State.grad_enabled
-    _State.grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _State.grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class _Op:
@@ -123,7 +127,7 @@ def _vertex(t: Tensor):
 def _node(data: Array, vertices, grad_fn) -> Tensor:
     """Wrap an op's output; `grad_fn` pushes onto `vertices` (None entries skipped)."""
     inputs = tuple(v for v in vertices if v is not None)
-    if _State.grad_enabled and inputs:
+    if _grad_enabled.get() and inputs:
         return Tensor(data, requires_grad=True, _op=_Op(grad_fn, inputs))
     return Tensor(data)
 
@@ -378,6 +382,23 @@ def flatten_batch(x) -> Tensor:
     return reshape(x, (x.data.shape[0], -1))
 
 
+def concat(parts) -> Tensor:
+    """Join tensors along the leading axis; each part's gradient is a row-slice
+    view of the upstream gradient."""
+    parts = [_astensor(p) for p in parts]
+    if not parts:
+        raise ContractError("concat needs at least one part")
+    out = np.concatenate([p.data for p in parts])
+    vertices = [_vertex(p) for p in parts]
+    ends = list(itertools.accumulate(p.data.shape[0] for p in parts))
+
+    def grad_fn(up, fresh):
+        for v, lo, hi in zip(vertices, [0] + ends, ends):
+            _push(fresh, v, up[lo:hi])
+
+    return _node(out, vertices, grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # structured layers
 
@@ -554,6 +575,9 @@ def maxpool2d(x, window: int) -> Tensor:
     return _node(out, (xv,), grad_fn)
 
 
+_BN_AXES = (0, 2, 3)
+
+
 def _bn_normalize(xd: Array, mean: Array, ivstd: Array):
     """Centered input and normalized input of training-mode batchnorm.
 
@@ -574,70 +598,134 @@ def batchnorm2d(
     training: bool,
     momentum: float = 0.9,
     eps: float = 1e-5,
-) -> Tensor:
+) -> Tensor | list[Tensor]:
     """Channel-wise batch normalization for NCHW input.
 
-    Training mode uses biased batch statistics and updates the running
-    buffers in place: new = momentum*old + (1-momentum)*batch. Backward keeps
-    the input, the batch mean and the inverse std, and recomputes the centered
-    and normalized input from them. Evaluation mode normalizes with the
-    running buffers and keeps the normalized input.
+    `x` is one tensor, or a list of parts that split one batch along its
+    leading axis; the result is one tensor, or a list of parts to match. A
+    single tensor is one part.
+
+    Training mode normalizes with the biased statistics of the whole batch,
+    taken over the parts joined back together, so they are bitwise those of
+    one tensor holding the batch. It updates the running buffers in place:
+    new = momentum*old + (1-momentum)*batch. The graph gets one statistics
+    vertex, whose value is the rows (mean, var) and whose inputs are all the
+    parts, and one normalize vertex per part. A part's backward pushes
+    d(loss)/d(mean, var) to the statistics vertex and leaves d(loss)/d(xhat)
+    of that part with it; the statistics vertex runs once every part has, and
+    pushes each part its whole input gradient. Backward keeps the inputs, the
+    batch mean and the inverse std, and recomputes the centered and normalized
+    input from them. Evaluation mode normalizes each part with the running
+    buffers and keeps the normalized input.
     """
-    x, gt, bt = _astensor(x), _astensor(gamma), _astensor(beta)
-    if x.data.ndim != 4:
-        raise DimensionError(f"batchnorm2d expects NCHW input, got shape {x.data.shape}")
-    ch = x.data.shape[1]
+    single = not isinstance(x, (list, tuple))
+    parts = [_astensor(x)] if single else [_astensor(p) for p in x]
+    gt, bt = _astensor(gamma), _astensor(beta)
+    if not parts:
+        raise ContractError("batchnorm2d needs at least one part")
+    shape = parts[0].data.shape
+    for p in parts:
+        if p.data.ndim != 4:
+            raise DimensionError(f"batchnorm2d expects NCHW input, got shape {p.data.shape}")
+        if p.data.shape[1:] != shape[1:]:
+            raise DimensionError(f"batchnorm2d parts differ in shape: {shape} and {p.data.shape}")
+    ch = shape[1]
     if gt.data.shape != (ch,) or bt.data.shape != (ch,):
         raise DimensionError(
             f"batchnorm2d scale/shift must have shape ({ch},), got {gt.data.shape} and {bt.data.shape}"
         )
     if running_mean.shape != (ch,) or running_var.shape != (ch,):
         raise DimensionError(f"batchnorm2d running buffers must have shape ({ch},)")
-    axes = (0, 2, 3)
-    bc = (1, ch, 1, 1)
-    xd, gd = x.data, gt.data
-    xv, gv, bv = _vertex(x), _vertex(gt), _vertex(bt)
 
     if training:
-        mean = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
-        ivstd = 1.0 / np.sqrt(var + eps)
-        _, xhat = _bn_normalize(xd, mean, ivstd)
-        running_mean[:] = momentum * running_mean + (1.0 - momentum) * mean
-        running_var[:] = momentum * running_var + (1.0 - momentum) * var
-        m = xd.shape[0] * xd.shape[2] * xd.shape[3]
-
-        def grad_fn(up, fresh):
-            xc, xhat = _bn_normalize(xd, mean, ivstd)
-            if gv is not None:
-                _push(fresh, gv, (up * xhat).sum(axis=axes))
-            if bv is not None:
-                _push(fresh, bv, up.sum(axis=axes))
-            if xv is not None:
-                dxhat = up * gd.reshape(bc)
-                dvar = (dxhat * xc).sum(axis=axes) * -0.5 * ivstd**3
-                dmean = -(dxhat.sum(axis=axes)) * ivstd + dvar * (-2.0 / m) * xc.sum(axis=axes)
-                dx = (
-                    dxhat * ivstd.reshape(bc)
-                    + (2.0 / m) * dvar.reshape(bc) * xc
-                    + dmean.reshape(bc) / m
-                )
-                _push(fresh, xv, dx)
-
+        stats, mean, ivstd, dxhat = _bn_statistics(parts, running_mean, running_var, momentum, eps)
+        outs = [_bn_train_part(p.data, i, gt, bt, stats, mean, ivstd, dxhat) for i, p in enumerate(parts)]
     else:
         ivstd = 1.0 / np.sqrt(running_var + eps)
-        xhat = (xd - running_mean.reshape(bc)) * ivstd.reshape(bc)
+        outs = [_bn_eval_part(p, gt, bt, running_mean, ivstd) for p in parts]
+    return outs[0] if single else outs
 
-        def grad_fn(up, fresh):
-            if gv is not None:
-                _push(fresh, gv, (up * xhat).sum(axis=axes))
-            if bv is not None:
-                _push(fresh, bv, up.sum(axis=axes))
-            if xv is not None:
-                _push(fresh, xv, up * (gd * ivstd).reshape(bc))
 
-    out = gd.reshape(bc) * xhat + bt.data.reshape(bc)
-    return _node(out, (xv, gv, bv), grad_fn)
+def _bn_statistics(parts, running_mean: Array, running_var: Array, momentum: float, eps: float):
+    """Statistics vertex of training-mode batchnorm over all parts.
+
+    Returns (stats tensor, mean, inverse std, dxhat). `dxhat[i]` is where
+    part i's normalize vertex leaves d(loss)/d(xhat) in backward; this
+    vertex's backward takes it from there and clears it.
+    """
+    xds = [p.data for p in parts]
+    # one array holding the batch, as the statistics would see it unsplit
+    whole = xds[0] if len(xds) == 1 else np.concatenate(xds)
+    mean = whole.mean(axis=_BN_AXES)
+    var = whole.var(axis=_BN_AXES)
+    del whole
+    ivstd = 1.0 / np.sqrt(var + eps)
+    running_mean[:] = momentum * running_mean + (1.0 - momentum) * mean
+    running_var[:] = momentum * running_var + (1.0 - momentum) * var
+    bc = (1, mean.shape[0], 1, 1)
+    m = sum(xd.shape[0] for xd in xds) * xds[0].shape[2] * xds[0].shape[3]
+    vertices = [_vertex(p) for p in parts]
+    dxhat: list = [None] * len(parts)
+
+    def grad_fn(up, fresh):
+        # reduce starts from the first part's sum, so one part rounds as the unsplit op
+        xc_sum = functools.reduce(np.add, ((xd - mean.reshape(bc)).sum(axis=_BN_AXES) for xd in xds))
+        dvar = up[1]
+        dmean = up[0] + dvar * (-2.0 / m) * xc_sum
+        for i, (xd, v) in enumerate(zip(xds, vertices)):
+            direct, dxhat[i] = dxhat[i], None
+            if v is None:
+                continue
+            # the direct term is added here rather than pushed by the part, so
+            # the three terms are summed in the unsplit op's order
+            dx = (2.0 / m) * dvar.reshape(bc) * (xd - mean.reshape(bc))
+            if direct is not None:
+                dx += direct * ivstd.reshape(bc)
+            dx += dmean.reshape(bc) / m
+            _push(fresh, v, dx)
+
+    return _node(np.stack([mean, var]), vertices, grad_fn), mean, ivstd, dxhat
+
+
+def _bn_train_part(xd: Array, i: int, gt: Tensor, bt: Tensor, stats: Tensor, mean, ivstd, dxhat) -> Tensor:
+    """Normalize vertex of part `i` in training-mode batchnorm."""
+    gd = gt.data
+    bc = (1, gd.shape[0], 1, 1)
+    sv, gv, bv = _vertex(stats), _vertex(gt), _vertex(bt)
+    _, xhat = _bn_normalize(xd, mean, ivstd)
+
+    def grad_fn(up, fresh):
+        xc, xhat = _bn_normalize(xd, mean, ivstd)
+        if gv is not None:
+            _push(fresh, gv, (up * xhat).sum(axis=_BN_AXES))
+        if bv is not None:
+            _push(fresh, bv, up.sum(axis=_BN_AXES))
+        if sv is not None:
+            d = up * gd.reshape(bc)
+            dxhat[i] = d
+            dmean = -(d.sum(axis=_BN_AXES)) * ivstd
+            dvar = (d * xc).sum(axis=_BN_AXES) * -0.5 * ivstd**3
+            _push(fresh, sv, np.stack([dmean, dvar]))
+
+    return _node(gd.reshape(bc) * xhat + bt.data.reshape(bc), (sv, gv, bv), grad_fn)
+
+
+def _bn_eval_part(x: Tensor, gt: Tensor, bt: Tensor, running_mean: Array, ivstd: Array) -> Tensor:
+    """Evaluation-mode batchnorm of one part, with the running statistics."""
+    gd = gt.data
+    bc = (1, gd.shape[0], 1, 1)
+    xv, gv, bv = _vertex(x), _vertex(gt), _vertex(bt)
+    xhat = (x.data - running_mean.reshape(bc)) * ivstd.reshape(bc)
+
+    def grad_fn(up, fresh):
+        if gv is not None:
+            _push(fresh, gv, (up * xhat).sum(axis=_BN_AXES))
+        if bv is not None:
+            _push(fresh, bv, up.sum(axis=_BN_AXES))
+        if xv is not None:
+            _push(fresh, xv, up * (gd * ivstd).reshape(bc))
+
+    return _node(gd.reshape(bc) * xhat + bt.data.reshape(bc), (xv, gv, bv), grad_fn)
 
 
 # ---------------------------------------------------------------------------

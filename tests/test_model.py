@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from epu import model as M
-from epu.errors import ConfigError, DimensionError
+from epu import tensor as T
+from epu.errors import ConfigError, ContractError, DimensionError
 from epu.pfm import PfmStack, RgbImage, build_pfm_stack
 
 TINY = M.ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8, preset="")
@@ -201,7 +202,7 @@ def test_evaluate_records_do_not_depend_on_order():
         assert (rec.label, rec.predicted) == (ref.label, ref.predicted)
 
 
-@pytest.mark.parametrize("batch", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("batch", [2, 3, 4, 5, 8, 2 * M.MICRO_BATCH + 3])
 def test_predict_batch_equals_single_calls(batch):
     rng = np.random.default_rng(100 + batch)
     m = M.build_model(M.PRESETS["desk"], n_pfms=4, seed=batch)
@@ -290,6 +291,13 @@ def test_wrong_plane_size_rejected():
         M.predict(m, rand_stack(np.random.default_rng(0), side=16))
 
 
+def test_subnet_input_requiring_grad_rejected():
+    m = tiny_model()
+    x = M.Tensor(np.zeros((2, 1, 8, 8), np.float32), requires_grad=True)
+    with pytest.raises(ContractError):
+        m.subnets[0].forward(x, training=True)
+
+
 def test_build_model_validation():
     with pytest.raises(ConfigError):
         M.build_model(TINY, n_pfms=0)
@@ -297,27 +305,73 @@ def test_build_model_validation():
         M.build_model(TINY, n_pfms=3, pfm_labels=("a", "b"))
 
 
+def _bn_reference(h, bn):
+    """Training-mode batchnorm of the whole batch `h` with numpy's statistics,
+    updating `bn`'s running buffers as the op does."""
+    mean, var = h.mean(axis=(0, 2, 3)), h.var(axis=(0, 2, 3))
+    ivstd = 1.0 / np.sqrt(var + 1e-5)
+    bn.running_mean[:] = 0.9 * bn.running_mean + (1.0 - 0.9) * mean
+    bn.running_var[:] = 0.9 * bn.running_var + (1.0 - 0.9) * var
+    bc = (1, -1, 1, 1)
+    xhat = (h - mean.reshape(bc)) * ivstd.reshape(bc)
+    return bn.gamma.data.reshape(bc) * xhat + bn.beta.data.reshape(bc)
+
+
+def test_micro_batched_training_forward_uses_whole_batch_statistics():
+    arch = M.ArchConfig(blocks=((1, 4), (2, 6)), kernel_size=3, fc_width=5, input_side=16)
+    batch = 2 * M.MICRO_BATCH + 3
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((batch, 1, 16, 16)).astype(np.float32)
+    nets = [M.SubNetwork(arch, 0, np.random.default_rng(8)) for _ in range(2)]
+    for sn in nets:
+        for bn, seed in zip(sn.bn, (9, 10)):
+            draw = np.random.default_rng(seed)
+            bn.gamma.data[:] = draw.uniform(0.5, 1.5, bn.gamma.data.shape)
+            bn.beta.data[:] = draw.standard_normal(bn.beta.data.shape)
+            bn.running_mean[:] = draw.standard_normal(bn.running_mean.shape)
+    model_net, ref = nets
+    out = model_net.forward(M.Tensor(x), training=True)
+
+    # the reference runs every layer on the unsplit batch
+    with T.no_grad():
+        h = M.Tensor(x)
+        kernels = iter(ref.conv_kernels)
+        for (count, _), bn in zip(arch.blocks, ref.bn):
+            for _ in range(count):
+                h = T.relu(T.conv2d(h, next(kernels), padding=ref.pad))
+            h = M.Tensor(_bn_reference(T.maxpool2d(h, 2).data, bn))
+        h = T.relu(T.dense(T.flatten_batch(h), ref.fc_weight, ref.fc_bias))
+        want = T.tanh(T.dense(h, ref.head_weight, ref.head_bias)).data
+    assert out.data.shape == (batch, 1)
+    assert out.data.tobytes() == want.tobytes()
+    for (_, got), (_, buf) in zip(model_net.buffers(), ref.buffers()):
+        assert got.tobytes() == buf.tobytes()
+
+
 def test_training_forward_retains_only_what_backward_reads():
     arch = M.PRESETS["desk"]
-    batch = 8
     subnet = M.SubNetwork(arch, 0, np.random.default_rng(0))
-    base = np.random.default_rng(1).standard_normal((batch, 1, arch.input_side, arch.input_side))
-    base = base.astype(np.float32)
-    # the arrays backward reads: the input, each ReLU output, each max-pool and
-    # batchnorm output, and the dense head's ReLU and tanh outputs
-    side, needed = arch.input_side, base.nbytes
-    for count, depth in arch.blocks:
-        needed += count * batch * depth * side * side * 4
-        side = math.ceil(side / 2)
-        needed += 2 * batch * depth * side * side * 4
-    needed += batch * (arch.fc_width + 1) * 4
+    # one part, and three parts with a ragged tail: the parts' statistics
+    # vertex keeps no copy of the batch
+    for batch in (M.MICRO_BATCH, 2 * M.MICRO_BATCH + 3):
+        base = np.random.default_rng(1).standard_normal((batch, 1, arch.input_side, arch.input_side))
+        base = base.astype(np.float32)
+        # the arrays backward reads: the input, each ReLU output, each max-pool and
+        # batchnorm output, and the dense head's ReLU and tanh outputs
+        side, needed = arch.input_side, base.nbytes
+        for count, depth in arch.blocks:
+            needed += count * batch * depth * side * side * 4
+            side = math.ceil(side / 2)
+            needed += 2 * batch * depth * side * side * 4
+        needed += batch * (arch.fc_width + 1) * 4
 
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = subnet.forward(M.Tensor(base.copy()), training=True)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad
-    assert retained <= 1.1 * needed, (retained, needed)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = subnet.forward(M.Tensor(base.copy()), training=True)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained <= 1.03 * needed, (batch, retained, needed)
+        del out

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import threading
 import weakref
 
 import numpy as np
@@ -493,6 +494,86 @@ def test_no_grad_blocks_graph():
     with T.no_grad():
         y = T.tsum(T.mul(x, 2.0))
     assert y._op is None
+
+
+def test_no_grad_on_one_thread_leaves_another_threads_graph():
+    inside, done = threading.Event(), threading.Event()
+
+    def evaluator():
+        with T.no_grad():
+            inside.set()
+            done.wait(timeout=10)
+
+    thread = threading.Thread(target=evaluator)
+    thread.start()
+    try:
+        assert inside.wait(timeout=10)
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        y = T.tsum(T.mul(x, 2.0))
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert y._op is not None
+    T.backward(y)
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_concat_joins_rows_and_splits_the_gradient():
+    a = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = T.Tensor(np.arange(3.0).reshape(1, 3))
+    c = T.Tensor(np.ones((3, 3)), requires_grad=True)
+    out = T.concat([a, b, c])
+    assert np.array_equal(out.data, np.concatenate([a.data, b.data, c.data]))
+    up = np.arange(18.0).reshape(6, 3)
+    T.backward(out, up)
+    assert np.array_equal(a.grad, up[:2]) and np.array_equal(c.grad, up[3:])
+    assert b.grad is None
+
+
+def _bn_parts_loss(w, sizes, rm, rv):
+    """Loss over batchnorm of a batch given as parts of `sizes` samples, or
+    as one tensor when `sizes` is None; leaves are the parts, gamma, beta."""
+
+    def make_loss(ls):
+        if sizes is None:
+            out = T.batchnorm2d(ls[0], ls[1], ls[2], rm.copy(), rv.copy(), training=True)
+        else:
+            n = len(sizes)
+            out = T.concat(T.batchnorm2d(ls[:n], ls[n], ls[n + 1], rm.copy(), rv.copy(), training=True))
+        return T.tsum(T.mul(T.tanh(out), T.Tensor(w)))
+
+    return make_loss
+
+
+def test_batchnorm_parts_gradcheck():
+    base = np.random.default_rng(24)
+    sizes = (3, 3, 2)
+    x = base.standard_normal((sum(sizes), 2, 3, 4))
+    g = base.standard_normal(2) + 1.5
+    b = base.standard_normal(2)
+    w = base.standard_normal(x.shape)
+    rm, rv = np.zeros(2), np.ones(2)
+    ends = np.cumsum(sizes)
+    parts = [leaf(x[e - n : e]) for n, e in zip(sizes, ends)]
+    leaves = parts + [leaf(g), leaf(b)]
+    fails = coord_check(_bn_parts_loss(w, sizes, rm, rv), leaves, np.random.default_rng(25), coords=12)
+    assert fails == []
+    # the same gradients as the unsplit batch, up to the order of the sums
+    whole = [leaf(x), leaf(g), leaf(b)]
+    T.backward(_bn_parts_loss(w, None, rm, rv)(whole))
+    np.testing.assert_allclose(np.concatenate([p.grad for p in parts]), whole[0].grad, rtol=1e-12, atol=1e-12)
+    for got, want in zip(leaves[-2:], whole[1:]):
+        np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12)
+
+
+def test_batchnorm_parts_shape_mismatch():
+    ones, zeros = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
+    with pytest.raises(DimensionError):
+        T.batchnorm2d(
+            [T.Tensor(np.ones((2, 2, 4, 4))), T.Tensor(np.ones((2, 2, 4, 5)))],
+            ones, zeros, np.zeros(2), np.ones(2), training=True,
+        )
 
 
 def test_kaiming_uniform_bound_and_determinism():

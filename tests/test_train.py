@@ -2,6 +2,7 @@
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from epu.errors import (
     TrainingDivergedError,
 )
 from epu.data import SynthConfig, load_dataset, load_images, synth_generate
-from epu.model import ArchConfig, PRESETS, build_model
+from epu.model import MICRO_BATCH, ArchConfig, PRESETS, build_model
 from epu.pfm import PfmStack, RgbImage
 from epu.tensor import Tensor
 from epu.train import (
     Sample,
     TrainConfig,
+    _pool_map,
     apply_orientation,
     augment_orientation,
     bce_loss,
@@ -144,26 +146,28 @@ def test_train_epoch_rejects_bad_labels():
 
 
 def test_train_epoch_matches_whole_graph_step():
-    # the split, threaded step updates exactly as one sweep over the whole graph
-    samples = _separable_samples(np.random.default_rng(6), per_class=5)
-    config = TrainConfig(batch_size=4, lr=0.05, epochs=1)
-    model = build_model(TINY, seed=2)
-    train_epoch(model, samples, config, np.random.default_rng(8))
+    # the split, threaded step updates exactly as one sweep over the whole
+    # graph, with batches of one part and of three micro-batches
+    for batch_size, per_class in ((4, 5), (2 * MICRO_BATCH + 3, 20)):
+        samples = _separable_samples(np.random.default_rng(6), per_class=per_class)
+        config = TrainConfig(batch_size=batch_size, lr=0.05, epochs=1)
+        model = build_model(TINY, seed=2)
+        train_epoch(model, samples, config, np.random.default_rng(8))
 
-    ref = build_model(TINY, seed=2)
-    params = ref.parameters()
-    order = np.random.default_rng(8).permutation(len(samples))
-    for start in range(0, len(samples), config.batch_size):
-        batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
-        prob, _ = ref.forward_batch(np.stack([s.stack.maps for s in batch]), training=True)
-        loss = bce_loss(prob, np.array([s.label for s in batch], dtype=np.float32))
-        T.zero_grads(params)
-        T.backward(loss)
-        T.sgd_step(params, config.lr)
+        ref = build_model(TINY, seed=2)
+        params = ref.parameters()
+        order = np.random.default_rng(8).permutation(len(samples))
+        for start in range(0, len(samples), config.batch_size):
+            batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
+            prob, _ = ref.forward_batch(np.stack([s.stack.maps for s in batch]), training=True)
+            loss = bce_loss(prob, np.array([s.label for s in batch], dtype=np.float32))
+            T.zero_grads(params)
+            T.backward(loss)
+            T.sgd_step(params, config.lr)
 
-    assert len(samples) > 2 * config.batch_size
-    for (name, got), (_, want) in zip(model.state_entries(), ref.state_entries()):
-        assert np.array_equal(got, want), name
+        assert len(samples) > 2 * config.batch_size
+        for (name, got), (_, want) in zip(model.state_entries(), ref.state_entries()):
+            assert np.array_equal(got, want), (batch_size, name)
 
 
 def test_train_epoch_worker_error_reaches_caller():
@@ -172,6 +176,16 @@ def test_train_epoch_worker_error_reaches_caller():
     samples = _separable_samples(np.random.default_rng(0), per_class=2, side=16)
     with pytest.raises(DimensionError, match="subnet expects"):
         train_epoch(model, samples, TrainConfig(batch_size=4, epochs=1))
+
+
+def test_pool_workers_run_in_the_callers_grad_mode():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with T.no_grad():
+            quiet = _pool_map(pool, lambda k: T.mul(x, float(k)), [1, 2])
+        recorded = _pool_map(pool, lambda k: T.mul(x, float(k)), [1, 2])
+    assert all(t._op is None for t in quiet)
+    assert all(t._op is not None for t in recorded)
 
 
 def test_sample_rejects_negative_label():
