@@ -239,13 +239,13 @@ class EpuModel:
 
         Returns (probabilities (B,), per-subnet (B, 1) score tensors); with
         `layer`, a third item lists each sub-network's activations at that
-        1-based conv layer. Scores sum in sub-network index order.
+        1-based conv layer. The probabilities are the sigmoid of `logits`.
         """
         results = [sn.forward(x, training, layer) for sn, x in zip(self.subnets, self.subnet_inputs(stacks))]
         if layer is None:
-            return self.head(results), results
+            return T.sigmoid(self.logits(results)), results
         scores, acts = (list(part) for part in zip(*results))
-        return self.head(scores), scores, acts
+        return T.sigmoid(self.logits(scores)), scores, acts
 
     def subnet_inputs(self, stacks) -> list[Tensor]:
         """Split (B, N, S, S) stacks, or one PfmStack, into N (B, 1, S, S) inputs.
@@ -260,13 +260,15 @@ class EpuModel:
             )
         return [Tensor(data[:, i : i + 1]) for i in range(self.n_pfms)]
 
-    def head(self, scores) -> Tensor:
-        """Scores summed in index order plus beta, through the sigmoid: (B,)."""
+    def logits(self, scores) -> Tensor:
+        """beta + the (B, 1) scores summed in sub-network index order: the (B,)
+        logit that the training loss takes and `forward_batch` passes through
+        the sigmoid."""
         total = scores[0]
         for s in scores[1:]:
             total = T.add(total, s)
         logits = T.add(total, self.beta.tensor)
-        return T.sigmoid(T.reshape(logits, (logits.data.shape[0],)))
+        return T.reshape(logits, (logits.data.shape[0],))
 
 
 def build_model(

@@ -1,10 +1,10 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Implements exactly the layer set the perceptual ensembles need: conv2d,
-maxpool2d, batchnorm2d, dense, elementwise activations, reductions, concat
-and the arithmetic glue for additive heads and cross-entropy losses. Every op
-is a module-level function (`add`, `relu`, `tsum`, `backward`, ...); a
-`Tensor` has no operator overloads.
+maxpool2d, batchnorm2d, dense, relu, tanh, sigmoid, add, mul, tsum, reshape,
+concat, and `bce_with_logits`, the training loss as one op. Every op is a
+module-level function (`add`, `relu`, `tsum`, `backward`, ...); a `Tensor` has
+no operator overloads.
 
 The operation graph is kept apart from tensor data. A computed tensor points
 at a private op record, its vertex: the backward closure plus the vertices of
@@ -222,28 +222,6 @@ def add(a, b) -> Tensor:
     return _node(out, (av, bv), grad_fn)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _astensor(a), _astensor(b)
-    out = a.data - b.data
-    av, bv, ashape, bshape = _vertex(a), _vertex(b), a.data.shape, b.data.shape
-
-    def grad_fn(up, fresh):
-        _push(fresh, av, _unbroadcast(up, ashape))
-        _push(fresh, bv, _unbroadcast(-up, bshape))
-
-    return _node(out, (av, bv), grad_fn)
-
-
-def neg(x) -> Tensor:
-    x = _astensor(x)
-    xv = _vertex(x)
-
-    def grad_fn(up, fresh):
-        _push(fresh, xv, -up)
-
-    return _node(-x.data, (xv,), grad_fn)
-
-
 def mul(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b)
     out = a.data * b.data
@@ -280,31 +258,6 @@ def dense(x, weight, bias) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
-def log(x) -> Tensor:
-    x = _astensor(x)
-    out = np.log(x.data)
-    xd, xv = x.data, _vertex(x)
-
-    def grad_fn(up, fresh):
-        _push(fresh, xv, up / xd)
-
-    return _node(out, (xv,), grad_fn)
-
-
-def clip(x, lo: float, hi: float) -> Tensor:
-    if lo >= hi:
-        raise ContractError(f"clip bounds inverted: [{lo}, {hi}]")
-    x = _astensor(x)
-    xv = _vertex(x)
-    out = np.clip(x.data, lo, hi)
-    passthrough = (x.data >= lo) & (x.data <= hi)
-
-    def grad_fn(up, fresh):
-        _push(fresh, xv, up * passthrough)
-
-    return _node(out, (xv,), grad_fn)
-
-
 def relu(x) -> Tensor:
     """max(x, 0). Keeps only its output; the gradient passes where it is > 0."""
     x = _astensor(x)
@@ -328,14 +281,20 @@ def tanh(x) -> Tensor:
     return _node(out, (xv,), grad_fn)
 
 
+def _logistic(a: Array) -> Array:
+    """1 / (1 + exp(-a)) in a's dtype, with exp taken only of non-positive values."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def sigmoid(x) -> Tensor:
     x = _astensor(x)
     xv = _vertex(x)
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _logistic(x.data)
 
     def grad_fn(up, fresh):
         _push(fresh, xv, up * out * (1.0 - out))
@@ -354,15 +313,26 @@ def tsum(x) -> Tensor:
     return _node(out, (xv,), grad_fn)
 
 
-def tmean(x) -> Tensor:
-    x = _astensor(x)
-    out = np.asarray(x.data.mean(), dtype=x.data.dtype)
-    xv, shape, n = _vertex(x), x.data.shape, x.data.size
+def bce_with_logits(z, y) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(z) against targets `y`, from the logits.
+
+    `z` and `y` have one shape (B,). The forward pass is
+    mean(max(z, 0) - z*y + log1p(exp(-|z|))) in z's dtype, which no logit
+    overflows. The gradient flows to `z` only: (sigmoid(z) - y) / B.
+    """
+    z = _astensor(z)
+    zd = z.data
+    yd = _astensor(y).data.astype(zd.dtype, copy=False)
+    if zd.ndim != 1 or yd.shape != zd.shape:
+        raise DimensionError(f"bce_with_logits needs (B,) logits and targets, got {zd.shape} and {yd.shape}")
+    losses = np.maximum(zd, 0) - zd * yd + np.log1p(np.exp(-np.abs(zd)))
+    out = np.asarray(losses.mean(), dtype=zd.dtype)
+    zv, n = _vertex(z), zd.shape[0]
 
     def grad_fn(up, fresh):
-        _push(fresh, xv, np.broadcast_to(up / n, shape))
+        _push(fresh, zv, up * (_logistic(zd) - yd) / n)
 
-    return _node(out, (xv,), grad_fn)
+    return _node(out, (zv,), grad_fn)
 
 
 def reshape(x, shape) -> Tensor:

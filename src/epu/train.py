@@ -82,20 +82,6 @@ class EpochStats:
 
 
 # ---------------------------------------------------------------------------
-# loss
-
-
-def bce_loss(prob, y) -> Tensor:
-    """Mean binary cross-entropy; probabilities clipped to [1e-7, 1 - 1e-7]."""
-    p = prob if isinstance(prob, Tensor) else Tensor(np.asarray(prob, dtype=np.float32))
-    target = np.asarray(y, dtype=np.float32)
-    pc = T.clip(p, 1e-7, 1.0 - 1e-7)
-    pos = T.mul(Tensor(target), T.log(pc))
-    neg = T.mul(Tensor(1.0 - target), T.log(T.sub(Tensor(np.float32(1.0)), pc)))
-    return T.neg(T.tmean(T.add(pos, neg)))
-
-
-# ---------------------------------------------------------------------------
 # epoch loop
 
 
@@ -123,15 +109,16 @@ def _train_step(model: EpuModel, pool, stacks, labels, params, lr: float):
     """Forward, backward and update on one batch; returns (loss, probabilities).
 
     The graph lives only in this frame, so it is freed before the next batch.
-    The head runs on the scores' values wrapped in leaf tensors (the cuts),
-    so the first sweep stops there and leaves d(loss)/d(score) on each cut.
+    The logit is taken from the scores' values wrapped in leaf tensors (the
+    cuts), so the first sweep stops there and leaves d(loss)/d(score) on each
+    cut. The probabilities are the logit's sigmoid, taken outside the graph.
     """
     scores = _pool_map(
         pool, lambda sn, x: sn.forward(x, training=True), model.subnets, model.subnet_inputs(stacks)
     )
     cuts = [Tensor(s.data, requires_grad=True) for s in scores]
-    prob = model.head(cuts)
-    loss = bce_loss(prob, labels)
+    logits = model.logits(cuts)
+    loss = T.bce_with_logits(logits, labels)
     value = float(loss.data)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite loss {value}")
@@ -139,7 +126,7 @@ def _train_step(model: EpuModel, pool, stacks, labels, params, lr: float):
     T.backward(loss)
     _pool_map(pool, lambda s, c: T.backward(s, c.grad), scores, cuts)
     T.sgd_step(params, lr)
-    return value, prob.data
+    return value, T.sigmoid(Tensor(logits.data)).data
 
 
 def train_epoch(model: EpuModel, samples, config: TrainConfig, rng=None) -> EpochStats:

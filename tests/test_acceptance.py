@@ -27,7 +27,6 @@ from epu.metrics import (
 from epu.model import ArchConfig, PRESETS, build_model, predict
 from epu.pfm import PfmStack, dwt2_level, idwt2_level, srgb_to_lab, upsample, RgbImage
 from epu.tensor import Tensor
-from epu.train import bce_loss
 from conftest import run_cli
 from gradcheck import coord_check, leaf
 
@@ -156,12 +155,11 @@ def test_c01_gradient_correctness():
             label = np.array([seed % 2], dtype=np.float64)
 
             def loss_value():
-                prob, _c = model.forward_batch(stack, training=True)
-                return float(bce_loss(prob, label).data)
+                return float(loss_node().data)
 
             def loss_node():
-                prob, _c = model.forward_batch(stack, training=True)
-                return bce_loss(prob, label)
+                _p, scores = model.forward_batch(stack, training=True)
+                return T.bce_with_logits(model.logits(scores), label)
 
             T.zero_grads(params)
             T.backward(loss_node())

@@ -25,7 +25,6 @@ from epu.train import (
     _pool_map,
     apply_orientation,
     augment_orientation,
-    bce_loss,
     cross_validate,
     evaluate,
     fit,
@@ -55,32 +54,68 @@ def _separable_samples(rng, per_class=8, side=8):
 # loss
 
 
+def _bce(z, y, dtype=np.float32):
+    return T.bce_with_logits(Tensor(np.asarray(z, dtype=dtype)), np.asarray(y, dtype=dtype))
+
+
+def _clipped_composite(z, y):
+    """Per-sample loss as the removed loss built it: probabilities clipped to
+    [1e-7, 1 - 1e-7], then -(y log p + (1 - y) log(1 - p)), in float64."""
+    p = np.clip(1.0 / (1.0 + np.exp(-z)), 1e-7, 1.0 - 1e-7)
+    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+
+
 def test_bce_halfway():
-    assert math.isclose(float(bce_loss(0.5, 1).data), math.log(2.0), rel_tol=1e-6)
+    for y in (0.0, 1.0):
+        assert math.isclose(float(_bce([0.0], [y]).data), math.log(2.0), rel_tol=1e-6)
 
 
 def test_bce_label_symmetry():
-    assert float(bce_loss(0.5, 1).data) == float(bce_loss(0.5, 0).data)
+    z = np.array([-3.5, -0.25, 0.0, 1.0, 7.0], dtype=np.float32)
+    y = np.array([0.0, 1.0, 1.0, 0.0, 1.0], dtype=np.float32)
+    assert float(_bce(z, y).data) == float(_bce(-z, 1.0 - y).data)
 
 
-def test_bce_perfect_prediction_clipped():
-    v = float(bce_loss(1.0, 1).data)
-    assert 0.0 <= v < 1e-6
-    v = float(bce_loss(0.0, 0).data)
-    assert 0.0 <= v < 1e-6
+def test_bce_finite_at_extreme_logits():
+    for dtype in (np.float32, np.float64):
+        z = Tensor(np.array([1e4, -1e4, 1e4, -1e4], dtype=dtype), requires_grad=True)
+        loss = T.bce_with_logits(z, np.array([1.0, 0.0, 0.0, 1.0], dtype=dtype))
+        T.backward(loss)
+        assert loss.data.dtype == dtype and z.grad.dtype == dtype
+        # two confident right answers cost 0, two confident wrong ones 1e4 each
+        assert float(loss.data) == 5000.0
+        assert np.array_equal(z.grad, np.array([0.0, 0.0, 0.25, -0.25], dtype=dtype))
 
 
-def test_bce_batch_mean():
-    v = float(bce_loss(np.array([0.9, 0.1]), np.array([1, 0])).data)
-    assert math.isclose(v, -math.log(0.9), rel_tol=1e-5)
+def test_bce_matches_clipped_composite():
+    # the clip binds only where |z| exceeds about 16; below it both losses agree
+    z = np.linspace(-15.9, 15.9, 53)
+    for dtype in (np.float32, np.float64):
+        zd = z.astype(dtype)
+        for y in (0.0, 1.0):
+            want = _clipped_composite(zd.astype(np.float64), y)
+            got = [float(_bce(zd[i : i + 1], [y], dtype).data) for i in range(len(zd))]
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+            batch = float(_bce(zd, np.full(len(zd), y), dtype).data)
+            assert math.isclose(batch, want.mean(), rel_tol=1e-6)
 
 
 def test_bce_gradient():
-    # d/dp of -log(p) at p=0.5 is -2
-    p = Tensor(np.array([0.5], dtype=np.float64), requires_grad=True)
-    loss = bce_loss(p, np.array([1.0]))
-    T.backward(loss)
-    assert math.isclose(float(p.grad[0]), -2.0, rel_tol=1e-6)
+    z = Tensor(np.array([-2.0, -0.5, 0.0, 0.5, 3.0]), requires_grad=True)
+    y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    T.backward(T.bce_with_logits(z, y))
+    want = (1.0 / (1.0 + np.exp(-z.data)) - y) / 5
+    np.testing.assert_allclose(z.grad, want, rtol=1e-12, atol=0)
+
+
+def test_bce_rejects_mismatched_shapes():
+    z = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+    with pytest.raises(DimensionError):
+        T.bce_with_logits(z, np.zeros((4, 1), dtype=np.float32))
+    with pytest.raises(DimensionError):
+        T.bce_with_logits(z, np.zeros(3, dtype=np.float32))
+    with pytest.raises(DimensionError):
+        T.bce_with_logits(T.reshape(z, (4, 1)), np.zeros((4, 1), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +194,8 @@ def test_train_epoch_matches_whole_graph_step():
         order = np.random.default_rng(8).permutation(len(samples))
         for start in range(0, len(samples), config.batch_size):
             batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
-            prob, _ = ref.forward_batch(np.stack([s.stack.maps for s in batch]), training=True)
-            loss = bce_loss(prob, np.array([s.label for s in batch], dtype=np.float32))
+            _, scores = ref.forward_batch(np.stack([s.stack.maps for s in batch]), training=True)
+            loss = T.bce_with_logits(ref.logits(scores), np.array([s.label for s in batch], dtype=np.float32))
             T.zero_grads(params)
             T.backward(loss)
             T.sgd_step(params, config.lr)
@@ -194,21 +229,20 @@ def test_sample_rejects_negative_label():
 
 
 def test_loss_matches_bce_of_score_sum():
-    # the probability the loss sees equals sigmoid(beta + sum of scores)
+    # the logit the loss sees equals beta + sum of scores
     from epu.model import predict
 
     model = build_model(TINY, seed=9)
     samples = _separable_samples(np.random.default_rng(3), per_class=3)
     stacks = np.stack([s.stack.maps for s in samples])
     labels = np.array([s.label for s in samples], dtype=np.float32)
-    prob, _ = model.forward_batch(stacks, training=False)
-    direct = float(bce_loss(prob, labels).data)
+    _, scores = model.forward_batch(stacks, training=False)
+    direct = float(T.bce_with_logits(model.logits(scores), labels).data)
     rebuilt = []
     for s in samples:
         _, scores = predict(model, s.stack)
-        logit = model.beta.tensor.data[0] + scores[0].sum()
-        rebuilt.append(1.0 / (1.0 + math.exp(-logit)))
-    recomputed = float(bce_loss(np.array(rebuilt), labels).data)
+        rebuilt.append(model.beta.tensor.data[0] + scores[0].sum())
+    recomputed = float(T.bce_with_logits(np.array(rebuilt), labels).data)
     assert math.isclose(direct, recomputed, rel_tol=1e-5)
 
 
