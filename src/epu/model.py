@@ -15,6 +15,12 @@ Training-mode batchnorm takes its statistics over the whole batch, all parts
 together, so outputs and running buffers are bitwise those of the unsplit
 batch; only weight gradients, summed part by part, differ in the low bits.
 Batches of `MICRO_BATCH` or fewer samples run as one part.
+
+A conv block runs conv, ReLU, ..., conv, max-pool, ReLU, then batchnorm: the
+block's last ReLU comes after the pool. ReLU is monotone, so this equals
+pooling the ReLU output bitwise, and every gradient that passes reaches the
+same element with the same bits. Training then keeps no full-resolution
+output of a block's last conv: max-pool saves only a one-byte winner index.
 """
 from __future__ import annotations
 
@@ -163,13 +169,24 @@ class SubNetwork:
         """Map (B, 1, S, S) input to (B, 1) tanh scores.
 
         The batch is split into parts of `MICRO_BATCH` samples (the last may
-        be shorter). Each part runs through a block's conv, ReLU and max-pool
-        layers on its own; batchnorm then normalizes all parts together, and
-        each part runs through the dense head. `T.concat` joins the scores.
-        The input is data: no gradient flows to it.
+        be shorter). Each part runs through a block's layers on its own, in
+        the order conv, ReLU, ..., conv, max-pool, ReLU; batchnorm then
+        normalizes all parts together, and each part runs through the dense
+        head. `T.concat` joins the scores. The input is data: no gradient
+        flows to it.
+
+        Pooling before the block's last ReLU is exact: ReLU is monotone, so
+        relu(max) = max(relu) bitwise, and a window whose maximum is positive
+        (or NaN) sends its gradient to the same element with the same bits. A
+        window whose maximum is <= 0 passes no gradient in either order; only
+        the sign of its zero may sit on another element. The full-resolution
+        pre-activation is freed once pooled, and the last ReLU runs on a
+        quarter of the pixels.
 
         With `layer`, a 1-based conv layer index, returns (scores, that
-        layer's post-ReLU activations (B, C, H, W)) instead.
+        layer's post-ReLU activations (B, C, H, W)) instead, taken as
+        `np.maximum(conv output, 0)`: bitwise `T.relu`'s output, also for a
+        block's last conv, whose ReLU runs after the pool.
         """
         if x.data.ndim != 4 or x.data.shape[2] != self.arch.input_side or x.data.shape[3] != self.arch.input_side:
             raise DimensionError(
@@ -184,13 +201,17 @@ class SubNetwork:
         kernels = enumerate(self.conv_kernels, 1)
         for (count, _), bn in zip(self.arch.blocks, self.bn):
             block = [next(kernels) for _ in range(count)]
+            last = block[-1][0]
             pooled = []
             for h in parts:
                 for n, kernel in block:
-                    h = T.relu(T.conv2d(h, kernel, stride=1, padding=self.pad))
+                    h = T.conv2d(h, kernel, stride=1, padding=self.pad)
                     if n == layer:
-                        acts.append(h.data)
-                pooled.append(T.maxpool2d(h, 2))
+                        acts.append(np.maximum(h.data, 0))
+                    if n == last:
+                        h = T.maxpool2d(h, 2)
+                    h = T.relu(h)
+                pooled.append(h)
             parts = T.batchnorm2d(pooled, bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
         scores = []
         for h in parts:

@@ -502,7 +502,10 @@ def maxpool2d(x, window: int) -> Tensor:
     xp[:, :, i::w, j::w], taken in row-major order of (i, j). A NaN in a
     window makes its output NaN. Ties keep the first maximum's value, and the
     gradient goes to the first maximum in row-major order, or to the first
-    NaN; the backward pass finds it again from the saved input and output.
+    NaN. When a graph is recorded, the forward max loop also notes that
+    winner's offset in the window, one byte per output element (two for
+    windows above 16); backward reads only that index, so the graph keeps
+    neither the input nor the output. Without a graph no index is computed.
     """
     x = _astensor(x)
     if x.data.ndim != 4:
@@ -519,10 +522,28 @@ def maxpool2d(x, window: int) -> Tensor:
         xp = x.data
     offsets = [(i, j) for i in range(window) for j in range(window)]
     out = xp[:, :, ::window, ::window].copy()
-    for i, j in offsets[1:]:
+    record = xv is not None and _grad_enabled.get()
+    if record:
+        # sized for offsets up to window² - 1: uint8 would wrap above 16
+        idx = np.min_scalar_type(window * window - 1)
+        win = np.zeros(out.shape, dtype=idx)
+        gt, cand = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=idx)
+    for n, (i, j) in enumerate(offsets[1:], 1):
+        v = xp[:, :, i::window, j::window]
+        if record:
+            # offsets come in increasing order, so a later strict winner has
+            # the larger index; a max is several times faster than a masked copy
+            np.greater(v, out, out=gt)
+            np.maximum(win, np.multiply(gt, idx.type(n), out=cand), out=win)
         # the running maximum goes second: numpy returns the second operand of
         # an equal pair, so a tie (-0.0 against +0.0) keeps the earlier value
-        np.maximum(xp[:, :, i::window, j::window], out, out=out)
+        np.maximum(v, out, out=out)
+    if record:
+        nan = np.isnan(out)
+        if nan.any():
+            # a NaN never compares greater; its window goes to its first NaN
+            for n, (i, j) in reversed(list(enumerate(offsets))):
+                np.copyto(win, idx.type(n), where=nan & np.isnan(xp[:, :, i::window, j::window]))
 
     def grad_fn(up, fresh):
         # Multiplying up's bit pattern by the 0/1 mask writes up's exact bits
@@ -530,15 +551,10 @@ def maxpool2d(x, window: int) -> Tensor:
         # several times slower on strided views). The views tile g, so every
         # element is written once and g needs no zero fill.
         bits = np.dtype(f"u{up.dtype.itemsize}")
-        g = np.empty(xp.shape, dtype=up.dtype)
-        free = np.ones(out.shape, dtype=bool)
-        hit, nan = np.empty_like(free), np.empty_like(free)
-        for i, j in offsets:
-            v = xp[:, :, i::window, j::window]
-            np.equal(v, out, out=hit)
-            hit |= np.isnan(v, out=nan)
-            hit &= free
-            free ^= hit
+        g = np.empty((batch, ch, ho * window, wo * window), dtype=up.dtype)
+        hit = np.empty(win.shape, dtype=bool)
+        for n, (i, j) in enumerate(offsets):
+            np.equal(win, n, out=hit)
             np.multiply(up.view(bits), hit, out=g.view(bits)[:, :, i::window, j::window])
         _push(fresh, xv, np.ascontiguousarray(g[:, :, :h, :w]) if ph or pw else g)
 

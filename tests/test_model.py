@@ -138,6 +138,39 @@ def test_cached_activation_count_and_shapes():
             M.predict(m, stacks, layer=bad)
 
 
+def _forward_relu_then_pool(sn, x, layer):
+    """Evaluation-mode sub-network forward with every ReLU before its block's
+    max-pool; returns (scores, post-ReLU activations of conv `layer`)."""
+    acts, kernels, n = None, iter(sn.conv_kernels), 0
+    with T.no_grad():
+        h = M.Tensor(x)
+        for (count, _), bn in zip(sn.arch.blocks, sn.bn):
+            for _ in range(count):
+                n += 1
+                h = T.relu(T.conv2d(h, next(kernels), padding=sn.pad))
+                if n == layer:
+                    acts = h.data
+            h = T.batchnorm2d(T.maxpool2d(h, 2), bn.gamma, bn.beta, bn.running_mean, bn.running_var, False)
+        h = T.relu(T.dense(T.flatten_batch(h), sn.fc_weight, sn.fc_bias))
+        return T.tanh(T.dense(h, sn.head_weight, sn.head_bias)).data, acts
+
+
+def test_predict_activations_match_relu_before_pool_reference():
+    m = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=4)
+    rng = np.random.default_rng(5)
+    for sn in m.subnets:
+        for bn in sn.bn:
+            bn.running_mean[:] = rng.standard_normal(bn.running_mean.shape)
+            bn.running_var[:] = rng.uniform(0.5, 2.0, bn.running_var.shape)
+    stacks = rng.uniform(-1, 1, size=(M.MICRO_BATCH + 3, 2, 64, 64)).astype(np.float32)
+    for k in range(1, M.PRESETS["desk"].conv_layer_count + 1):
+        _, scores, acts = M.predict(m, stacks, layer=k)
+        for i, sn in enumerate(m.subnets):
+            want_scores, want_acts = _forward_relu_then_pool(sn, stacks[:, i : i + 1], k)
+            assert scores[:, i : i + 1].tobytes() == want_scores.astype(np.float64).tobytes(), k
+            assert acts[i].dtype == want_acts.dtype and acts[i].tobytes() == want_acts.tobytes(), k
+
+
 def test_predict_leaves_no_state_on_the_model():
     m = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=3)
     stacks = np.random.default_rng(1).uniform(-1, 1, size=(1, 2, 64, 64)).astype(np.float32)
@@ -356,13 +389,15 @@ def test_training_forward_retains_only_what_backward_reads():
     for batch in (M.MICRO_BATCH, 2 * M.MICRO_BATCH + 3):
         base = np.random.default_rng(1).standard_normal((batch, 1, arch.input_side, arch.input_side))
         base = base.astype(np.float32)
-        # the arrays backward reads: the input, each ReLU output, each max-pool and
-        # batchnorm output, and the dense head's ReLU and tanh outputs
+        # the arrays backward reads: the input; each full-resolution ReLU output
+        # but the block's last, which is pooled before its ReLU; max-pool's
+        # one-byte winner index; the pooled ReLU and batchnorm outputs; and the
+        # dense head's ReLU and tanh outputs
         side, needed = arch.input_side, base.nbytes
         for count, depth in arch.blocks:
-            needed += count * batch * depth * side * side * 4
+            needed += (count - 1) * batch * depth * side * side * 4
             side = math.ceil(side / 2)
-            needed += 2 * batch * depth * side * side * 4
+            needed += batch * depth * side * side * (1 + 2 * 4)
         needed += batch * (arch.fc_width + 1) * 4
 
         tracemalloc.start()

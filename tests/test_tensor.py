@@ -208,6 +208,70 @@ def test_maxpool_matches_references():
             assert xt.grad.tobytes() == ref_grad.tobytes(), case
 
 
+def test_maxpool_window_above_16_indexes_every_offset():
+    # 17² = 289 offsets: a one-byte winner index would wrap past offset 255
+    rng = np.random.default_rng(23)
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((2, 2, 31, 34)).astype(dtype)
+        x[0, 0, 16, 16] = 9.0  # offset 288, the last of its window
+        x[0, 1, 15, 5] = 9.0  # offset 260
+        x[1, 0, 15, 3] = x[1, 0, 16, 0] = 9.0  # a tie past 255: 258 wins over 272
+        up = rng.standard_normal((2, 2, 2, 2)).astype(dtype)
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.maxpool2d(xt, 17)
+        T.backward(out, up)
+        ref_out, ref_grad = _maxpool_direct(x, 17, up)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert xt.grad.tobytes() == ref_grad.tobytes()
+
+
+def test_relu_after_maxpool_matches_relu_before_bitwise():
+    # relu is monotone, so pooling before it gives the same values and sends
+    # the same gradient bits to the same elements: ties, signed zeros, NaNs and
+    # ragged sides included. A window whose maximum is <= 0 passes no gradient
+    # either way; its zero takes up's sign, at the first element with relu
+    # first and at the first maximum with the pool first.
+    rng = np.random.default_rng(29)
+    kinds = ("plain", "ties", "nans")
+    grid = itertools.product((2, 3), ((6, 6), (5, 7)), (np.float32, np.float64), kinds)
+    for window, (h, w), dtype, kind in grid:
+        x = rng.standard_normal((3, 2, h, w))
+        if kind != "plain":
+            x = np.round(x * 2) / 2
+            x[rng.random(x.shape) < 0.2] = -0.0
+        if kind == "nans":
+            x[rng.random(x.shape) < 0.15] = np.nan
+        x = x.astype(dtype)
+        up = rng.standard_normal((3, 2, -(-h // window), -(-w // window)))
+        up[rng.random(up.shape) < 0.2] = -0.0
+        up = up.astype(dtype)
+        after = T.Tensor(x, requires_grad=True)
+        out_after = T.relu(T.maxpool2d(after, window))
+        T.backward(out_after, up)
+        before = T.Tensor(x, requires_grad=True)
+        out_before = T.maxpool2d(T.relu(before), window)
+        T.backward(out_before, up)
+        case = (window, h, w, dtype.__name__, kind)
+        assert out_after.data.tobytes() == out_before.data.tobytes(), case
+        blocked = (out_after.data <= 0).repeat(window, 2).repeat(window, 3)[:, :, :h, :w]
+        bits = f"u{x.itemsize}"
+        got, want = after.grad.view(bits), before.grad.view(bits)
+        assert np.array_equal(got[~blocked], want[~blocked]), case
+        assert not after.grad[blocked].any() and not before.grad[blocked].any(), case
+
+
+def test_recorded_maxpool_keeps_only_its_winner_index():
+    for shape in ((2, 3, 8, 8), (2, 3, 7, 9)):
+        x = T.Tensor(np.random.default_rng(31).standard_normal(shape), requires_grad=True)
+        out = T.maxpool2d(x, 2)
+        held = [c.cell_contents for c in out._op.grad_fn.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        # the input leaf is held as its vertex only, not for its data
+        assert [a for a in held if isinstance(a, T.Tensor)] == [x]
+        # one byte per pooled element, nothing of the input's or the output's size
+        assert [(a.dtype, a.shape) for a in arrays] == [(np.uint8, out.data.shape)]
+
+
 def test_maxpool_gradcheck():
     base = np.random.default_rng(11)
     # unique spaced values keep windows far from ties at the probe step
