@@ -32,7 +32,7 @@ import sys  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from .config import load_config_file, parse_blocks, parse_bool, resolve_settings  # noqa: E402
+from .config import SCHEMA, load_config_file, resolve_settings  # noqa: E402
 from .data import (  # noqa: E402
     MANIFEST_NAME,
     SynthConfig,
@@ -41,7 +41,6 @@ from .data import (  # noqa: E402
     encode_ppm,
     load_dataset,
     load_images,
-    resize_bilinear,
     synth_generate,
 )
 from .errors import (  # noqa: E402
@@ -62,7 +61,7 @@ from .interpret import (  # noqa: E402
     rss_sidecar,
 )
 from .model import RssVector, predict  # noqa: E402
-from .pfm import PFM_SLUGS, build_pfm_stack  # noqa: E402
+from .pfm import PFM_SLUGS, build_pfm_stack, resize_rgb  # noqa: E402
 from .train import (  # noqa: E402
     check_val_splits,
     cross_validate,
@@ -100,29 +99,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _overrides_from_args(args) -> dict:
-    mapping = (
-        ("arch", "preset", "preset"),
-        ("arch", "blocks", "blocks"),
-        ("arch", "kernel_size", "kernel_size"),
-        ("arch", "fc_width", "fc_width"),
-        ("arch", "input_side", "input_side"),
-        ("train", "batch_size", "batch_size"),
-        ("train", "lr", "lr"),
-        ("train", "epochs", "epochs"),
-        ("train", "seed", "seed"),
-        ("train", "augment", "augment"),
-        ("train", "folds", "folds"),
-        ("train", "holdout", "holdout"),
-        ("pfm", "side", "side"),
-        ("interpret", "layer", "layer"),
-        ("interpret", "bins", "bins"),
-        ("output", "dir", "out"),
-    )
+    """{section: {key: value}} of the settings flags given on the command line.
+
+    Each setting's flag has its key as dest; `output.dir` is `--out`.
+    """
     overrides: dict = {}
-    for section, key, attr in mapping:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides.setdefault(section, {})[key] = value
+    for section, keys in SCHEMA.items():
+        for key in keys:
+            value = getattr(args, "out" if section == "output" else key, None)
+            if value is not None:
+                overrides.setdefault(section, {})[key] = value
     return overrides
 
 
@@ -211,7 +197,6 @@ def cmd_train(args) -> int:
             settings.arch,
             settings.train,
             class_names=manifest.class_names,
-            paths=[paths[i] for i in train_idx],
             log=log,
         )
     except TrainingDivergedError as exc:
@@ -255,10 +240,10 @@ def cmd_explain(args) -> int:
     settings = _settings(args)
     model = load_checkpoint(args.model)
     side = model.arch.input_side
-    if args.side is not None and args.side != side:
-        raise ConfigError(f"input side {args.side} does not match checkpoint side {side}")
-    image = _read_rgb(args.image)
-    stack = build_pfm_stack(image, side)
+    if args.expect_side is not None and args.expect_side != side:
+        raise ConfigError(f"input side {args.expect_side} does not match checkpoint side {side}")
+    resized = resize_rgb(_read_rgb(args.image), side, side)
+    stack = build_pfm_stack(resized, side)
     prob, scores, acts = predict(model, stack, layer=settings.layer)
     p = float(prob[0])
     rss = RssVector(scores[0], model.pfm_labels)
@@ -275,7 +260,6 @@ def cmd_explain(args) -> int:
     _write_text(chart_path, render_local_chart(rss, names))
     print(chart_path)
 
-    resized = resize_bilinear(image, side)
     for slug, maps in zip(PFM_SLUGS, acts):
         prm = build_prm(maps[0], side, side, bins=settings.bins)
         path = os.path.join(out_dir, f"{stem}.prm-{slug}.ppm")
@@ -327,15 +311,19 @@ def cmd_global_explain(args) -> int:
 # parser and dispatch
 
 
+def _add_setting(sub, section: str, key: str, help=None) -> None:
+    """Add the flag of one setting: `--kernel-size` for `arch.kernel_size`."""
+    sub.add_argument("--" + key.replace("_", "-"), type=SCHEMA[section][key], help=help)
+
+
 def _add_config_flags(sub, arch=True):
     sub.add_argument("--config", help="sectioned key = value config file")
     sub.add_argument("--out", help="output directory")
     if arch:
-        sub.add_argument("--preset", help="architecture preset name")
-        sub.add_argument("--blocks", type=parse_blocks, help="conv blocks, e.g. 2x8,2x16,3x32")
-        sub.add_argument("--kernel-size", dest="kernel_size", type=int)
-        sub.add_argument("--fc-width", dest="fc_width", type=int)
-        sub.add_argument("--input-side", dest="input_side", type=int)
+        _add_setting(sub, "arch", "preset", "architecture preset name")
+        _add_setting(sub, "arch", "blocks", "conv blocks, e.g. 2x8,2x16,3x32")
+        for key in ("kernel_size", "fc_width", "input_side"):
+            _add_setting(sub, "arch", key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,26 +338,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("pfm", help="emit the four perceptual feature maps as PGM")
     p.add_argument("--image", required=True, help="input PPM image")
-    p.add_argument("--side", type=int, help="feature map side (default: arch input side)")
+    _add_setting(p, "pfm", "side", "feature map side (default: arch input side)")
     _add_config_flags(p)
 
     p = subs.add_parser("train", help="train a binary model on a class-per-directory dataset")
     p.add_argument("--data", required=True, help="dataset root")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--augment", type=parse_bool, help="true/false (default true)")
-    p.add_argument("--folds", type=int, help="run k-fold cross-validation instead of holdout")
-    p.add_argument("--holdout", type=float, help="held-out fraction (default 0.2)")
+    for key in ("batch_size", "lr", "epochs", "seed"):
+        _add_setting(p, "train", key)
+    _add_setting(p, "train", "augment", "true/false (default true)")
+    _add_setting(p, "train", "folds", "run k-fold cross-validation instead of holdout")
+    _add_setting(
+        p,
+        "train",
+        "holdout",
+        "held-out fraction, at most 0.5 (default 0.2); rounded to 1/k, e.g. 0.4 -> 1/2",
+    )
     _add_config_flags(p)
 
     p = subs.add_parser("explain", help="per-image prediction, score chart, relevance overlays")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--image", required=True, help="input PPM image")
-    p.add_argument("--side", type=int, help="must match the checkpoint input side if given")
-    p.add_argument("--layer", type=int, help="1-based conv layer for relevance maps")
-    p.add_argument("--bins", type=int)
+    p.add_argument(
+        "--side",
+        dest="expect_side",
+        metavar="SIDE",
+        type=int,
+        help="must match the checkpoint input side if given",
+    )
+    _add_setting(p, "interpret", "layer", "1-based conv layer for relevance maps")
+    _add_setting(p, "interpret", "bins")
     _add_config_flags(p, arch=False)
 
     p = subs.add_parser("global-explain", help="dataset-wide per-class score statistics")

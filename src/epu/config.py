@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .model import PRESETS, ArchConfig
 from .train import TrainConfig
 
+DEFAULT_PRESET = "desk"
 DEFAULT_LAYER = 5
 DEFAULT_BINS = 256
 DEFAULT_HOLDOUT = 0.2
@@ -39,7 +40,9 @@ def parse_blocks(text: str) -> tuple:
     return tuple(blocks)
 
 
-_SCHEMA = {
+# every setting, by section; its command-line flag is named after its key,
+# except `--out` for output.dir
+SCHEMA = {
     "arch": {
         "preset": str,
         "blocks": parse_blocks,
@@ -79,7 +82,7 @@ def parse_config_text(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in SCHEMA:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -89,10 +92,10 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA[section]:
+        if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
         try:
-            coerced = _SCHEMA[section][key](value)
+            coerced = SCHEMA[section][key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {section}.{key}: {exc}") from exc
         values.setdefault(section, {})[key] = coerced
@@ -126,61 +129,45 @@ def resolve_settings(file_values: dict | None = None, overrides: dict | None = N
     """Merge the precedence chain into a RunSettings.
 
     ``overrides`` shares the file shape ({section: {key: value}}); None
-    values inside it mean "flag not given" and fall through.
+    values inside it mean "flag not given" and fall through. Settings given
+    nowhere take the defaults of `ArchConfig` (via the preset) and
+    `TrainConfig`.
     """
-    file_values = file_values or {}
-    overrides = overrides or {}
+    merged = {section: dict((file_values or {}).get(section, {})) for section in SCHEMA}
+    for section, values in (overrides or {}).items():
+        merged[section].update((k, v) for k, v in values.items() if v is not None)
 
-    def given(section: str, key: str) -> bool:
-        if overrides.get(section, {}).get(key) is not None:
-            return True
-        return key in file_values.get(section, {})
-
-    def get(section: str, key: str, default):
-        value = overrides.get(section, {}).get(key)
-        if value is not None:
-            return value
-        if key in file_values.get(section, {}):
-            return file_values[section][key]
-        return default
-
-    preset = get("arch", "preset", "desk")
+    arch_values = merged["arch"]
+    preset = arch_values.pop("preset", DEFAULT_PRESET)
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    base = PRESETS[preset]
-    arch_changes = {
-        key: get("arch", key, getattr(base, key))
-        for key in ("blocks", "kernel_size", "fc_width", "input_side")
-    }
-    arch = dataclasses.replace(base, **arch_changes)
+    arch = dataclasses.replace(PRESETS[preset], **arch_values)
 
-    train = TrainConfig(
-        batch_size=get("train", "batch_size", 64),
-        lr=get("train", "lr", 0.01),
-        epochs=get("train", "epochs", 30),
-        seed=get("train", "seed", 0),
-        augment=get("train", "augment", True),
-        folds=get("train", "folds", 10),
-    )
-    holdout = get("train", "holdout", DEFAULT_HOLDOUT)
-    if not 0.0 < holdout < 1.0:
-        raise ConfigError(f"holdout must lie in (0, 1), got {holdout}")
-    pfm_side = get("pfm", "side", arch.input_side)
+    train_values = merged["train"]
+    use_folds = "folds" in train_values
+    holdout = train_values.pop("holdout", DEFAULT_HOLDOUT)
+    train = dataclasses.replace(TrainConfig(), **train_values)
+    if not 0.0 < holdout <= 0.5:
+        raise ConfigError(
+            f"holdout must lie in (0, 0.5], got {holdout}; it is rounded to 1/k for k >= 2 folds"
+        )
+
+    pfm_side = merged["pfm"].get("side", arch.input_side)
     if pfm_side < 8:
         raise ConfigError(f"pfm side must be >= 8, got {pfm_side}")
-    layer = get("interpret", "layer", DEFAULT_LAYER)
+    layer = merged["interpret"].get("layer", DEFAULT_LAYER)
     if layer < 1:
         raise ConfigError(f"interpret layer must be >= 1, got {layer}")
-    bins = get("interpret", "bins", DEFAULT_BINS)
+    bins = merged["interpret"].get("bins", DEFAULT_BINS)
     if bins < 2:
         raise ConfigError(f"bins must be >= 2, got {bins}")
     return RunSettings(
         arch=arch,
         train=train,
         holdout=holdout,
-        use_folds=given("train", "folds"),
+        use_folds=use_folds,
         pfm_side=pfm_side,
         layer=layer,
         bins=bins,
-        out_dir=get("output", "dir", None),
+        out_dir=merged["output"].get("dir"),
     )

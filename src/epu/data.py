@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IngestionError, ParseError
-from .pfm import RgbImage, resize_rgb
+from .pfm import RgbImage
 
 MANIFEST_NAME = "manifest.tsv"
 
@@ -41,21 +41,12 @@ class SynthConfig:
     count: int = 100
     side: int = 64
     seed: int = 0
-    # shape scale as a fraction of the image side
-    radius_frac: tuple = (0.22, 0.34)
-    # center offset from the image middle, fraction of the image side
-    center_jitter: float = 0.10
 
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
         if self.side < 16:
             raise ConfigError(f"side must be >= 16, got {self.side}")
-        lo, hi = self.radius_frac
-        if not (0.0 < lo <= hi < 0.5):
-            raise ConfigError(f"radius_frac must satisfy 0 < lo <= hi < 0.5, got {self.radius_frac}")
-        if not (0.0 <= self.center_jitter < 0.5):
-            raise ConfigError(f"center_jitter must lie in [0, 0.5), got {self.center_jitter}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +166,12 @@ def read_image(path: str) -> RgbImage:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def load_images(manifest: DatasetManifest, side: int | None = None):
-    """Materialize every manifest entry; returns (images, labels).
-
-    With ``side`` set, each image is resized to side x side on the way in.
-    """
+def load_images(manifest: DatasetManifest):
+    """Materialize every manifest entry; returns (images, labels)."""
     images = []
     labels = np.empty(len(manifest.entries), dtype=np.int64)
     for i, (rel, cls) in enumerate(manifest.entries):
-        img = read_image(os.path.join(manifest.root, rel))
-        if side is not None:
-            img = resize_bilinear(img, side)
-        images.append(img)
+        images.append(read_image(os.path.join(manifest.root, rel)))
         labels[i] = cls
     return images, labels
 
@@ -198,13 +183,6 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         fh.writelines(lines)
 
 
-def resize_bilinear(image: RgbImage, side: int) -> RgbImage:
-    """Resize to a square side x side raster with corner-aligned sampling."""
-    if side < 1:
-        raise ConfigError(f"side must be >= 1, got {side}")
-    return resize_rgb(image, side, side)
-
-
 # ---------------------------------------------------------------------------
 # synthetic generator
 
@@ -214,6 +192,10 @@ def resize_bilinear(image: RgbImage, side: int) -> RgbImage:
 # kept red-leaning (never pure green) so the class-mean Lab b ordering
 # stays fixed: yellow crescents above disks.
 CLASS_NAMES = ("crescent", "disk")
+# shape radius range, as a fraction of the image side
+RADIUS_FRAC = (0.22, 0.34)
+# center offset from the image middle, fraction of the image side
+CENTER_JITTER = 0.10
 
 
 def _background(rng: np.random.Generator, side: int) -> np.ndarray:
@@ -223,11 +205,11 @@ def _background(rng: np.random.Generator, side: int) -> np.ndarray:
     return np.repeat(gray[:, :, None], 3, axis=2)
 
 
-def _crescent_mask(rng: np.random.Generator, side: int, cfg: SynthConfig) -> np.ndarray:
-    jit = cfg.center_jitter * side
+def _crescent_mask(rng: np.random.Generator, side: int) -> np.ndarray:
+    jit = CENTER_JITTER * side
     cy = side / 2.0 + rng.uniform(-jit, jit)
     cx = side / 2.0 + rng.uniform(-jit, jit)
-    radius = side * rng.uniform(*cfg.radius_frac)
+    radius = side * rng.uniform(*RADIUS_FRAC)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     offset = radius * rng.uniform(0.45, 0.70)
     bite_r = radius * rng.uniform(0.80, 1.00)
@@ -239,18 +221,18 @@ def _crescent_mask(rng: np.random.Generator, side: int, cfg: SynthConfig) -> np.
     return main & ~bite
 
 
-def _disk_mask(rng: np.random.Generator, side: int, cfg: SynthConfig) -> np.ndarray:
-    jit = cfg.center_jitter * side
+def _disk_mask(rng: np.random.Generator, side: int) -> np.ndarray:
+    jit = CENTER_JITTER * side
     cy = side / 2.0 + rng.uniform(-jit, jit)
     cx = side / 2.0 + rng.uniform(-jit, jit)
-    radius = side * rng.uniform(*cfg.radius_frac)
+    radius = side * rng.uniform(*RADIUS_FRAC)
     yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
     return (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
 
 
 def _render_crescent(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     canvas = _background(rng, cfg.side)
-    mask = _crescent_mask(rng, cfg.side, cfg)
+    mask = _crescent_mask(rng, cfg.side)
     color = np.array(
         [rng.uniform(225.0, 255.0), rng.uniform(190.0, 230.0), rng.uniform(20.0, 60.0)]
     )
@@ -263,7 +245,7 @@ def _render_crescent(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
 
 def _render_disk(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     canvas = _background(rng, cfg.side)
-    mask = _disk_mask(rng, cfg.side, cfg)
+    mask = _disk_mask(rng, cfg.side)
     color = np.array(
         [rng.uniform(150.0, 215.0), rng.uniform(25.0, 70.0), rng.uniform(60.0, 115.0)]
     )

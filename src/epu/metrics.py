@@ -60,8 +60,6 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 def auc(scored: ScoredSet) -> float:
     """Probability that a random positive outranks a random negative."""
-    if not isinstance(scored, ScoredSet):
-        scored = ScoredSet(*scored)
     pos = scored.labels == 1
     n_pos = int(pos.sum())
     n_neg = len(scored.labels) - n_pos

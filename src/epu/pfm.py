@@ -83,39 +83,18 @@ class LabImage:
         if not (self.L.shape == self.a.shape == self.b.shape):
             raise DimensionError("LabImage planes must share one shape")
 
-    @property
-    def height(self) -> int:
-        return self.L.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.L.shape[1]
-
 
 @dataclass
 class PfmStack:
     """Stack of perceptual feature maps, shaped (count, H, W), values in [-1, 1]."""
 
     maps: np.ndarray
-    labels: tuple = PFM_LABELS
 
     def __post_init__(self):
         m = np.asarray(self.maps, dtype=np.float32)
         if m.ndim != 3:
             raise DimensionError(f"PfmStack expects (N, H, W) maps, got shape {m.shape}")
         self.maps = m
-
-    @property
-    def count(self) -> int:
-        return self.maps.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.maps.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.maps.shape[2]
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,9 @@ def maxpool2d(x, window: int) -> Tensor:
 
 
 _BN_AXES = (0, 2, 3)
+# share of its old value that a running buffer keeps at each training-mode update
+_BN_MOMENTUM = 0.9
+_BN_EPS = 1e-5
 
 
 def _bn_normalize(xd: Array, mean: Array, ivstd: Array):
@@ -582,8 +585,6 @@ def batchnorm2d(
     running_mean: Array,
     running_var: Array,
     training: bool,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
 ) -> Tensor | list[Tensor]:
     """Channel-wise batch normalization for NCHW input.
 
@@ -594,7 +595,7 @@ def batchnorm2d(
     Training mode normalizes with the biased statistics of the whole batch,
     taken over the parts joined back together, so they are bitwise those of
     one tensor holding the batch. It updates the running buffers in place:
-    new = momentum*old + (1-momentum)*batch. The graph gets one statistics
+    new = _BN_MOMENTUM*old + (1-_BN_MOMENTUM)*batch. The graph gets one statistics
     vertex, whose value is the rows (mean, var) and whose inputs are all the
     parts, and one normalize vertex per part. A part's backward pushes
     d(loss)/d(mean, var) to the statistics vertex and leaves d(loss)/d(xhat)
@@ -624,15 +625,15 @@ def batchnorm2d(
         raise DimensionError(f"batchnorm2d running buffers must have shape ({ch},)")
 
     if training:
-        stats, mean, ivstd, dxhat = _bn_statistics(parts, running_mean, running_var, momentum, eps)
+        stats, mean, ivstd, dxhat = _bn_statistics(parts, running_mean, running_var)
         outs = [_bn_train_part(p.data, i, gt, bt, stats, mean, ivstd, dxhat) for i, p in enumerate(parts)]
     else:
-        ivstd = 1.0 / np.sqrt(running_var + eps)
+        ivstd = 1.0 / np.sqrt(running_var + _BN_EPS)
         outs = [_bn_eval_part(p, gt, bt, running_mean, ivstd) for p in parts]
     return outs[0] if single else outs
 
 
-def _bn_statistics(parts, running_mean: Array, running_var: Array, momentum: float, eps: float):
+def _bn_statistics(parts, running_mean: Array, running_var: Array):
     """Statistics vertex of training-mode batchnorm over all parts.
 
     Returns (stats tensor, mean, inverse std, dxhat). `dxhat[i]` is where
@@ -645,9 +646,9 @@ def _bn_statistics(parts, running_mean: Array, running_var: Array, momentum: flo
     mean = whole.mean(axis=_BN_AXES)
     var = whole.var(axis=_BN_AXES)
     del whole
-    ivstd = 1.0 / np.sqrt(var + eps)
-    running_mean[:] = momentum * running_mean + (1.0 - momentum) * mean
-    running_var[:] = momentum * running_var + (1.0 - momentum) * var
+    ivstd = 1.0 / np.sqrt(var + _BN_EPS)
+    running_mean[:] = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mean
+    running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
     bc = (1, mean.shape[0], 1, 1)
     m = sum(xd.shape[0] for xd in xds) * xds[0].shape[2] * xds[0].shape[3]
     vertices = [_vertex(p) for p in parts]
@@ -718,12 +719,12 @@ def _bn_eval_part(x: Tensor, gt: Tensor, bt: Tensor, running_mean: Array, ivstd:
 # initialization and optimization
 
 
-def kaiming_uniform(shape, fan_in: int, rng: np.random.Generator, dtype=np.float32) -> Array:
-    """Uniform init on [-sqrt(6/fan_in), sqrt(6/fan_in)]."""
+def kaiming_uniform(shape, fan_in: int, rng: np.random.Generator) -> Array:
+    """float32 uniform init on [-sqrt(6/fan_in), sqrt(6/fan_in)]."""
     if fan_in < 1:
         raise ContractError(f"fan_in must be >= 1, got {fan_in}")
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def sgd_step(params, lr: float) -> None:

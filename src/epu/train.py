@@ -48,7 +48,6 @@ class Sample:
 
     stack: PfmStack
     label: int
-    source_path: str = ""
 
     def __post_init__(self):
         if self.label < 0:
@@ -364,13 +363,9 @@ class FitResult:
     history: list
 
 
-def make_samples(images, labels, side: int, paths=None) -> list:
+def make_samples(images, labels, side: int) -> list:
     """Extract feature-map stacks for a list of RGB images."""
-    paths = paths if paths is not None else [""] * len(images)
-    return [
-        Sample(stack=build_pfm_stack(img, side), label=int(y), source_path=p)
-        for img, y, p in zip(images, labels, paths)
-    ]
+    return [Sample(stack=build_pfm_stack(img, side), label=int(y)) for img, y in zip(images, labels)]
 
 
 def fit(
@@ -379,7 +374,6 @@ def fit(
     arch: ArchConfig,
     config: TrainConfig,
     class_names=None,
-    paths=None,
     log=None,
 ) -> FitResult:
     """Train a fresh binary model; rebuilds feature maps per augmented epoch."""
@@ -388,12 +382,12 @@ def fit(
     model = build_model(arch, n_pfms=4, seed=config.seed, class_names=class_names)
     side = arch.input_side
     history = []
-    plain = None if config.augment else make_samples(images, labels, side, paths)
+    plain = None if config.augment else make_samples(images, labels, side)
     for epoch in range(config.epochs):
         if config.augment:
             arng = np.random.default_rng([config.seed, epoch, 1])
             epoch_images = [augment_orientation(img, arng) for img in images]
-            samples = make_samples(epoch_images, labels, side, paths)
+            samples = make_samples(epoch_images, labels, side)
         else:
             samples = plain
         srng = np.random.default_rng([config.seed, epoch, 2])
@@ -485,7 +479,6 @@ def cross_validate(
             arch,
             fold_config,
             class_names=class_names,
-            paths=[paths[i] for i in tr],
         )
         report = evaluate(result.model, [images[i] for i in va], labels[va], [paths[i] for i in va])
         reports.append(report)

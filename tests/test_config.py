@@ -2,6 +2,7 @@
 
 import pytest
 
+from epu.cli import _overrides_from_args, build_parser
 from epu.config import (
     parse_blocks,
     parse_bool,
@@ -9,6 +10,8 @@ from epu.config import (
     resolve_settings,
 )
 from epu.errors import ConfigError
+from epu.model import PRESETS
+from epu.train import TrainConfig
 
 SAMPLE = """\
 # comment line
@@ -87,6 +90,8 @@ def test_parse_bool():
 
 def test_resolve_defaults():
     s = resolve_settings()
+    assert s.train == TrainConfig()
+    assert s.arch == PRESETS["desk"]
     assert s.arch.blocks == ((2, 8), (2, 16), (3, 32))
     assert s.arch.input_side == 64
     assert s.train.batch_size == 64
@@ -143,6 +148,10 @@ def test_unknown_preset():
 def test_bad_ranges():
     with pytest.raises(ConfigError):
         resolve_settings({"train": {"holdout": 1.5}})
+    # a holdout is one of max(2, round(1/h)) folds, so it never exceeds half
+    with pytest.raises(ConfigError):
+        resolve_settings({"train": {"holdout": 0.75}})
+    assert resolve_settings({"train": {"holdout": 0.5}}).holdout == 0.5
     with pytest.raises(ConfigError):
         resolve_settings({"pfm": {"side": 4}})
     with pytest.raises(ConfigError):
@@ -156,3 +165,31 @@ def test_output_dir_resolution():
     assert s.out_dir == "from_file"
     s = resolve_settings({"output": {"dir": "from_file"}}, {"output": {"dir": "from_flag"}})
     assert s.out_dir == "from_flag"
+
+
+def test_each_flag_lands_in_its_setting():
+    parser = build_parser()
+    train = ["train", "--data", "d"]
+    cases = [
+        (train + ["--batch-size", "7"], lambda s: s.train.batch_size, 7),
+        (train + ["--lr", "0.5"], lambda s: s.train.lr, 0.5),
+        (train + ["--epochs", "3"], lambda s: s.train.epochs, 3),
+        (train + ["--seed", "9"], lambda s: s.train.seed, 9),
+        (train + ["--augment", "false"], lambda s: s.train.augment, False),
+        (train + ["--folds", "4"], lambda s: (s.train.folds, s.use_folds), (4, True)),
+        (train + ["--holdout", "0.25"], lambda s: s.holdout, 0.25),
+        (train + ["--preset", "base_i"], lambda s: s.arch, PRESETS["base_i"]),
+        (train + ["--blocks", "1x4,2x8"], lambda s: s.arch.blocks, ((1, 4), (2, 8))),
+        (train + ["--kernel-size", "5"], lambda s: s.arch.kernel_size, 5),
+        (train + ["--fc-width", "6"], lambda s: s.arch.fc_width, 6),
+        (train + ["--input-side", "32"], lambda s: (s.arch.input_side, s.pfm_side), (32, 32)),
+        (train + ["--out", "o"], lambda s: s.out_dir, "o"),
+        (["pfm", "--image", "i", "--side", "16"], lambda s: s.pfm_side, 16),
+        (["explain", "--model", "m", "--image", "i", "--layer", "2"], lambda s: s.layer, 2),
+        (["explain", "--model", "m", "--image", "i", "--bins", "16"], lambda s: s.bins, 16),
+        # explain's --side is checked against the checkpoint, not a setting
+        (["explain", "--model", "m", "--image", "i", "--side", "4"], lambda s: s, resolve_settings()),
+    ]
+    for argv, field, want in cases:
+        assert field(resolve_settings(None, _overrides_from_args(parser.parse_args(argv)))) == want, argv
+    assert parser.parse_args(["explain", "--model", "m", "--image", "i", "--side", "4"]).expect_side == 4

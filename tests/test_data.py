@@ -14,14 +14,12 @@ from epu.data import (
     encode_pgm,
     encode_ppm,
     load_dataset,
-    load_images,
     read_image,
-    resize_bilinear,
     synth_generate,
     write_manifest,
 )
-from epu.errors import ConfigError, IngestionError, ParseError
-from epu.pfm import RgbImage, srgb_to_lab
+from epu.errors import ConfigError, DimensionError, IngestionError, ParseError
+from epu.pfm import RgbImage, resize_rgb, srgb_to_lab
 
 
 def _img(pixels):
@@ -127,14 +125,14 @@ def test_encode_pgm():
 def test_resize_identity():
     rng = np.random.default_rng(1)
     pixels = rng.integers(0, 256, size=(7, 7, 3), dtype=np.uint8)
-    out = resize_bilinear(_img(pixels), 7)
+    out = resize_rgb(_img(pixels), 7, 7)
     assert np.array_equal(out.pixels, pixels)
 
 
 def test_resize_constant():
     pixels = np.full((5, 9, 3), 77, dtype=np.uint8)
     for side in (1, 4, 16):
-        out = resize_bilinear(_img(pixels), side)
+        out = resize_rgb(_img(pixels), side, side)
         assert out.pixels.shape == (side, side, 3)
         assert np.all(out.pixels == 77)
 
@@ -142,15 +140,15 @@ def test_resize_constant():
 def test_resize_ramp_row():
     # hand bilinear with corner alignment: 0 and 255 -> 0, 85, 170, 255
     pixels = np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8)
-    out = resize_bilinear(_img(pixels), 4)
+    out = resize_rgb(_img(pixels), 4, 4)
     assert out.pixels.shape == (4, 4, 3)
     for row in range(4):
         assert out.pixels[row, :, 0].tolist() == [0, 85, 170, 255]
 
 
 def test_resize_bad_side():
-    with pytest.raises(ConfigError):
-        resize_bilinear(_img(np.zeros((2, 2, 3), dtype=np.uint8)), 0)
+    with pytest.raises(DimensionError):
+        resize_rgb(_img(np.zeros((2, 2, 3), dtype=np.uint8)), 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +221,6 @@ def test_read_image_missing_file(tmp_path):
         read_image(str(tmp_path / "absent.ppm"))
 
 
-def test_load_images_resizes(tmp_path):
-    _make_tree(str(tmp_path), ["apple", "banana"], files_per_class=1)
-    man = load_dataset(str(tmp_path))
-    images, labels = load_images(man, side=8)
-    assert len(images) == 2
-    assert all(img.pixels.shape == (8, 8, 3) for img in images)
-    assert labels.tolist() == [0, 1]
-
-
 def test_write_manifest_format(tmp_path):
     man = DatasetManifest(
         root=str(tmp_path),
@@ -262,10 +251,6 @@ def test_synth_config_validation():
         SynthConfig(count=0)
     with pytest.raises(ConfigError):
         SynthConfig(side=8)
-    with pytest.raises(ConfigError):
-        SynthConfig(radius_frac=(0.4, 0.6))
-    with pytest.raises(ConfigError):
-        SynthConfig(center_jitter=0.5)
 
 
 def test_synth_counts_and_manifest(tmp_path):
@@ -303,7 +288,7 @@ def test_synth_images_decode_and_resize(tmp_path):
     for rel, _ in man.entries:
         img = read_image(os.path.join(str(tmp_path), rel))
         assert img.pixels.shape == (20, 20, 3)
-        out = resize_bilinear(img, 32)
+        out = resize_rgb(img, 32, 32)
         assert out.pixels.shape == (32, 32, 3)
 
 

@@ -17,10 +17,7 @@ def tiny_model(seed=0, n_pfms=4, **kw):
 
 
 def rand_stack(rng, n=4, side=8):
-    return PfmStack(
-        maps=rng.uniform(-1, 1, size=(n, side, side)).astype(np.float32),
-        labels=tuple(f"pfm{i}" for i in range(n)),
-    )
+    return PfmStack(maps=rng.uniform(-1, 1, size=(n, side, side)).astype(np.float32))
 
 
 def zero_heads(m):
@@ -292,7 +289,7 @@ def test_permuted_subnets_same_probability():
         m.beta,
         [m.pfm_labels[i] for i in perm],
     )
-    stack2 = PfmStack(maps=stack.maps[perm], labels=tuple(stack.labels[i] for i in perm))
+    stack2 = PfmStack(maps=stack.maps[perm])
     assert abs(M.predict(m2, stack2)[0][0] - base) <= 1e-6
     # identical ordering is bitwise stable
     assert M.predict(m, stack)[0][0] == base

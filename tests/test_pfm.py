@@ -144,7 +144,6 @@ def test_build_pfm_stack_shape_and_range():
     img = pfm.RgbImage(rng.integers(0, 256, size=(50, 70, 3), dtype=np.uint8))
     stack = pfm.build_pfm_stack(img, 32)
     assert stack.maps.shape == (4, 32, 32)
-    assert stack.count == 4 and stack.height == 32 and stack.width == 32
     assert stack.maps.min() >= -1.0 and stack.maps.max() <= 1.0
     # wavelet maps are min-max scaled, so they span the full range
     assert stack.maps[0].min() == pytest.approx(-1.0, abs=1e-6)

@@ -634,10 +634,3 @@ def test_cross_validate_shapes(tmp_path):
     for key in ("auc", "accuracy", "interp_accuracy"):
         mean, std = summary[key]
         assert math.isfinite(mean) and math.isfinite(std)
-
-
-def test_make_samples_paths(tmp_path):
-    images, labels = _tiny_dataset(tmp_path, count=2)
-    samples = make_samples(images, labels, side=8, paths=[f"p{i}" for i in range(4)])
-    assert [s.source_path for s in samples] == ["p0", "p1", "p2", "p3"]
-    assert all(s.stack.maps.shape == (4, 8, 8) for s in samples)
