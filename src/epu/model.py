@@ -19,8 +19,13 @@ Batches of `MICRO_BATCH` or fewer samples run as one part.
 A conv block runs conv, ReLU, ..., conv, max-pool, ReLU, then batchnorm: the
 block's last ReLU comes after the pool. ReLU is monotone, so this equals
 pooling the ReLU output bitwise, and every gradient that passes reaches the
-same element with the same bits. Training then keeps no full-resolution
-output of a block's last conv: max-pool saves only a one-byte winner index.
+same element with the same bits. Each part runs a block as one `T.conv_block`
+op. In training, the graph keeps of a block only its input, the pool's
+one-byte winner index and its pooled output; backward recomputes the block's
+inner ReLU outputs from its input, running every conv's forward again except
+the last one's. Training thus keeps no full-resolution activation: a desk
+sub-network's graph is about a third of what it is with the inner ReLU outputs
+kept, and each inner conv's forward runs twice per step.
 """
 from __future__ import annotations
 
@@ -169,11 +174,11 @@ class SubNetwork:
         """Map (B, 1, S, S) input to (B, 1) tanh scores.
 
         The batch is split into parts of `MICRO_BATCH` samples (the last may
-        be shorter). Each part runs through a block's layers on its own, in
-        the order conv, ReLU, ..., conv, max-pool, ReLU; batchnorm then
-        normalizes all parts together, and each part runs through the dense
-        head. `T.concat` joins the scores. The input is data: no gradient
-        flows to it.
+        be shorter). Each part runs through a block on its own, as one
+        `T.conv_block` op (conv, ReLU, ..., conv, max-pool, ReLU); batchnorm
+        then normalizes all parts together, and each part runs through the
+        dense head. `T.concat` joins the scores. The input is data: no
+        gradient flows to it.
 
         Pooling before the block's last ReLU is exact: ReLU is monotone, so
         relu(max) = max(relu) bitwise, and a window whose maximum is positive
@@ -184,9 +189,9 @@ class SubNetwork:
         quarter of the pixels.
 
         With `layer`, a 1-based conv layer index, returns (scores, that
-        layer's post-ReLU activations (B, C, H, W)) instead, taken as
-        `np.maximum(conv output, 0)`: bitwise `T.relu`'s output, also for a
-        block's last conv, whose ReLU runs after the pool.
+        layer's post-ReLU activations (B, C, H, W)) instead, taken by the
+        block op: bitwise `T.relu`'s output, also for a block's last conv,
+        whose ReLU runs after the pool.
         """
         if x.data.ndim != 4 or x.data.shape[2] != self.arch.input_side or x.data.shape[3] != self.arch.input_side:
             raise DimensionError(
@@ -198,19 +203,18 @@ class SubNetwork:
             raise ConfigError(f"layer {layer} outside the conv layers 1..{self.arch.conv_layer_count}")
         parts = [Tensor(x.data[lo : lo + MICRO_BATCH]) for lo in range(0, x.data.shape[0], MICRO_BATCH)]
         acts = []
-        kernels = enumerate(self.conv_kernels, 1)
+        first = 0
         for (count, _), bn in zip(self.arch.blocks, self.bn):
-            block = [next(kernels) for _ in range(count)]
-            last = block[-1][0]
+            kernels = self.conv_kernels[first : first + count]
+            # the 0-based conv of this block whose activations were asked for
+            tap = layer - 1 - first if layer is not None and first < layer <= first + count else None
+            first += count
             pooled = []
             for h in parts:
-                for n, kernel in block:
-                    h = T.conv2d(h, kernel, stride=1, padding=self.pad)
-                    if n == layer:
-                        acts.append(np.maximum(h.data, 0))
-                    if n == last:
-                        h = T.maxpool2d(h, 2)
-                    h = T.relu(h)
+                h = T.conv_block(h, kernels, self.pad, 2, tap)
+                if tap is not None:
+                    h, act = h
+                    acts.append(act)
                 pooled.append(h)
             parts = T.batchnorm2d(pooled, bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
         scores = []

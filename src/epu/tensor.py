@@ -2,9 +2,10 @@
 
 Implements exactly the layer set the perceptual ensembles need: conv2d,
 maxpool2d, batchnorm2d, dense, relu, tanh, sigmoid, add, mul, tsum, reshape,
-concat, and `bce_with_logits`, the training loss as one op. Every op is a
-module-level function (`add`, `relu`, `tsum`, `backward`, ...); a `Tensor` has
-no operator overloads.
+concat, `conv_block` (a whole conv block as one op that recomputes its inner
+activations in backward), and `bce_with_logits`, the training loss as one op.
+Every op is a module-level function (`add`, `relu`, `tsum`, `backward`, ...);
+a `Tensor` has no operator overloads.
 
 The operation graph is kept apart from tensor data. A computed tensor points
 at a private op record, its vertex: the backward closure plus the vertices of
@@ -258,11 +259,16 @@ def dense(x, weight, bias) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
+def _relu_array(a: Array, out: Array | None = None) -> Array:
+    """max(a, 0), into `out` when given. Every ReLU of the package runs here."""
+    return np.maximum(a, 0, out=out)
+
+
 def relu(x) -> Tensor:
     """max(x, 0). Keeps only its output; the gradient passes where it is > 0."""
     x = _astensor(x)
     xv = _vertex(x)
-    out = np.maximum(x.data, 0)
+    out = _relu_array(x.data)
 
     def grad_fn(up, fresh):
         _push(fresh, xv, up * (out > 0))
@@ -426,103 +432,115 @@ def _xcorr(flat: Array, hp: int, wp: int, kernels: Array) -> Array:
     return out.reshape(batch, cout, ho, wp)
 
 
+def _check_conv(xshape, kshape, stride: int, padding: int) -> None:
+    """Shape and argument checks of one conv: NCHW input, OIKK kernels."""
+    if len(xshape) != 4:
+        raise DimensionError(f"conv2d expects NCHW input, got shape {xshape}")
+    if len(kshape) != 4:
+        raise DimensionError(f"conv2d expects OIKK kernels, got shape {kshape}")
+    if stride < 1:
+        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ContractError(f"conv2d padding must be >= 0, got {padding}")
+    cin, kin = xshape[1], kshape[1]
+    if kin != cin:
+        raise DimensionError(f"conv2d channel mismatch: input {cin}, kernels {kin}")
+    hp, wp = xshape[2] + 2 * padding, xshape[3] + 2 * padding
+    if kshape[2] > hp or kshape[3] > wp:
+        raise DimensionError(f"kernel {kshape[2]}x{kshape[3]} exceeds padded input {hp}x{wp}")
+
+
+def _conv_forward(xd: Array, kd: Array, stride: int, padding: int) -> Array:
+    """Conv output of a checked input and kernels: a strided view into the
+    GEMM's buffer, whose rows carry kw - 1 wrapped columns past the view."""
+    hp, wp = xd.shape[2] + 2 * padding, xd.shape[3] + 2 * padding
+    flat, _, _ = _pad_flat(xd, padding, padding)
+    return _xcorr(flat, hp, wp, kd)[:, :, ::stride, : wp - kd.shape[3] + 1 : stride]
+
+
+def _conv_backward(xd: Array, kd: Array, up: Array, stride: int, padding: int, want_gk: bool, want_gx: bool):
+    """(kernel gradient, input gradient) of one conv for upstream gradient `up`;
+    each is None unless asked for.
+
+    Reads only the input and the kernels: grad-w pads the input again.
+    """
+    batch, _, h, w = xd.shape
+    cout, _, kh, kw = kd.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = hp - kh + 1, wp - kw + 1
+    span = ho * wp
+    # grad-x pads the stride-1 gradient by kernel - 1 - padding on each side
+    qh, qw = kh - 1 - padding, kw - 1 - padding
+    shared = want_gx and qh == qw == padding
+    if shared:
+        # "same" padding: grad-x's padded gradient has the padded row width,
+        # so grad-w reads its rows from that buffer, where the columns that
+        # wrap into the next row are zero padding. Grad-w alone keeps the
+        # smaller buffer below.
+        gflat = np.zeros((batch, cout, hp + 1, wp), dtype=up.dtype)
+        gflat[:, :, qh : qh + ho : stride, qw : qw + wo : stride] = up
+        gflat = gflat.reshape(batch, cout, (hp + 1) * wp)
+        start = qh * wp + qw
+        rows = gflat[:, :, start : start + span]
+    else:
+        # stride-1 gradient, widened with zero columns to the padded row width
+        g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
+        g1[:, :, ::stride, :wo:stride] = up
+        rows = g1.reshape(batch, cout, span)
+    gk = gx = None
+    if want_gk:
+        flat, _, _ = _pad_flat(xd, padding, padding)
+        gk = np.empty(kd.shape, dtype=np.result_type(up, flat))
+        for i in range(kh):
+            for j in range(kw):
+                window = flat[:, :, i * wp + j : i * wp + j + span]
+                gk[:, :, i, j] = np.matmul(rows, window.transpose(0, 2, 1)).sum(axis=0)
+        del flat, window  # freed before grad-x allocates its buffers
+    if want_gx:
+        flipped = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        if not shared:
+            gflat, _, _ = _pad_flat(g1[..., :wo], qh, qw)
+        gx = _xcorr(gflat, ho + 2 * qh, wo + 2 * qw, flipped)[..., :w]
+    return gk, gx
+
+
 def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over NCHW input, no bias.
 
     kernels has shape (out_channels, in_channels, k, k); zero padding.
     Stride > 1 subsamples the stride-1 result; its gradient flows back
     through the stride-1 gradient, zero between the samples. Backward keeps
-    the input and the kernels, not the padded input copy: grad-w pads the
-    input again.
+    the input and the kernels, not the padded input copy.
     """
     x, kt = _astensor(x), _astensor(kernels)
-    if x.data.ndim != 4:
-        raise DimensionError(f"conv2d expects NCHW input, got shape {x.data.shape}")
-    if kt.data.ndim != 4:
-        raise DimensionError(f"conv2d expects OIKK kernels, got shape {kt.data.shape}")
-    if stride < 1:
-        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ContractError(f"conv2d padding must be >= 0, got {padding}")
-    batch, cin, h, w = x.data.shape
-    cout, kin, kh, kw = kt.data.shape
-    if kin != cin:
-        raise DimensionError(f"conv2d channel mismatch: input {cin}, kernels {kin}")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if kh > hp or kw > wp:
-        raise DimensionError(f"kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
-
+    _check_conv(x.data.shape, kt.data.shape, stride, padding)
     xd, kd, xv, kv = x.data, kt.data, _vertex(x), _vertex(kt)
-    ho, wo = hp - kh + 1, wp - kw + 1
-    flat, _, _ = _pad_flat(xd, padding, padding)
-    out = np.ascontiguousarray(_xcorr(flat, hp, wp, kd)[:, :, ::stride, :wo:stride])
+    out = np.ascontiguousarray(_conv_forward(xd, kd, stride, padding))
 
     def grad_fn(up, fresh):
-        span = ho * wp
-        # grad-x pads the stride-1 gradient by kernel - 1 - padding on each side
-        qh, qw = kh - 1 - padding, kw - 1 - padding
-        shared = xv is not None and qh == qw == padding
-        if shared:
-            # "same" padding: grad-x's padded gradient has the padded row width,
-            # so grad-w reads its rows from that buffer, where the columns that
-            # wrap into the next row are zero padding. Grad-w alone keeps the
-            # smaller buffer below.
-            gflat = np.zeros((batch, cout, hp + 1, wp), dtype=up.dtype)
-            gflat[:, :, qh : qh + ho : stride, qw : qw + wo : stride] = up
-            gflat = gflat.reshape(batch, cout, (hp + 1) * wp)
-            start = qh * wp + qw
-            rows = gflat[:, :, start : start + span]
-        else:
-            # stride-1 gradient, widened with zero columns to the padded row width
-            g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
-            g1[:, :, ::stride, :wo:stride] = up
-            rows = g1.reshape(batch, cout, span)
-        if kv is not None:
-            flat, _, _ = _pad_flat(xd, padding, padding)
-            gk = np.empty(kd.shape, dtype=np.result_type(up, flat))
-            for i in range(kh):
-                for j in range(kw):
-                    window = flat[:, :, i * wp + j : i * wp + j + span]
-                    gk[:, :, i, j] = np.matmul(rows, window.transpose(0, 2, 1)).sum(axis=0)
-            del flat, window  # freed before grad-x allocates its buffers
-            _push(fresh, kv, gk)
-        if xv is not None:
-            flipped = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            if not shared:
-                gflat, _, _ = _pad_flat(g1[..., :wo], qh, qw)
-            _push(fresh, xv, _xcorr(gflat, ho + 2 * qh, wo + 2 * qw, flipped)[..., :w])
+        gk, gx = _conv_backward(xd, kd, up, stride, padding, kv is not None, xv is not None)
+        _push(fresh, kv, gk)
+        _push(fresh, xv, gx)
 
     return _node(out, (xv, kv), grad_fn)
 
 
-def maxpool2d(x, window: int) -> Tensor:
-    """Square max pooling; ragged edges padded with -inf (output ceil(H/w)).
+def _pool_max(xd: Array, window: int, record: bool):
+    """Max-pool output of `xd` and, when `record`, its winner index (else None).
 
-    The output is the elementwise maximum of the window² strided views
-    xp[:, :, i::w, j::w], taken in row-major order of (i, j). A NaN in a
-    window makes its output NaN. Ties keep the first maximum's value, and the
-    gradient goes to the first maximum in row-major order, or to the first
-    NaN. When a graph is recorded, the forward max loop also notes that
-    winner's offset in the window, one byte per output element (two for
-    windows above 16); backward reads only that index, so the graph keeps
-    neither the input nor the output. Without a graph no index is computed.
+    Every max-pool of the package runs here. See `maxpool2d` for the order of
+    ties and NaNs that the output and the index follow.
     """
-    x = _astensor(x)
-    if x.data.ndim != 4:
-        raise DimensionError(f"maxpool2d expects NCHW input, got shape {x.data.shape}")
-    if window < 1:
-        raise ContractError(f"maxpool2d window must be >= 1, got {window}")
-    xv = _vertex(x)
-    batch, ch, h, w = x.data.shape
+    batch, ch, h, w = xd.shape
     ho, wo = -(-h // window), -(-w // window)
     ph, pw = ho * window - h, wo * window - w
     if ph or pw:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
+        xp = np.pad(xd, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
     else:
-        xp = x.data
+        xp = xd
     offsets = [(i, j) for i in range(window) for j in range(window)]
     out = xp[:, :, ::window, ::window].copy()
-    record = xv is not None and _grad_enabled.get()
+    win = None
     if record:
         # sized for offsets up to window² - 1: uint8 would wrap above 16
         idx = np.min_scalar_type(window * window - 1)
@@ -544,21 +562,117 @@ def maxpool2d(x, window: int) -> Tensor:
             # a NaN never compares greater; its window goes to its first NaN
             for n, (i, j) in reversed(list(enumerate(offsets))):
                 np.copyto(win, idx.type(n), where=nan & np.isnan(xp[:, :, i::window, j::window]))
+    return out, win
+
+
+def _pool_scatter(up: Array, win: Array, window: int, h: int, w: int) -> Array:
+    """Gradient of a max-pool's (B, C, h, w) input: each window's upstream
+    value at its winner, +0.0 elsewhere."""
+    # Multiplying up's bit pattern by the 0/1 mask writes up's exact bits
+    # where the gradient goes and +0.0 elsewhere (a masked float copy is
+    # several times slower on strided views). The views tile g, so every
+    # element is written once and g needs no zero fill.
+    batch, ch, ho, wo = win.shape
+    bits = np.dtype(f"u{up.dtype.itemsize}")
+    g = np.empty((batch, ch, ho * window, wo * window), dtype=up.dtype)
+    hit = np.empty(win.shape, dtype=bool)
+    for n in range(window * window):
+        i, j = divmod(n, window)
+        np.equal(win, n, out=hit)
+        np.multiply(up.view(bits), hit, out=g.view(bits)[:, :, i::window, j::window])
+    return g if g.shape[2:] == (h, w) else np.ascontiguousarray(g[:, :, :h, :w])
+
+
+def maxpool2d(x, window: int) -> Tensor:
+    """Square max pooling; ragged edges padded with -inf (output ceil(H/w)).
+
+    The output is the elementwise maximum of the window² strided views
+    xp[:, :, i::w, j::w], taken in row-major order of (i, j). A NaN in a
+    window makes its output NaN. Ties keep the first maximum's value, and the
+    gradient goes to the first maximum in row-major order, or to the first
+    NaN. When a graph is recorded, the forward max loop also notes that
+    winner's offset in the window, one byte per output element (two for
+    windows above 16); backward reads only that index, so the graph keeps
+    neither the input nor the output. Without a graph no index is computed.
+    """
+    x = _astensor(x)
+    if x.data.ndim != 4:
+        raise DimensionError(f"maxpool2d expects NCHW input, got shape {x.data.shape}")
+    if window < 1:
+        raise ContractError(f"maxpool2d window must be >= 1, got {window}")
+    xv = _vertex(x)
+    h, w = x.data.shape[2:]
+    out, win = _pool_max(x.data, window, xv is not None and _grad_enabled.get())
 
     def grad_fn(up, fresh):
-        # Multiplying up's bit pattern by the 0/1 mask writes up's exact bits
-        # where the gradient goes and +0.0 elsewhere (a masked float copy is
-        # several times slower on strided views). The views tile g, so every
-        # element is written once and g needs no zero fill.
-        bits = np.dtype(f"u{up.dtype.itemsize}")
-        g = np.empty((batch, ch, ho * window, wo * window), dtype=up.dtype)
-        hit = np.empty(win.shape, dtype=bool)
-        for n, (i, j) in enumerate(offsets):
-            np.equal(win, n, out=hit)
-            np.multiply(up.view(bits), hit, out=g.view(bits)[:, :, i::window, j::window])
-        _push(fresh, xv, np.ascontiguousarray(g[:, :, :h, :w]) if ph or pw else g)
+        _push(fresh, xv, _pool_scatter(up, win, window, h, w))
 
     return _node(out, (xv,), grad_fn)
+
+
+def conv_block(x, kernels, padding: int, window: int, tap: int | None = None) -> Tensor | tuple[Tensor, Array]:
+    """One conv block on NCHW input: conv, ReLU, ..., conv, max-pool, ReLU.
+
+    The convs run in the order of `kernels`, at stride 1 with zero padding
+    `padding`; the pool is `maxpool2d(., window)`. The block's last ReLU comes
+    after the pool: ReLU is monotone, so this equals pooling the ReLU output.
+    The output and every gradient are bitwise those of the same sequence of
+    `conv2d`, `relu` and `maxpool2d`, whose helpers this op calls.
+
+    A recorded vertex keeps the input, the kernels, the pool's winner index
+    and the output, whose sign masks the last ReLU's gradient; it keeps no
+    full-resolution activation. Backward recomputes the inner ReLU outputs
+    from the input, then runs the convs' backward in reverse. It thus re-runs
+    every conv's forward but the last one, whose backward reads only its
+    input and the gradient that the winner index scatters.
+
+    With `tap`, a 0-based conv index, returns (output, that conv's post-ReLU
+    activations as a full-resolution array outside the graph) instead.
+    """
+    x = _astensor(x)
+    kts = [_astensor(k) for k in kernels]
+    if not kts:
+        raise ContractError("conv_block needs at least one kernel")
+    if window < 1:
+        raise ContractError(f"conv_block window must be >= 1, got {window}")
+    last = len(kts) - 1
+    if tap is not None and not 0 <= tap <= last:
+        raise ContractError(f"conv_block tap must be in 0..{last}, got {tap}")
+    xd, kds = x.data, [k.data for k in kts]
+    xv, kvs = _vertex(x), [_vertex(k) for k in kts]
+    h = xd
+    for n, kd in enumerate(kds):
+        _check_conv(h.shape, kd.shape, 1, padding)
+        h = _conv_forward(h, kd, 1, padding)
+        if n < last:
+            _relu_array(h, out=h)
+        if n == tap:
+            act = h if n < last else np.maximum(h, 0)
+    record = _grad_enabled.get() and any(v is not None for v in (xv, *kvs))
+    ch, cw = h.shape[2:]
+    out, win = _pool_max(h, window, record)
+    del h
+    _relu_array(out, out=out)
+
+    def grad_fn(up, fresh):
+        g = _pool_scatter(up * (out > 0), win, window, ch, cw)
+        # each conv's input: the block input, then the inner ReLU outputs,
+        # recomputed as forward made them
+        hs = [xd]
+        for kd in kds[:-1]:
+            c = _conv_forward(hs[-1], kd, 1, padding)
+            hs.append(_relu_array(c, out=c))
+        for n in range(last, -1, -1):
+            hn = hs.pop()
+            gk, gx = _conv_backward(hn, kds[n], g, 1, padding, kvs[n] is not None, n > 0 or xv is not None)
+            _push(fresh, kvs[n], gk)
+            if n:
+                # hn is conv n-1's ReLU output
+                g = gx * (hn > 0)
+        _push(fresh, xv, gx)
+
+    result = _node(out, (xv, *kvs), grad_fn)
+    return result if tap is None else (result, act)
 
 
 _BN_AXES = (0, 2, 3)

@@ -418,6 +418,15 @@ class EvalReport:
     interp_accuracy: float
 
 
+def _paths_for(images, paths) -> list:
+    """One source path per image: `paths` itself, or empty strings without it."""
+    if paths is None:
+        return [""] * len(images)
+    if len(paths) != len(images):
+        raise ContractError(f"need one path per image, got {len(paths)} paths for {len(images)} images")
+    return paths
+
+
 def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
     """Score held-out images; reports AUC, accuracy, and sign agreement.
 
@@ -433,7 +442,7 @@ def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
         raise ContractError(f"need one label per image, got {labels.shape} for {len(images)} images")
     if np.any(labels < 0):
         raise ContractError(f"labels must be >= 0, got {labels.min()}")
-    paths = paths if paths is not None else [""] * len(images)
+    paths = _paths_for(images, paths)
     side = model.arch.input_side
     prob_parts, rss_parts = [], []
     for start in range(0, len(images), EVAL_CHUNK):
@@ -467,9 +476,9 @@ def cross_validate(
 ):
     """k-fold protocol: fresh seed-derived init per fold, report per fold."""
     labels = np.asarray(labels, dtype=np.int64)
+    paths = _paths_for(images, paths)
     splits = kfold_split(labels, config.folds, config.seed)
     check_val_splits(labels, splits, class_names)
-    paths = paths if paths is not None else [""] * len(images)
     reports = []
     for fold, (tr, va) in enumerate(splits):
         fold_config = dataclasses.replace(config, seed=config.seed + fold)

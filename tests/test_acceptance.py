@@ -92,30 +92,32 @@ def _pool_argmax(arr, window):
 
 
 class _DecisionRecorder:
-    """Patches relu and maxpool so a forward pass logs its branch decisions."""
+    """Patches the array helpers that every ReLU and max-pool runs through, in
+    `conv_block` as in `relu` and `maxpool2d`, so a forward pass logs its
+    branch decisions: a ReLU's output sign pattern, a pool's argmax."""
 
     def __init__(self):
         self.sink = None
 
     def __enter__(self):
-        self._relu, self._pool = T.relu, T.maxpool2d
+        self._relu, self._pool = T._relu_array, T._pool_max
 
-        def relu_rec(x):
-            out = self._relu(x)
+        def relu_rec(a, out=None):
+            res = self._relu(a, out=out)
             if self.sink is not None:
-                self.sink.append(out.data > 0)
-            return out
+                self.sink.append(res > 0)
+            return res
 
-        def pool_rec(x, window):
+        def pool_rec(xd, window, record):
             if self.sink is not None:
-                self.sink.append(_pool_argmax(x.data, window))
-            return self._pool(x, window)
+                self.sink.append(_pool_argmax(xd, window))
+            return self._pool(xd, window, record)
 
-        T.relu, T.maxpool2d = relu_rec, pool_rec
+        T._relu_array, T._pool_max = relu_rec, pool_rec
         return self
 
     def __exit__(self, *exc):
-        T.relu, T.maxpool2d = self._relu, self._pool
+        T._relu_array, T._pool_max = self._relu, self._pool
         return False
 
     def run(self, fn):
@@ -127,6 +129,30 @@ class _DecisionRecorder:
 
 def _same_patterns(a, b):
     return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_c01_recorder_logs_every_decision():
+    # per sub-network and part of a desk forward: 7 conv ReLUs, 3 pools and the
+    # dense ReLU, block by block over the parts, in training and in predict
+    arch = PRESETS["desk"]
+    model = build_model(arch, seed=0)
+    batch = 19  # parts of 8, 8 and 3 samples
+    stacks = np.random.default_rng(0).uniform(-1, 1, size=(batch, 4, 64, 64)).astype(np.float32)
+    parts = (8, 8, 3)
+    want = []
+    side = arch.input_side
+    for count, depth in arch.blocks:
+        for n in parts:
+            want += [("relu", (n, depth, side, side))] * (count - 1)
+            want += [("pool", (n, depth, side // 2, side // 2)), ("relu", (n, depth, side // 2, side // 2))]
+        side //= 2
+    want += [("relu", (n, arch.fc_width)) for n in parts]
+    assert len(want) == 11 * len(parts)
+    with _DecisionRecorder() as rec:
+        for run in (lambda: model.forward_batch(stacks, training=True), lambda: predict(model, stacks, layer=6)):
+            _, logged = rec.run(run)
+            got = [("relu" if p.dtype == bool else "pool", p.shape) for p in logged]
+            assert got == want * model.n_pfms
 
 
 def test_c01_gradient_correctness():

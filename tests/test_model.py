@@ -386,13 +386,12 @@ def test_training_forward_retains_only_what_backward_reads():
     for batch in (M.MICRO_BATCH, 2 * M.MICRO_BATCH + 3):
         base = np.random.default_rng(1).standard_normal((batch, 1, arch.input_side, arch.input_side))
         base = base.astype(np.float32)
-        # the arrays backward reads: the input; each full-resolution ReLU output
-        # but the block's last, which is pooled before its ReLU; max-pool's
-        # one-byte winner index; the pooled ReLU and batchnorm outputs; and the
-        # dense head's ReLU and tanh outputs
+        # the arrays backward reads: the input; each block's max-pool winner
+        # index (one byte) and pooled ReLU and batchnorm outputs; and the dense
+        # head's ReLU and tanh outputs. A block's inner ReLU outputs are
+        # recomputed in backward, so no full-resolution activation is kept.
         side, needed = arch.input_side, base.nbytes
-        for count, depth in arch.blocks:
-            needed += (count - 1) * batch * depth * side * side * 4
+        for _, depth in arch.blocks:
             side = math.ceil(side / 2)
             needed += batch * depth * side * side * (1 + 2 * 4)
         needed += batch * (arch.fc_width + 1) * 4

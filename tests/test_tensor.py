@@ -285,6 +285,105 @@ def test_maxpool_gradcheck():
     assert fails == []
 
 
+def _block_unfused(x, kernels, window):
+    """The sequence of public ops that `conv_block` fuses, at padding 1."""
+    h = x
+    for n, k in enumerate(kernels):
+        h = T.conv2d(h, k, padding=1)
+        if n == len(kernels) - 1:
+            h = T.maxpool2d(h, window)
+        h = T.relu(h)
+    return h
+
+
+def test_conv_block_matches_unfused_ops_bitwise():
+    # output, input and kernel gradients and every tap, bitwise against the
+    # conv2d / relu / maxpool2d sequence: blocks of 1 to 3 convs, ragged pool
+    # windows, part sizes 1 and 3, tied windows (values on a 0.5 grid, so conv
+    # outputs tie and hit signed zeros), and NaNs that spread through the convs
+    rng = np.random.default_rng(37)
+    kinds = ("plain", "ties", "nans")
+    grid = itertools.product((1, 2, 3), ((8, 8), (7, 9)), (1, 3), (np.float32, np.float64), kinds)
+    for count, (h, w), batch, dtype, kind in grid:
+        chans = (2, 3, 4, 3)[: count + 1]
+        x = rng.standard_normal((batch, chans[0], h, w))
+        ks = [rng.standard_normal((co, ci, 3, 3)) * 0.5 for ci, co in zip(chans, chans[1:])]
+        if kind != "plain":
+            x = np.round(x * 2) / 2
+            ks = [np.round(k * 2) / 2 for k in ks]
+        if kind == "nans":
+            x[rng.random(x.shape) < 0.02] = np.nan
+        up = rng.standard_normal((batch, chans[-1], -(-h // 2), -(-w // 2)))
+        up[rng.random(up.shape) < 0.2] = -0.0
+        case = (count, h, w, batch, dtype.__name__, kind)
+        results = []
+        for op in (lambda xt, kts: T.conv_block(xt, kts, 1, 2), lambda xt, kts: _block_unfused(xt, kts, 2)):
+            xt = T.Tensor(x.astype(dtype), requires_grad=True)
+            kts = [T.Tensor(k.astype(dtype), requires_grad=True) for k in ks]
+            out = op(xt, kts)
+            T.backward(out, up.astype(dtype))
+            results.append([out.data, xt.grad, *(k.grad for k in kts)])
+        for got, want in zip(*results):
+            assert _same_bits(got, want), case
+        # taps: each conv's post-ReLU output, np.maximum of the unfused conv's
+        h = T.Tensor(x.astype(dtype))
+        for tap, k in enumerate(ks):
+            conv = T.conv2d(h, T.Tensor(k.astype(dtype)), padding=1)
+            out, act = T.conv_block(T.Tensor(x.astype(dtype)), [k.astype(dtype) for k in ks], 1, 2, tap)
+            assert _same_bits(out.data, results[1][0]), case
+            assert _same_bits(act, np.maximum(conv.data, 0)), (case, tap)
+            h = T.relu(conv)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_conv_block_gradcheck(count):
+    base = np.random.default_rng(40 + count)
+    chans = (2, 3, 2, 2)[: count + 1]
+    x = base.standard_normal((2, chans[0], 7, 7))
+    ks = [base.standard_normal((co, ci, 3, 3)) * 0.5 for ci, co in zip(chans, chans[1:])]
+    w = base.standard_normal((2, chans[-1], 4, 4))  # weight the outputs unevenly
+
+    def make_loss(ls):
+        return T.tsum(T.mul(T.conv_block(ls[0], ls[1:], 1, 2), T.Tensor(w)))
+
+    # a small step keeps the probes off the ReLU kinks and pool ties
+    leaves = [leaf(x), *(leaf(k) for k in ks)]
+    fails = coord_check(make_loss, leaves, np.random.default_rng(50 + count), step=1e-6, coords=12)
+    assert fails == []
+
+
+def test_recorded_conv_block_keeps_input_kernels_index_and_output():
+    rng = np.random.default_rng(43)
+    x = T.Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32), requires_grad=True)
+    shapes = ((3, 2, 3, 3), (4, 3, 3, 3))
+    kts = [T.Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+    out = T.conv_block(x, kts, 1, 2)
+    held = []
+    for cell in out._op.grad_fn.__closure__:
+        v = cell.cell_contents
+        held.extend(v if isinstance(v, list) else [v])
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    # the leaves are held as their vertices; of arrays, the input, the kernels,
+    # the output and a one-byte winner index: no full-resolution activation
+    assert sorted(id(t) for t in held if isinstance(t, T.Tensor)) == sorted(map(id, (x, *kts)))
+    want = (x.data, *(k.data for k in kts), out.data)
+    assert sorted(id(a) for a in arrays if a.dtype != np.uint8) == sorted(map(id, want))
+    assert [a.shape for a in arrays if a.dtype == np.uint8] == [out.data.shape]
+
+
+def test_conv_block_bad_arguments():
+    x = T.Tensor(np.zeros((1, 2, 6, 6)))
+    k = T.Tensor(np.zeros((3, 2, 3, 3)))
+    with pytest.raises(ContractError):
+        T.conv_block(x, [], 1, 2)
+    with pytest.raises(ContractError):
+        T.conv_block(x, [k], 1, 0)
+    with pytest.raises(ContractError):
+        T.conv_block(x, [k], 1, 2, tap=1)
+    with pytest.raises(DimensionError):
+        T.conv_block(x, [k, k], 1, 2)  # the second conv's channels do not chain
+
+
 def test_batchnorm_trivial_cases():
     gamma = T.Tensor(np.ones(3))
     beta = T.Tensor(np.zeros(3))

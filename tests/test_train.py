@@ -625,6 +625,24 @@ def test_evaluate_empty_rejected():
         evaluate(model, [], np.array([], dtype=np.int64))
 
 
+def test_evaluate_paths_length_mismatch_rejected(tmp_path):
+    # a short path list once dropped records silently while AUC covered every image
+    images, labels = _tiny_dataset(tmp_path, count=2)
+    model = build_model(TINY, seed=0)
+    for paths in (["a.ppm"], ["a.ppm"] * (len(images) + 1)):
+        with pytest.raises(ContractError, match="one path per image"):
+            evaluate(model, images, labels, paths)
+    report = evaluate(model, images, labels, [f"{i}.ppm" for i in range(len(images))])
+    assert [r.source_path for r in report.records] == [f"{i}.ppm" for i in range(len(images))]
+
+
+def test_cross_validate_paths_length_mismatch_rejected(tmp_path):
+    images, labels = _tiny_dataset(tmp_path, count=2)
+    config = TrainConfig(batch_size=4, lr=0.01, epochs=1, seed=0, folds=2, augment=False)
+    with pytest.raises(ContractError, match="one path per image"):
+        cross_validate(images, labels, TINY, config, paths=["a.ppm"])
+
+
 def test_cross_validate_shapes(tmp_path):
     images, labels = _tiny_dataset(tmp_path, count=4)
     config = TrainConfig(batch_size=4, lr=0.01, epochs=1, seed=0, folds=2, augment=False)
