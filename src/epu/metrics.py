@@ -65,6 +65,8 @@ def auc(scored: ScoredSet) -> float:
     n_neg = len(scored.labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC needs at least one sample of each class")
+    if not np.isfinite(scored.scores).all():
+        raise MetricError("AUC needs finite scores")
     ranks = _midranks(scored.scores)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

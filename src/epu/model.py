@@ -8,24 +8,20 @@ in evaluation mode without a graph. Neither keeps any state on the model: the
 activations that relevance maps read are returned by the call that asks for
 them.
 
-A sub-network runs its batch in micro-batches of `MICRO_BATCH` samples, so
-each layer's temporaries, forward and backward, are sized for one part rather
-than the whole batch. Every layer but batchnorm treats samples independently.
-Training-mode batchnorm takes its statistics over the whole batch, all parts
-together, so outputs and running buffers are bitwise those of the unsplit
-batch; only weight gradients, summed part by part, differ in the low bits.
-Batches of `MICRO_BATCH` or fewer samples run as one part.
-
 A conv block runs conv, ReLU, ..., conv, max-pool, ReLU, then batchnorm: the
 block's last ReLU comes after the pool. ReLU is monotone, so this equals
 pooling the ReLU output bitwise, and every gradient that passes reaches the
-same element with the same bits. Each part runs a block as one `T.conv_block`
-op. In training, the graph keeps of a block only its input, the pool's
-one-byte winner index and its pooled output; backward recomputes the block's
-inner ReLU outputs from its input, running every conv's forward again except
-the last one's. Training thus keeps no full-resolution activation: a desk
-sub-network's graph is about a third of what it is with the inner ReLU outputs
-kept, and each inner conv's forward runs twice per step.
+same element with the same bits. A sub-network runs each block as one
+`T.conv_block` op and one `T.batchnorm2d` op on the whole batch, then the
+dense head. Both ops work through the batch in parts of `T.MICRO_BATCH`
+samples, so their temporaries are sized for one part; batchnorm's statistics
+are still those of the whole batch. In training, the graph keeps of a block
+only its input, the pool's one-byte winner index and its pooled output;
+backward recomputes the block's inner ReLU outputs from its input, running
+every conv's forward again except the last one's. Training thus keeps no
+full-resolution activation: a desk sub-network's graph is about a third of
+what it is with the inner ReLU outputs kept, and each inner conv's forward
+runs twice per step.
 """
 from __future__ import annotations
 
@@ -38,11 +34,6 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .pfm import PFM_LABELS, PfmStack
 from .tensor import Param, Tensor
-
-# Samples per part of a sub-network's forward pass. A conv buffer of 64
-# samples, (64, 8, 64, 66) float32, is 8.6 MB, four times a core's 2 MiB L2
-# cache; the same buffer for 8 samples is 1.1 MB and stays in it.
-MICRO_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -173,12 +164,9 @@ class SubNetwork:
     def forward(self, x: Tensor, training: bool, layer: int | None = None):
         """Map (B, 1, S, S) input to (B, 1) tanh scores.
 
-        The batch is split into parts of `MICRO_BATCH` samples (the last may
-        be shorter). Each part runs through a block on its own, as one
-        `T.conv_block` op (conv, ReLU, ..., conv, max-pool, ReLU); batchnorm
-        then normalizes all parts together, and each part runs through the
-        dense head. `T.concat` joins the scores. The input is data: no
-        gradient flows to it.
+        Each block is one `T.conv_block` op (conv, ReLU, ..., conv, max-pool,
+        ReLU) and one `T.batchnorm2d` op over the whole batch; the dense head
+        follows. The input is data: no gradient flows to it.
 
         Pooling before the block's last ReLU is exact: ReLU is monotone, so
         relu(max) = max(relu) bitwise, and a window whose maximum is positive
@@ -201,28 +189,20 @@ class SubNetwork:
             raise ContractError("subnet input must not require grad")
         if layer is not None and not 1 <= layer <= self.arch.conv_layer_count:
             raise ConfigError(f"layer {layer} outside the conv layers 1..{self.arch.conv_layer_count}")
-        parts = [Tensor(x.data[lo : lo + MICRO_BATCH]) for lo in range(0, x.data.shape[0], MICRO_BATCH)]
-        acts = []
+        h, act = x, None
         first = 0
         for (count, _), bn in zip(self.arch.blocks, self.bn):
             kernels = self.conv_kernels[first : first + count]
             # the 0-based conv of this block whose activations were asked for
             tap = layer - 1 - first if layer is not None and first < layer <= first + count else None
             first += count
-            pooled = []
-            for h in parts:
-                h = T.conv_block(h, kernels, self.pad, 2, tap)
-                if tap is not None:
-                    h, act = h
-                    acts.append(act)
-                pooled.append(h)
-            parts = T.batchnorm2d(pooled, bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
-        scores = []
-        for h in parts:
-            h = T.relu(T.dense(T.flatten_batch(h), self.fc_weight, self.fc_bias))
-            scores.append(T.tanh(T.dense(h, self.head_weight, self.head_bias)))
-        out = T.concat(scores)
-        return out if layer is None else (out, np.concatenate(acts))
+            h = T.conv_block(h, kernels, self.pad, 2, tap)
+            if tap is not None:
+                h, act = h
+            h = T.batchnorm2d(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
+        h = T.relu(T.dense(T.flatten_batch(h), self.fc_weight, self.fc_bias))
+        out = T.tanh(T.dense(h, self.head_weight, self.head_bias))
+        return out if layer is None else (out, act)
 
 
 class EpuModel:

@@ -2,10 +2,12 @@
 
 Implements exactly the layer set the perceptual ensembles need: conv2d,
 maxpool2d, batchnorm2d, dense, relu, tanh, sigmoid, add, mul, tsum, reshape,
-concat, `conv_block` (a whole conv block as one op that recomputes its inner
+`conv_block` (a whole conv block as one op that recomputes its inner
 activations in backward), and `bce_with_logits`, the training loss as one op.
 Every op is a module-level function (`add`, `relu`, `tsum`, `backward`, ...);
-a `Tensor` has no operator overloads.
+a `Tensor` has no operator overloads. `conv_block` and `batchnorm2d` take a
+whole batch and work through it in parts of `MICRO_BATCH` samples, so their
+temporaries are sized for one part; each records one vertex per call.
 
 The operation graph is kept apart from tensor data. A computed tensor points
 at a private op record, its vertex: the backward closure plus the vertices of
@@ -26,8 +28,6 @@ seed gradient, so a graph can be cut at a tensor and swept in stages.
 from __future__ import annotations
 
 import contextvars
-import functools
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -358,23 +358,6 @@ def flatten_batch(x) -> Tensor:
     return reshape(x, (x.data.shape[0], -1))
 
 
-def concat(parts) -> Tensor:
-    """Join tensors along the leading axis; each part's gradient is a row-slice
-    view of the upstream gradient."""
-    parts = [_astensor(p) for p in parts]
-    if not parts:
-        raise ContractError("concat needs at least one part")
-    out = np.concatenate([p.data for p in parts])
-    vertices = [_vertex(p) for p in parts]
-    ends = list(itertools.accumulate(p.data.shape[0] for p in parts))
-
-    def grad_fn(up, fresh):
-        for v, lo, hi in zip(vertices, [0] + ends, ends):
-            _push(fresh, v, up[lo:hi])
-
-    return _node(out, vertices, grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # structured layers
 
@@ -610,21 +593,43 @@ def maxpool2d(x, window: int) -> Tensor:
     return _node(out, (xv,), grad_fn)
 
 
+# Samples per part of `conv_block` and `batchnorm2d`, which run a batch part
+# by part so their temporaries are sized for one part. A conv buffer of 64
+# samples, (64, 8, 64, 66) float32, is 8.6 MB, four times a core's 2 MiB L2
+# cache; the same buffer for 8 samples is 1.1 MB and stays in it.
+MICRO_BATCH = 8
+
+
+def _parts(batch: int) -> list[slice]:
+    """Leading-axis slices of `MICRO_BATCH` samples covering `batch`; the last may be shorter."""
+    return [slice(lo, lo + MICRO_BATCH) for lo in range(0, batch, MICRO_BATCH)]
+
+
+def _batch_array(buf: Array | None, batch: int, part: Array) -> Array:
+    """`buf`, or when it is None a new array of `batch` samples shaped and typed as `part`'s."""
+    return np.empty((batch, *part.shape[1:]), dtype=part.dtype) if buf is None else buf
+
+
 def conv_block(x, kernels, padding: int, window: int, tap: int | None = None) -> Tensor | tuple[Tensor, Array]:
     """One conv block on NCHW input: conv, ReLU, ..., conv, max-pool, ReLU.
 
     The convs run in the order of `kernels`, at stride 1 with zero padding
     `padding`; the pool is `maxpool2d(., window)`. The block's last ReLU comes
     after the pool: ReLU is monotone, so this equals pooling the ReLU output.
-    The output and every gradient are bitwise those of the same sequence of
-    `conv2d`, `relu` and `maxpool2d`, whose helpers this op calls.
+    The batch runs in parts of `MICRO_BATCH` samples, forward and backward,
+    and the op records one vertex for the whole batch. For batches of up to
+    `MICRO_BATCH` samples the output and every gradient are bitwise those of
+    the same sequence of `conv2d`, `relu` and `maxpool2d`, whose helpers this
+    op calls. Above that, the output and the input gradient still are, but
+    each kernel gradient is summed part by part, so it may differ in the low
+    bits.
 
     A recorded vertex keeps the input, the kernels, the pool's winner index
     and the output, whose sign masks the last ReLU's gradient; it keeps no
-    full-resolution activation. Backward recomputes the inner ReLU outputs
-    from the input, then runs the convs' backward in reverse. It thus re-runs
-    every conv's forward but the last one, whose backward reads only its
-    input and the gradient that the winner index scatters.
+    full-resolution activation. Backward, part by part, recomputes the inner
+    ReLU outputs from the input, then runs the convs' backward in reverse. It
+    thus re-runs every conv's forward but the last one, whose backward reads
+    only its input and the gradient that the winner index scatters.
 
     With `tap`, a 0-based conv index, returns (output, that conv's post-ReLU
     activations as a full-resolution array outside the graph) instead.
@@ -639,37 +644,61 @@ def conv_block(x, kernels, padding: int, window: int, tap: int | None = None) ->
     if tap is not None and not 0 <= tap <= last:
         raise ContractError(f"conv_block tap must be in 0..{last}, got {tap}")
     xd, kds = x.data, [k.data for k in kts]
+    if xd.ndim != 4 or xd.shape[0] == 0:
+        raise DimensionError(f"conv_block expects NCHW input of at least one sample, got shape {xd.shape}")
     xv, kvs = _vertex(x), [_vertex(k) for k in kts]
-    h = xd
-    for n, kd in enumerate(kds):
-        _check_conv(h.shape, kd.shape, 1, padding)
-        h = _conv_forward(h, kd, 1, padding)
-        if n < last:
-            _relu_array(h, out=h)
-        if n == tap:
-            act = h if n < last else np.maximum(h, 0)
     record = _grad_enabled.get() and any(v is not None for v in (xv, *kvs))
-    ch, cw = h.shape[2:]
-    out, win = _pool_max(h, window, record)
-    del h
-    _relu_array(out, out=out)
+    batch = xd.shape[0]
+    out = win = act = None
+    for s in _parts(batch):
+        h = xd[s]
+        for n, kd in enumerate(kds):
+            _check_conv(h.shape, kd.shape, 1, padding)
+            h = _conv_forward(h, kd, 1, padding)
+            if n < last:
+                _relu_array(h, out=h)
+            if n == tap:
+                act = _batch_array(act, batch, h)
+                if n < last:
+                    act[s] = h
+                else:
+                    np.maximum(h, 0, out=act[s])
+        ch, cw = h.shape[2:]
+        pooled, part_win = _pool_max(h, window, record)
+        del h
+        out = _batch_array(out, batch, pooled)
+        _relu_array(pooled, out=out[s])
+        if record:
+            win = _batch_array(win, batch, part_win)
+            win[s] = part_win
 
     def grad_fn(up, fresh):
-        g = _pool_scatter(up * (out > 0), win, window, ch, cw)
-        # each conv's input: the block input, then the inner ReLU outputs,
-        # recomputed as forward made them
-        hs = [xd]
-        for kd in kds[:-1]:
-            c = _conv_forward(hs[-1], kd, 1, padding)
-            hs.append(_relu_array(c, out=c))
-        for n in range(last, -1, -1):
-            hn = hs.pop()
-            gk, gx = _conv_backward(hn, kds[n], g, 1, padding, kvs[n] is not None, n > 0 or xv is not None)
-            _push(fresh, kvs[n], gk)
-            if n:
-                # hn is conv n-1's ReLU output
-                g = gx * (hn > 0)
-        _push(fresh, xv, gx)
+        gks = [None] * len(kds)
+        gx_all = None
+        for s in _parts(batch):
+            g = _pool_scatter(up[s] * (out[s] > 0), win[s], window, ch, cw)
+            # each conv's input: the block input, then the inner ReLU outputs,
+            # recomputed as forward made them
+            hs = [xd[s]]
+            for kd in kds[:-1]:
+                c = _conv_forward(hs[-1], kd, 1, padding)
+                hs.append(_relu_array(c, out=c))
+            for n in range(last, -1, -1):
+                hn = hs.pop()
+                gk, gx = _conv_backward(hn, kds[n], g, 1, padding, kvs[n] is not None, n > 0 or xv is not None)
+                if gks[n] is None:
+                    gks[n] = gk
+                else:
+                    gks[n] += gk
+                if n:
+                    # hn is conv n-1's ReLU output
+                    g = gx * (hn > 0)
+            if xv is not None:
+                gx_all = _batch_array(gx_all, batch, gx)
+                gx_all[s] = gx
+        for kv, gk in zip(kvs, gks):
+            _push(fresh, kv, gk)
+        _push(fresh, xv, gx_all)
 
     result = _node(out, (xv, *kvs), grad_fn)
     return result if tap is None else (result, act)
@@ -682,7 +711,7 @@ _BN_EPS = 1e-5
 
 
 def _bn_normalize(xd: Array, mean: Array, ivstd: Array):
-    """Centered input and normalized input of training-mode batchnorm.
+    """Centered input and normalized input of batchnorm.
 
     Forward and backward both call this, so backward's recomputed arrays are
     bitwise the ones forward used.
@@ -692,141 +721,83 @@ def _bn_normalize(xd: Array, mean: Array, ivstd: Array):
     return xc, xc * ivstd.reshape(bc)
 
 
-def batchnorm2d(
-    x,
-    gamma,
-    beta,
-    running_mean: Array,
-    running_var: Array,
-    training: bool,
-) -> Tensor | list[Tensor]:
+def batchnorm2d(x, gamma, beta, running_mean: Array, running_var: Array, training: bool) -> Tensor:
     """Channel-wise batch normalization for NCHW input.
 
-    `x` is one tensor, or a list of parts that split one batch along its
-    leading axis; the result is one tensor, or a list of parts to match. A
-    single tensor is one part.
+    Training mode normalizes with the biased mean and variance of the whole
+    batch and updates the running buffers in place:
+    new = _BN_MOMENTUM*old + (1-_BN_MOMENTUM)*batch. Evaluation mode
+    normalizes with the running buffers as they are at the call.
 
-    Training mode normalizes with the biased statistics of the whole batch,
-    taken over the parts joined back together, so they are bitwise those of
-    one tensor holding the batch. It updates the running buffers in place:
-    new = _BN_MOMENTUM*old + (1-_BN_MOMENTUM)*batch. The graph gets one statistics
-    vertex, whose value is the rows (mean, var) and whose inputs are all the
-    parts, and one normalize vertex per part. A part's backward pushes
-    d(loss)/d(mean, var) to the statistics vertex and leaves d(loss)/d(xhat)
-    of that part with it; the statistics vertex runs once every part has, and
-    pushes each part its whole input gradient. Backward keeps the inputs, the
-    batch mean and the inverse std, and recomputes the centered and normalized
-    input from them. Evaluation mode normalizes each part with the running
-    buffers and keeps the normalized input.
+    Both modes normalize in slices of `MICRO_BATCH` samples, so the op's
+    temporaries are sized for one slice. The graph keeps the input, the mean
+    and the inverse std; backward recomputes the centered and normalized
+    input slice by slice. It makes two passes over the slices: the first sums
+    the per-channel terms, the second writes the input gradient. A batch of
+    one slice gets bitwise the gradients of the textbook formulas on the
+    whole batch; a longer batch sums the terms slice by slice.
     """
-    single = not isinstance(x, (list, tuple))
-    parts = [_astensor(x)] if single else [_astensor(p) for p in x]
-    gt, bt = _astensor(gamma), _astensor(beta)
-    if not parts:
-        raise ContractError("batchnorm2d needs at least one part")
-    shape = parts[0].data.shape
-    for p in parts:
-        if p.data.ndim != 4:
-            raise DimensionError(f"batchnorm2d expects NCHW input, got shape {p.data.shape}")
-        if p.data.shape[1:] != shape[1:]:
-            raise DimensionError(f"batchnorm2d parts differ in shape: {shape} and {p.data.shape}")
-    ch = shape[1]
-    if gt.data.shape != (ch,) or bt.data.shape != (ch,):
-        raise DimensionError(
-            f"batchnorm2d scale/shift must have shape ({ch},), got {gt.data.shape} and {bt.data.shape}"
-        )
+    x, gt, bt = _astensor(x), _astensor(gamma), _astensor(beta)
+    xd, gd, bd = x.data, gt.data, bt.data
+    if xd.ndim != 4 or xd.shape[0] == 0:
+        raise DimensionError(f"batchnorm2d expects NCHW input of at least one sample, got shape {xd.shape}")
+    ch = xd.shape[1]
+    if gd.shape != (ch,) or bd.shape != (ch,):
+        raise DimensionError(f"batchnorm2d scale/shift must have shape ({ch},), got {gd.shape} and {bd.shape}")
     if running_mean.shape != (ch,) or running_var.shape != (ch,):
         raise DimensionError(f"batchnorm2d running buffers must have shape ({ch},)")
 
     if training:
-        stats, mean, ivstd, dxhat = _bn_statistics(parts, running_mean, running_var)
-        outs = [_bn_train_part(p.data, i, gt, bt, stats, mean, ivstd, dxhat) for i, p in enumerate(parts)]
+        mean = xd.mean(axis=_BN_AXES)
+        var = xd.var(axis=_BN_AXES)
+        running_mean[:] = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mean
+        running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
     else:
-        ivstd = 1.0 / np.sqrt(running_var + _BN_EPS)
-        outs = [_bn_eval_part(p, gt, bt, running_mean, ivstd) for p in parts]
-    return outs[0] if single else outs
-
-
-def _bn_statistics(parts, running_mean: Array, running_var: Array):
-    """Statistics vertex of training-mode batchnorm over all parts.
-
-    Returns (stats tensor, mean, inverse std, dxhat). `dxhat[i]` is where
-    part i's normalize vertex leaves d(loss)/d(xhat) in backward; this
-    vertex's backward takes it from there and clears it.
-    """
-    xds = [p.data for p in parts]
-    # one array holding the batch, as the statistics would see it unsplit
-    whole = xds[0] if len(xds) == 1 else np.concatenate(xds)
-    mean = whole.mean(axis=_BN_AXES)
-    var = whole.var(axis=_BN_AXES)
-    del whole
+        # a copy: backward must see the statistics that forward used
+        mean, var = running_mean.copy(), running_var
     ivstd = 1.0 / np.sqrt(var + _BN_EPS)
-    running_mean[:] = _BN_MOMENTUM * running_mean + (1.0 - _BN_MOMENTUM) * mean
-    running_var[:] = _BN_MOMENTUM * running_var + (1.0 - _BN_MOMENTUM) * var
-    bc = (1, mean.shape[0], 1, 1)
-    m = sum(xd.shape[0] for xd in xds) * xds[0].shape[2] * xds[0].shape[3]
-    vertices = [_vertex(p) for p in parts]
-    dxhat: list = [None] * len(parts)
-
-    def grad_fn(up, fresh):
-        # reduce starts from the first part's sum, so one part rounds as the unsplit op
-        xc_sum = functools.reduce(np.add, ((xd - mean.reshape(bc)).sum(axis=_BN_AXES) for xd in xds))
-        dvar = up[1]
-        dmean = up[0] + dvar * (-2.0 / m) * xc_sum
-        for i, (xd, v) in enumerate(zip(xds, vertices)):
-            direct, dxhat[i] = dxhat[i], None
-            if v is None:
-                continue
-            # the direct term is added here rather than pushed by the part, so
-            # the three terms are summed in the unsplit op's order
-            dx = (2.0 / m) * dvar.reshape(bc) * (xd - mean.reshape(bc))
-            if direct is not None:
-                dx += direct * ivstd.reshape(bc)
-            dx += dmean.reshape(bc) / m
-            _push(fresh, v, dx)
-
-    return _node(np.stack([mean, var]), vertices, grad_fn), mean, ivstd, dxhat
-
-
-def _bn_train_part(xd: Array, i: int, gt: Tensor, bt: Tensor, stats: Tensor, mean, ivstd, dxhat) -> Tensor:
-    """Normalize vertex of part `i` in training-mode batchnorm."""
-    gd = gt.data
-    bc = (1, gd.shape[0], 1, 1)
-    sv, gv, bv = _vertex(stats), _vertex(gt), _vertex(bt)
-    _, xhat = _bn_normalize(xd, mean, ivstd)
-
-    def grad_fn(up, fresh):
-        xc, xhat = _bn_normalize(xd, mean, ivstd)
-        if gv is not None:
-            _push(fresh, gv, (up * xhat).sum(axis=_BN_AXES))
-        if bv is not None:
-            _push(fresh, bv, up.sum(axis=_BN_AXES))
-        if sv is not None:
-            d = up * gd.reshape(bc)
-            dxhat[i] = d
-            dmean = -(d.sum(axis=_BN_AXES)) * ivstd
-            dvar = (d * xc).sum(axis=_BN_AXES) * -0.5 * ivstd**3
-            _push(fresh, sv, np.stack([dmean, dvar]))
-
-    return _node(gd.reshape(bc) * xhat + bt.data.reshape(bc), (sv, gv, bv), grad_fn)
-
-
-def _bn_eval_part(x: Tensor, gt: Tensor, bt: Tensor, running_mean: Array, ivstd: Array) -> Tensor:
-    """Evaluation-mode batchnorm of one part, with the running statistics."""
-    gd = gt.data
-    bc = (1, gd.shape[0], 1, 1)
+    batch, bc = xd.shape[0], (1, ch, 1, 1)
+    out = None
+    for s in _parts(batch):
+        _, xhat = _bn_normalize(xd[s], mean, ivstd)
+        part = gd.reshape(bc) * xhat + bd.reshape(bc)
+        out = _batch_array(out, batch, part)
+        out[s] = part
     xv, gv, bv = _vertex(x), _vertex(gt), _vertex(bt)
-    xhat = (x.data - running_mean.reshape(bc)) * ivstd.reshape(bc)
 
     def grad_fn(up, fresh):
-        if gv is not None:
-            _push(fresh, gv, (up * xhat).sum(axis=_BN_AXES))
-        if bv is not None:
-            _push(fresh, bv, up.sum(axis=_BN_AXES))
-        if xv is not None:
+        # per channel: d/d(gamma), d/d(beta) and, in training, the sums over
+        # d(loss)/d(xhat), d(loss)/d(xhat) * xc and xc
+        sums = None
+        for s in _parts(batch):
+            xc, xhat = _bn_normalize(xd[s], mean, ivstd)
+            u = up[s]
+            terms = [(u * xhat).sum(axis=_BN_AXES), u.sum(axis=_BN_AXES)]
+            if training:
+                d = u * gd.reshape(bc)
+                terms += [d.sum(axis=_BN_AXES), (d * xc).sum(axis=_BN_AXES), xc.sum(axis=_BN_AXES)]
+            sums = terms if sums is None else [a + b for a, b in zip(sums, terms)]
+        _push(fresh, gv, sums[0])
+        _push(fresh, bv, sums[1])
+        if xv is None:
+            return
+        if not training:
             _push(fresh, xv, up * (gd * ivstd).reshape(bc))
+            return
+        m = batch * xd.shape[2] * xd.shape[3]
+        d_sum, dxc_sum, xc_sum = sums[2:]
+        dvar = dxc_sum * -0.5 * ivstd**3
+        dmean = -d_sum * ivstd + dvar * (-2.0 / m) * xc_sum
+        dx = None
+        for s in _parts(batch):
+            xc, _ = _bn_normalize(xd[s], mean, ivstd)
+            part = up[s] * gd.reshape(bc) * ivstd.reshape(bc) + (2.0 / m) * dvar.reshape(bc) * xc
+            part += dmean.reshape(bc) / m
+            dx = _batch_array(dx, batch, part)
+            dx[s] = part
+        _push(fresh, xv, dx)
 
-    return _node(gd.reshape(bc) * xhat + bt.data.reshape(bc), (xv, gv, bv), grad_fn)
+    return _node(out, (xv, gv, bv), grad_fn)
 
 
 # ---------------------------------------------------------------------------

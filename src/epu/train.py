@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import math
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -70,8 +71,8 @@ class TrainConfig:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -111,21 +112,29 @@ def _train_step(model: EpuModel, pool, stacks, labels, params, lr: float):
     The logit is taken from the scores' values wrapped in leaf tensors (the
     cuts), so the first sweep stops there and leaves d(loss)/d(score) on each
     cut. The probabilities are the logit's sigmoid, taken outside the graph.
+
+    The step runs with numpy's floating-point warnings off. A non-finite loss,
+    or any non-finite parameter or batchnorm buffer after the update, raises
+    `TrainingDivergedError` instead.
     """
-    scores = _pool_map(
-        pool, lambda sn, x: sn.forward(x, training=True), model.subnets, model.subnet_inputs(stacks)
-    )
-    cuts = [Tensor(s.data, requires_grad=True) for s in scores]
-    logits = model.logits(cuts)
-    loss = T.bce_with_logits(logits, labels)
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise TrainingDivergedError(f"non-finite loss {value}")
-    T.zero_grads(params)
-    T.backward(loss)
-    _pool_map(pool, lambda s, c: T.backward(s, c.grad), scores, cuts)
-    T.sgd_step(params, lr)
-    return value, T.sigmoid(Tensor(logits.data)).data
+    with np.errstate(all="ignore"):
+        scores = _pool_map(
+            pool, lambda sn, x: sn.forward(x, training=True), model.subnets, model.subnet_inputs(stacks)
+        )
+        cuts = [Tensor(s.data, requires_grad=True) for s in scores]
+        logits = model.logits(cuts)
+        loss = T.bce_with_logits(logits, labels)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise TrainingDivergedError(f"non-finite loss {value}")
+        T.zero_grads(params)
+        T.backward(loss)
+        _pool_map(pool, lambda s, c: T.backward(s, c.grad), scores, cuts)
+        T.sgd_step(params, lr)
+        prob = T.sigmoid(Tensor(logits.data)).data
+    if not all(np.isfinite(a).all() for _, a in model.state_entries()):
+        raise TrainingDivergedError("non-finite weights or batchnorm buffers")
+    return value, prob
 
 
 def train_epoch(model: EpuModel, samples, config: TrainConfig, rng=None) -> EpochStats:

@@ -132,8 +132,9 @@ def _same_patterns(a, b):
 
 
 def test_c01_recorder_logs_every_decision():
-    # per sub-network and part of a desk forward: 7 conv ReLUs, 3 pools and the
-    # dense ReLU, block by block over the parts, in training and in predict
+    # per sub-network of a desk forward: in each block, part by part, the
+    # inner conv ReLUs, the pool and the pooled ReLU; then the dense ReLU on
+    # the whole batch; in training and in predict
     arch = PRESETS["desk"]
     model = build_model(arch, seed=0)
     batch = 19  # parts of 8, 8 and 3 samples
@@ -146,8 +147,8 @@ def test_c01_recorder_logs_every_decision():
             want += [("relu", (n, depth, side, side))] * (count - 1)
             want += [("pool", (n, depth, side // 2, side // 2)), ("relu", (n, depth, side // 2, side // 2))]
         side //= 2
-    want += [("relu", (n, arch.fc_width)) for n in parts]
-    assert len(want) == 11 * len(parts)
+    want += [("relu", (batch, arch.fc_width))]
+    assert len(want) == 10 * len(parts) + 1
     with _DecisionRecorder() as rec:
         for run in (lambda: model.forward_batch(stacks, training=True), lambda: predict(model, stacks, layer=6)):
             _, logged = rec.run(run)

@@ -171,14 +171,33 @@ def test_train_folds_reporting(tmp_path, ds_root):
 
 
 def test_train_divergence_exit4(tmp_path, ds_root):
+    # a huge finite rate drives weights and batchnorm buffers to inf; the
+    # step's finite check stops training with one line and no numpy warning
     proc = run_cli(
         ["train", "--data", str(ds_root), "--out", str(tmp_path / "dv"), *TINY_FLAGS,
-         "--epochs", "1", "--batch-size", "2", "--lr", "inf"],
+         "--epochs", "3", "--batch-size", "2", "--lr", "1e30"],
         tmp_path,
     )
     assert proc.returncode == 4
-    assert "diverged" in proc.stderr
-    assert "last finite epoch" in proc.stderr
+    assert proc.stderr.splitlines() == ["training diverged at epoch 0; last finite epoch: none"]
+    assert not (tmp_path / "dv" / "checkpoint.epu").exists()
+
+
+@pytest.mark.parametrize("case", ["flag_nan", "flag_inf", "config_nan"])
+def test_train_non_finite_lr_exit2(tmp_path, ds_root, capsys, case):
+    from epu import cli
+
+    argv = ["train", "--data", str(ds_root), "--out", str(tmp_path / "o"), *TINY_FLAGS, "--epochs", "1"]
+    if case == "config_nan":
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("[train]\nlr = nan\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--lr", case.split("_")[1]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: lr must be finite and >= 0, got {case.split('_')[1]}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_config_file_unknown_key_line(tmp_path, ds_root):

@@ -33,6 +33,15 @@ def test_auc_single_class_rejected():
         MX.auc(MX.ScoredSet([0.1, 0.2], [1, 1]))
 
 
+def test_auc_non_finite_scores_rejected():
+    # NaN ranks follow sample order alone: four NaNs labelled 0, 1, 0, 1 read 0.75
+    for bad in (np.nan, np.inf):
+        with pytest.raises(MetricError):
+            MX.auc(MX.ScoredSet([bad] * 4, [0, 1, 0, 1]))
+    with pytest.raises(MetricError):
+        MX.auc(MX.ScoredSet([0.1, np.nan, 0.3], [0, 1, 1]))
+
+
 def test_auc_matches_brute_force_random_sets():
     rng = np.random.default_rng(17)
     for _ in range(100):

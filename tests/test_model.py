@@ -159,7 +159,7 @@ def test_predict_activations_match_relu_before_pool_reference():
         for bn in sn.bn:
             bn.running_mean[:] = rng.standard_normal(bn.running_mean.shape)
             bn.running_var[:] = rng.uniform(0.5, 2.0, bn.running_var.shape)
-    stacks = rng.uniform(-1, 1, size=(M.MICRO_BATCH + 3, 2, 64, 64)).astype(np.float32)
+    stacks = rng.uniform(-1, 1, size=(T.MICRO_BATCH + 3, 2, 64, 64)).astype(np.float32)
     for k in range(1, M.PRESETS["desk"].conv_layer_count + 1):
         _, scores, acts = M.predict(m, stacks, layer=k)
         for i, sn in enumerate(m.subnets):
@@ -232,7 +232,7 @@ def test_evaluate_records_do_not_depend_on_order():
         assert (rec.label, rec.predicted) == (ref.label, ref.predicted)
 
 
-@pytest.mark.parametrize("batch", [2, 3, 4, 5, 8, 2 * M.MICRO_BATCH + 3])
+@pytest.mark.parametrize("batch", [2, 3, 4, 5, 8, 2 * T.MICRO_BATCH + 3])
 def test_predict_batch_equals_single_calls(batch):
     rng = np.random.default_rng(100 + batch)
     m = M.build_model(M.PRESETS["desk"], n_pfms=4, seed=batch)
@@ -349,7 +349,7 @@ def _bn_reference(h, bn):
 
 def test_micro_batched_training_forward_uses_whole_batch_statistics():
     arch = M.ArchConfig(blocks=((1, 4), (2, 6)), kernel_size=3, fc_width=5, input_side=16)
-    batch = 2 * M.MICRO_BATCH + 3
+    batch = 2 * T.MICRO_BATCH + 3
     rng = np.random.default_rng(7)
     x = rng.standard_normal((batch, 1, 16, 16)).astype(np.float32)
     nets = [M.SubNetwork(arch, 0, np.random.default_rng(8)) for _ in range(2)]
@@ -381,9 +381,9 @@ def test_micro_batched_training_forward_uses_whole_batch_statistics():
 def test_training_forward_retains_only_what_backward_reads():
     arch = M.PRESETS["desk"]
     subnet = M.SubNetwork(arch, 0, np.random.default_rng(0))
-    # one part, and three parts with a ragged tail: the parts' statistics
-    # vertex keeps no copy of the batch
-    for batch in (M.MICRO_BATCH, 2 * M.MICRO_BATCH + 3):
+    # one part, and three parts with a ragged tail: batchnorm keeps no copy
+    # of the batch
+    for batch in (T.MICRO_BATCH, 2 * T.MICRO_BATCH + 3):
         base = np.random.default_rng(1).standard_normal((batch, 1, arch.input_side, arch.input_side))
         base = base.astype(np.float32)
         # the arrays backward reads: the input; each block's max-pool winner

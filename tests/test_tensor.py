@@ -352,6 +352,50 @@ def test_conv_block_gradcheck(count):
     assert fails == []
 
 
+def test_conv_block_ragged_batch_matches_unsplit_ops():
+    # 19 samples run as parts of 8, 8 and 3: the output and every tap are
+    # bitwise those of the unfused ops on the whole batch, the gradients equal
+    # up to the order of the per-part kernel gradient sums
+    assert T.MICRO_BATCH == 8
+    rng = np.random.default_rng(38)
+    x = rng.standard_normal((19, 2, 7, 9))
+    ks = [rng.standard_normal((co, ci, 3, 3)) * 0.5 for ci, co in ((2, 3), (3, 4))]
+    up = rng.standard_normal((19, 4, 4, 5))
+    for dtype in (np.float32, np.float64):
+        results = []
+        for op in (lambda xt, kts: T.conv_block(xt, kts, 1, 2), lambda xt, kts: _block_unfused(xt, kts, 2)):
+            xt = T.Tensor(x.astype(dtype), requires_grad=True)
+            kts = [T.Tensor(k.astype(dtype), requires_grad=True) for k in ks]
+            out = op(xt, kts)
+            T.backward(out, up.astype(dtype))
+            results.append([out.data, xt.grad, *(k.grad for k in kts)])
+        (got_out, *got_grads), (want_out, *want_grads) = results
+        assert _same_bits(got_out, want_out), dtype
+        if dtype == np.float64:
+            for got, want in zip(got_grads, want_grads):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        h = T.Tensor(x.astype(dtype))
+        for tap, k in enumerate(ks):
+            conv = T.conv2d(h, T.Tensor(k.astype(dtype)), padding=1)
+            _, act = T.conv_block(T.Tensor(x.astype(dtype)), [k.astype(dtype) for k in ks], 1, 2, tap)
+            assert _same_bits(act, np.maximum(conv.data, 0)), (dtype, tap)
+            h = T.relu(conv)
+
+
+def test_conv_block_ragged_batch_gradcheck():
+    base = np.random.default_rng(44)
+    x = base.standard_normal((19, 2, 5, 5))
+    ks = [base.standard_normal((co, ci, 3, 3)) * 0.5 for ci, co in ((2, 3), (3, 2))]
+    w = base.standard_normal((19, 2, 3, 3))
+
+    def make_loss(ls):
+        return T.tsum(T.mul(T.conv_block(ls[0], ls[1:], 1, 2), T.Tensor(w)))
+
+    leaves = [leaf(x), *(leaf(k) for k in ks)]
+    fails = coord_check(make_loss, leaves, np.random.default_rng(45), step=1e-6, coords=12)
+    assert fails == []
+
+
 def test_recorded_conv_block_keeps_input_kernels_index_and_output():
     rng = np.random.default_rng(43)
     x = T.Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32), requires_grad=True)
@@ -382,6 +426,8 @@ def test_conv_block_bad_arguments():
         T.conv_block(x, [k], 1, 2, tap=1)
     with pytest.raises(DimensionError):
         T.conv_block(x, [k, k], 1, 2)  # the second conv's channels do not chain
+    with pytest.raises(DimensionError):
+        T.conv_block(T.Tensor(np.zeros((0, 2, 6, 6))), [k], 1, 2)
 
 
 def test_batchnorm_trivial_cases():
@@ -680,61 +726,71 @@ def test_no_grad_on_one_thread_leaves_another_threads_graph():
     assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
-def test_concat_joins_rows_and_splits_the_gradient():
-    a = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    b = T.Tensor(np.arange(3.0).reshape(1, 3))
-    c = T.Tensor(np.ones((3, 3)), requires_grad=True)
-    out = T.concat([a, b, c])
-    assert np.array_equal(out.data, np.concatenate([a.data, b.data, c.data]))
-    up = np.arange(18.0).reshape(6, 3)
-    T.backward(out, up)
-    assert np.array_equal(a.grad, up[:2]) and np.array_equal(c.grad, up[3:])
-    assert b.grad is None
+def _bn_whole_batch(x, gamma, beta, rm, rv, training, up):
+    """Batchnorm of the whole batch in one numpy pass: (output, running mean,
+    running var, x grad, gamma grad, beta grad); training mode's gradients
+    are `_bn_backward_saved`'s."""
+    axes, bc = (0, 2, 3), (1, x.shape[1], 1, 1)
+    if training:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        rm = 0.9 * rm + (1.0 - 0.9) * mean
+        rv = 0.9 * rv + (1.0 - 0.9) * var
+    else:
+        mean, var = rm, rv
+    ivstd = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mean.reshape(bc)) * ivstd.reshape(bc)
+    out = gamma.reshape(bc) * xhat + beta.reshape(bc)
+    if training:
+        grads = _bn_backward_saved(x, gamma, up)
+    else:
+        grads = (up * (gamma * ivstd).reshape(bc), (up * xhat).sum(axis=axes), up.sum(axis=axes))
+    return (out, rm, rv, *grads)
 
 
-def _bn_parts_loss(w, sizes, rm, rv):
-    """Loss over batchnorm of a batch given as parts of `sizes` samples, or
-    as one tensor when `sizes` is None; leaves are the parts, gamma, beta."""
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_ragged_batch_matches_whole_batch(training):
+    # 19 samples run as slices of 8, 8 and 3: the output and the running
+    # buffers are bitwise those of one pass over the batch, the gradients
+    # equal up to the order of the per-slice sums
+    assert T.MICRO_BATCH == 8
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((19, 3, 5, 4)) * 2.0 + 0.5
+    gamma, beta = rng.standard_normal(3) + 1.5, rng.standard_normal(3)
+    rm0, rv0 = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+    up = rng.standard_normal(x.shape)
+    for dtype in (np.float32, np.float64):
+        xt, gt, bt = (T.Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta))
+        rm, rv = rm0.astype(dtype), rv0.astype(dtype)
+        out = T.batchnorm2d(xt, gt, bt, rm, rv, training)
+        T.backward(out, up.astype(dtype))
+        want = _bn_whole_batch(*(a.astype(dtype) for a in (x, gamma, beta, rm0, rv0)), training, up.astype(dtype))
+        for got, ref in zip((out.data, rm, rv), want[:3]):
+            assert _same_bits(got, ref), dtype
+        if dtype == np.float64:
+            for got, ref in zip((xt.grad, gt.grad, bt.grad), want[3:]):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
-    def make_loss(ls):
-        if sizes is None:
-            out = T.batchnorm2d(ls[0], ls[1], ls[2], rm.copy(), rv.copy(), training=True)
-        else:
-            n = len(sizes)
-            out = T.concat(T.batchnorm2d(ls[:n], ls[n], ls[n + 1], rm.copy(), rv.copy(), training=True))
-        return T.tsum(T.mul(T.tanh(out), T.Tensor(w)))
 
-    return make_loss
-
-
-def test_batchnorm_parts_gradcheck():
+def test_batchnorm_ragged_batch_gradcheck():
     base = np.random.default_rng(24)
-    sizes = (3, 3, 2)
-    x = base.standard_normal((sum(sizes), 2, 3, 4))
+    x = base.standard_normal((19, 2, 3, 4))
     g = base.standard_normal(2) + 1.5
     b = base.standard_normal(2)
     w = base.standard_normal(x.shape)
-    rm, rv = np.zeros(2), np.ones(2)
-    ends = np.cumsum(sizes)
-    parts = [leaf(x[e - n : e]) for n, e in zip(sizes, ends)]
-    leaves = parts + [leaf(g), leaf(b)]
-    fails = coord_check(_bn_parts_loss(w, sizes, rm, rv), leaves, np.random.default_rng(25), coords=12)
+
+    def make_loss(ls):
+        out = T.batchnorm2d(ls[0], ls[1], ls[2], np.zeros(2), np.ones(2), training=True)
+        return T.tsum(T.mul(T.tanh(out), T.Tensor(w)))
+
+    fails = coord_check(make_loss, [leaf(x), leaf(g), leaf(b)], np.random.default_rng(25), coords=12)
     assert fails == []
-    # the same gradients as the unsplit batch, up to the order of the sums
-    whole = [leaf(x), leaf(g), leaf(b)]
-    T.backward(_bn_parts_loss(w, None, rm, rv)(whole))
-    np.testing.assert_allclose(np.concatenate([p.grad for p in parts]), whole[0].grad, rtol=1e-12, atol=1e-12)
-    for got, want in zip(leaves[-2:], whole[1:]):
-        np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12)
 
 
-def test_batchnorm_parts_shape_mismatch():
+def test_batchnorm_bad_shapes():
     ones, zeros = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
-    with pytest.raises(DimensionError):
-        T.batchnorm2d(
-            [T.Tensor(np.ones((2, 2, 4, 4))), T.Tensor(np.ones((2, 2, 4, 5)))],
-            ones, zeros, np.zeros(2), np.ones(2), training=True,
-        )
+    for shape in ((2, 2, 4), (0, 2, 4, 4), (2, 3, 4, 4)):
+        with pytest.raises(DimensionError):
+            T.batchnorm2d(T.Tensor(np.ones(shape)), ones, zeros, np.zeros(2), np.ones(2), training=True)
 
 
 def test_kaiming_uniform_bound_and_determinism():

@@ -16,7 +16,7 @@ from epu.errors import (
     TrainingDivergedError,
 )
 from epu.data import SynthConfig, load_dataset, load_images, synth_generate
-from epu.model import MICRO_BATCH, ArchConfig, PRESETS, build_model
+from epu.model import ArchConfig, PRESETS, build_model
 from epu.pfm import PfmStack, RgbImage
 from epu.tensor import Tensor
 from epu.train import (
@@ -183,7 +183,7 @@ def test_train_epoch_rejects_bad_labels():
 def test_train_epoch_matches_whole_graph_step():
     # the split, threaded step updates exactly as one sweep over the whole
     # graph, with batches of one part and of three micro-batches
-    for batch_size, per_class in ((4, 5), (2 * MICRO_BATCH + 3, 20)):
+    for batch_size, per_class in ((4, 5), (2 * T.MICRO_BATCH + 3, 20)):
         samples = _separable_samples(np.random.default_rng(6), per_class=per_class)
         config = TrainConfig(batch_size=batch_size, lr=0.05, epochs=1)
         model = build_model(TINY, seed=2)
@@ -203,6 +203,15 @@ def test_train_epoch_matches_whole_graph_step():
         assert len(samples) > 2 * config.batch_size
         for (name, got), (_, want) in zip(model.state_entries(), ref.state_entries()):
             assert np.array_equal(got, want), (batch_size, name)
+
+
+def test_train_step_rejects_non_finite_buffers():
+    # the loss stays finite: training-mode batchnorm does not read its buffers
+    model = build_model(TINY, seed=0)
+    model.subnets[1].bn[0].running_var[0] = np.inf
+    samples = _separable_samples(np.random.default_rng(0), per_class=2)
+    with pytest.raises(TrainingDivergedError, match="non-finite weights or batchnorm buffers"):
+        train_epoch(model, samples, TrainConfig(batch_size=4, lr=0.01, epochs=1))
 
 
 def test_train_epoch_worker_error_reaches_caller():
@@ -255,6 +264,9 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=-0.1)
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=lr)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +603,8 @@ def test_fit_without_augmentation_deterministic(tmp_path):
 
 def test_fit_divergence_reports_epoch(tmp_path):
     images, labels = _tiny_dataset(tmp_path)
-    config = TrainConfig(batch_size=2, lr=float("inf"), epochs=3, seed=0)
-    with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError) as exc:
+    config = TrainConfig(batch_size=2, lr=1e30, epochs=3, seed=0)
+    with pytest.raises(TrainingDivergedError) as exc:
         fit(images, labels, TINY, config)
     assert exc.value.epoch == 0
 
