@@ -1,7 +1,9 @@
 """Command-line entry point: synth, pfm, train, explain, global-explain.
 
-Exit codes are stable API: 0 ok, 2 config/usage problems, 3 I/O or parse
-failures, 4 training divergence.  No output carries timestamps, so reruns
+Exit codes are stable API: 0 ok, 2 config/usage problems (an allocation
+that fails is one: the settings asked for more memory than there is), 3 I/O
+or parse failures, including an evaluation worker process that died, 4
+training divergence.  No output carries timestamps, so reruns
 with the same inputs and seed produce byte-identical artifacts.
 """
 
@@ -246,6 +248,10 @@ def cmd_explain(args) -> int:
     stack = build_pfm_stack(resized, side)
     prob, scores, acts = predict(model, stack, layer=settings.layer)
     p = float(prob[0])
+    if not (np.isfinite(p) and np.isfinite(scores).all()):
+        raise MetricError(
+            f"the model's output is not finite (probability={p!r}); its weights overflow the forward pass"
+        )
     rss = RssVector(scores[0], model.pfm_labels)
     names = model.class_names or ("class0", "class1")
     print(
@@ -432,6 +438,10 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = str(exc) or "MemoryError"
+        print(f"error: {args.command} needs more memory than there is: {detail}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -2,6 +2,9 @@
 
 The CLI maps these onto process exit codes: configuration and contract
 violations exit 2, parse and I/O failures exit 3, numeric divergence exits 4.
+Two builtin errors are mapped too: `MemoryError`, settings that ask for more
+memory than there is, exits 2, and `ChildProcessError`, an evaluation worker
+process that ended without a reply, is an `OSError` and exits 3.
 """
 
 

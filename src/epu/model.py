@@ -276,6 +276,22 @@ class EpuModel:
         return T.reshape(logits, (logits.data.shape[0],))
 
 
+def state_size(arch: ArchConfig, n_pfms: int) -> int:
+    """Floats in the parameters and buffers of a model, by arithmetic alone:
+    what `build_model(arch, n_pfms)` would allocate, as `state_entries` lists
+    it."""
+    k = arch.kernel_size
+    per_subnet, cin, side = 0, 1, arch.input_side
+    for count, depth in arch.blocks:
+        per_subnet += depth * cin * k * k + (count - 1) * depth * depth * k * k
+        # gamma, beta, running mean and running variance
+        per_subnet += 4 * depth
+        cin, side = depth, math.ceil(side / 2)
+    flat_dim = cin * side * side
+    per_subnet += (flat_dim + 1) * arch.fc_width + arch.fc_width + 1
+    return n_pfms * per_subnet + 1
+
+
 def build_model(
     arch: ArchConfig,
     n_pfms: int = 4,
@@ -312,8 +328,11 @@ def predict(model: EpuModel, stacks, layer: int | None = None):
     activations at that 1-based conv layer, (B, C, H, W) each. Every layer
     treats samples independently in evaluation mode, so each sample's outputs
     are bitwise those of predicting it alone.
+
+    Runs with numpy's floating-point warnings off: weights that overflow show
+    as non-finite outputs, which callers check.
     """
-    with T.no_grad():
+    with T.no_grad(), np.errstate(all="ignore"):
         result = model.forward_batch(stacks, training=False, layer=layer)
     prob = result[0].data.astype(np.float64)
     scores = np.concatenate([s.data for s in result[1]], axis=1).astype(np.float64)

@@ -7,9 +7,12 @@ intercept therefore move together, never independently. The sub-networks
 share nothing but the loss gradient at their scores, so their forward passes
 and their backward sweeps run on a thread pool of up to one worker per core;
 each runs on one thread, and the results do not depend on the worker count.
-Orientation augmentation is applied to raw images each epoch, before
-feature-map extraction.  Checkpoints are a small self-describing binary format
-with a payload checksum.
+`evaluate` splits its chunks into contiguous runs and scores one run in the
+calling process and each other run in a child forked for the call, up to one
+process per core; every sample is scored as it would be alone, so records do
+not depend on the process count either. Orientation augmentation is applied
+to raw images each epoch, before feature-map extraction.  Checkpoints are a
+small self-describing binary format with a payload checksum.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import contextvars
 import dataclasses
 import math
 import os
+import pickle
+import sys
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +38,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .metrics import ScoredSet, accuracy, auc, interpretability_accuracy
-from .model import ArchConfig, EpuModel, build_model, predict
+from .model import ArchConfig, EpuModel, build_model, predict, state_size
 from .pfm import PfmStack, RgbImage, build_pfm_stack
 from .tensor import Tensor
 
@@ -338,25 +344,27 @@ def load_checkpoint(path: str) -> EpuModel:
         if header["mode"] != "binary":
             raise CheckpointError(f"bad header field: mode {header['mode']!r}, only binary models exist")
         n_pfms = int(header["n_pfms"])
+        if n_pfms < 1:
+            raise CheckpointError(f"bad header field: n_pfms must be >= 1, got {n_pfms}")
         pfm_labels = tuple(header["pfm_labels"].split(","))
         class_names = (
             tuple(header["class_names"].split(",")) if "class_names" in header else None
         )
     except (KeyError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"bad header field: {exc}") from exc
+    # sized before anything is allocated: a header may describe any model
+    size = state_size(arch, n_pfms)
+    if size != count:
+        raise CheckpointError(f"header describes a model of {size} floats, param_count says {count}")
     if len(payload) != 4 * count:
         raise CheckpointError(f"payload holds {len(payload) // 4} floats, header says {count}")
     try:
         model = build_model(arch, n_pfms=n_pfms, seed=None, pfm_labels=pfm_labels, class_names=class_names)
     except ConfigError as exc:
         raise CheckpointError(f"bad header field: {exc}") from exc
-    entries = model.state_entries()
-    size = sum(arr.size for _, arr in entries)
-    if size != count:
-        raise CheckpointError(f"header describes a model of {size} floats, param_count says {count}")
     flat = np.frombuffer(payload, dtype="<f4")
     offset = 0
-    for _, arr in entries:
+    for _, arr in model.state_entries():
         arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
         offset += arr.size
     return model
@@ -436,6 +444,109 @@ def _paths_for(images, paths) -> list:
     return paths
 
 
+def _eval_workers(chunks: int) -> int:
+    """Processes for `evaluate`: one per usable core, at most one per chunk.
+
+    One where `os.fork` is missing, or where another Python thread runs: a
+    forked child holds only the forking thread, so a lock that another thread
+    held at the fork would stay locked in the child.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cores(), chunks)
+
+
+def _read_to_eof(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 1 << 16):
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _unpickle_reply(pid: int, blob: bytes, status: int):
+    """A child's (ok, value) reply; `ChildProcessError` when it ended without
+    a whole one."""
+    try:
+        return pickle.loads(blob)
+    except Exception:  # empty or cut short: the child died before it replied
+        pass
+    if os.WIFSIGNALED(status):
+        how = f"killed by signal {os.WTERMSIG(status)}"
+    else:
+        how = f"exit status {os.waitstatus_to_exitcode(status)}"
+    raise ChildProcessError(f"evaluation worker {pid} ended without a reply ({how})")
+
+
+def _run_child(fn, arg, fd: int) -> None:
+    """Body of a forked child: send `fn(arg)` or its exception down `fd`, then
+    leave through `os._exit`, which runs no atexit handler and flushes no
+    buffer inherited from the parent."""
+    status = 1
+    try:
+        try:
+            blob = pickle.dumps((True, fn(arg)))
+        except BaseException as exc:  # raised again in the caller
+            blob = pickle.dumps((False, exc))
+            try:
+                pickle.loads(blob)
+            except Exception:  # an exception the caller could not rebuild
+                blob = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        view = memoryview(blob)
+        while view:
+            view = view[os.write(fd, view) :]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_map(fn, args) -> list:
+    """`[fn(a) for a in args]`: `fn(args[0])` in this process, each later item
+    in a child forked for it.
+
+    Children see the caller's memory as it was at the fork, and only their
+    results come back, pickled through a pipe. A child's exception is raised
+    here with its type and message; a child that ends without a reply raises
+    `ChildProcessError`. Every child is reaped before this returns or raises;
+    one whose reply was not read, because this process failed first, is
+    killed.
+    """
+    # a child must not write out the caller's buffered output a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe)
+    blobs, statuses = [], []
+    try:
+        for arg in args[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _run_child(fn, arg, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [fn(args[0])]
+        blobs = [_read_to_eof(fd) for _, fd in children]
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if not blobs:
+                import signal  # only here: importing it costs every command about 1 ms
+
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), blob, status in zip(children, blobs, statuses):
+        ok, value = _unpickle_reply(pid, blob, status)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
     """Score held-out images; reports AUC, accuracy, and sign agreement.
 
@@ -443,6 +554,12 @@ def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
     time, so the whole set's stacks are never held at once. A forward pass
     scores each sample independently of its chunk-mates, so the records do
     not depend on the chunk size or on the order of the images.
+
+    The chunks are split into contiguous runs, one per process (see
+    `_eval_workers`): this process scores the first run and a forked child
+    each other one, and the results are joined in order. The records are
+    therefore those of one process. A child's exception is raised here; a
+    child that dies without replying raises `ChildProcessError`.
     """
     if len(images) == 0:
         raise ContractError("cannot evaluate an empty image set")
@@ -453,14 +570,22 @@ def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
         raise ContractError(f"labels must be >= 0, got {labels.min()}")
     paths = _paths_for(images, paths)
     side = model.arch.input_side
-    prob_parts, rss_parts = [], []
-    for start in range(0, len(images), EVAL_CHUNK):
-        stacks = np.stack([build_pfm_stack(img, side).maps for img in images[start : start + EVAL_CHUNK]])
-        prob, scores = predict(model, stacks)
-        prob_parts.append(prob)
-        rss_parts.append(scores)
-    probs = np.concatenate(prob_parts)
-    rss_rows = np.concatenate(rss_parts)
+
+    def score_run(starts):
+        prob_parts, rss_parts = [], []
+        for start in starts:
+            stacks = np.stack([build_pfm_stack(img, side).maps for img in images[start : start + EVAL_CHUNK]])
+            prob, scores = predict(model, stacks)
+            prob_parts.append(prob)
+            rss_parts.append(scores)
+        return np.concatenate(prob_parts), np.concatenate(rss_parts)
+
+    starts = range(0, len(images), EVAL_CHUNK)
+    n, workers = len(starts), _eval_workers(len(starts))
+    runs = [starts[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
+    parts = _fork_map(score_run, runs)
+    probs = np.concatenate([prob for prob, _ in parts])
+    rss_rows = np.concatenate([scores for _, scores in parts])
     preds = (probs >= 0.5).astype(np.int64)
     records = [
         EvalRecord(source_path=path, label=int(y), probability=float(p), predicted=int(c), rss=rss)

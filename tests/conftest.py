@@ -36,6 +36,20 @@ def run_cli(args, cwd, env_extra=None):
     )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_stray_children():
+    """Fail the run if the pytest process ends with a child it never reaped:
+    a worker that `evaluate` forked and left running, or a zombie."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test process still has a child process (waitpid gave pid {pid}, status {status})")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -643,3 +643,149 @@ def test_repeated_train_reuses_heap_pages(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.split()[-1]) < 1000
+
+
+# ---------------------------------------------------------------------------
+# failures that end in one line
+
+
+def _scaled_checkpoint(src, dst, factor):
+    """`src` with every payload float multiplied by `factor`, CRC recomputed."""
+    import zlib
+
+    blob = src.read_bytes()
+    start = blob.index(b"\n\n") + 2
+    payload = (np.frombuffer(blob[start:-4], dtype="<f4").astype(np.float64) * factor).astype("<f4")
+    body = payload.tobytes()
+    dst.write_bytes(blob[:start] + body + zlib.crc32(body).to_bytes(4, "little"))
+    return dst
+
+
+def test_explain_overflowing_checkpoint_exit2(tmp_path, trained, ds_root, capsys):
+    # the forward used to print numpy RuntimeWarnings, then write all six
+    # artifacts for probability=nan and exit 0
+    from epu import cli
+
+    model = _scaled_checkpoint(trained / "checkpoint.epu", tmp_path / "huge.epu", 1e30)
+    out = tmp_path / "e"
+    argv = ["explain", "--model", str(model), "--image", str(ds_root / "disk/00000.ppm"), "--out", str(out),
+            "--layer", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: the model's output is not finite")
+    assert not out.exists()
+
+
+def test_global_explain_overflowing_checkpoint_exit2(tmp_path, trained, ds_root, capsys):
+    from epu import cli
+
+    model = _scaled_checkpoint(trained / "checkpoint.epu", tmp_path / "huge.epu", 1e30)
+    argv = ["global-explain", "--model", str(model), "--data", str(ds_root), "--out", str(tmp_path / "g")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: AUC needs finite scores"]
+
+
+def test_explain_header_declares_huge_model_exit3(tmp_path, trained, ds_root):
+    blob = (trained / "checkpoint.epu").read_bytes()
+    edited = tmp_path / "huge.epu"
+    edited.write_bytes(blob.replace(b"blocks = 1x2,1x3\n", b"blocks = 1x2,1x3000000\n", 1))
+    proc = run_cli(
+        ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"),
+         "--out", str(tmp_path / "e")],
+        tmp_path,
+    )
+    assert proc.returncode == 3
+    assert "header describes a model of" in _one_error_line(proc)
+
+
+MEMORY_CAP_SCRIPT = """
+import resource, sys
+# a capped address space makes an impossible allocation fail at once
+cap = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from epu import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+@pytest.mark.parametrize("case", ["input_side", "blocks", "bins"])
+def test_settings_too_large_for_memory_exit2(tmp_path, trained, ds_root, case):
+    # each used to end in a numpy _ArrayMemoryError traceback, exit 1
+    if case == "bins":
+        argv = ["explain", "--model", str(trained / "checkpoint.epu"),
+                "--image", str(ds_root / "disk/00000.ppm"), "--out", str(tmp_path / "e"),
+                "--layer", "2", "--bins", "100000000000"]
+    else:
+        flag = {"input_side": ["--input-side", "100000"], "blocks": ["--blocks", "1x100000"]}[case]
+        argv = ["train", "--data", str(ds_root), "--out", str(tmp_path / "t"), "--epochs", "1", *flag]
+    env = dict(os.environ, EPU_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CAP_SCRIPT, *argv],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert _one_error_line(proc).startswith(f"error: {argv[0]} needs more memory than there is: ")
+
+
+def test_train_and_global_explain_print_each_line_once(tmp_path, ds_root):
+    # stdout is a pipe, so block-buffered when evaluate forks its workers
+    out = tmp_path / "t"
+    proc = run_cli(
+        ["train", "--data", str(ds_root), "--out", str(out), *TINY_FLAGS, "--epochs", "2",
+         "--batch-size", "6", "--holdout", "0.5"],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["epoch", "epoch", "val", str(out / "checkpoint.epu")]
+    assert proc.stderr == ""
+    proc = run_cli(
+        ["global-explain", "--model", str(out / "checkpoint.epu"), "--data", str(ds_root),
+         "--out", str(tmp_path / "g")],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("auc=") and lines[1:] == [
+        str(tmp_path / "g" / "global-stats.txt"), str(tmp_path / "g" / "global.chart.svg")]
+    assert proc.stderr == ""
+
+
+DEAD_WORKER_SCRIPT = """
+import os, signal, sys
+from epu import cli, train
+
+caller = os.getpid()
+real_predict = train.predict
+
+def predict(*args, **kwargs):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_predict(*args, **kwargs)
+
+train.predict = predict
+train._usable_cores = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_global_explain_dead_worker_exit3(tmp_path, trained, ds_root):
+    env = dict(os.environ, EPU_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    # a hang fails through the timeout instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-c", DEAD_WORKER_SCRIPT, "global-explain", "--model",
+         str(trained / "checkpoint.epu"), "--data", str(ds_root), "--out", str(tmp_path / "g")],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert re.fullmatch(
+        r"error: evaluation worker \d+ ended without a reply \(killed by signal 9\)", _one_error_line(proc)
+    )
+    assert proc.stdout == ""

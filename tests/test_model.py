@@ -406,3 +406,18 @@ def test_training_forward_retains_only_what_backward_reads():
         assert out.requires_grad
         assert retained <= 1.03 * needed, (batch, retained, needed)
         del out
+
+
+@pytest.mark.parametrize(
+    "arch, n_pfms",
+    [
+        (M.PRESETS["desk"], 4),
+        (M.PRESETS["base_i"], 4),
+        (M.ArchConfig(blocks=((1, 3), (3, 5)), kernel_size=5, fc_width=7, input_side=9), 1),
+        (M.ArchConfig(blocks=((2, 2),), kernel_size=3, fc_width=1, input_side=13), 3),
+    ],
+)
+def test_state_size_counts_what_build_model_allocates(arch, n_pfms):
+    # zero weights: no draws, and the pages of a large model are never touched
+    model = M.build_model(arch, n_pfms=n_pfms, seed=None)
+    assert M.state_size(arch, n_pfms) == sum(a.size for _, a in model.state_entries())

@@ -2,12 +2,14 @@
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from epu import tensor as T
+from epu import train as train_module
 from epu.errors import (
     CheckpointError,
     ConfigError,
@@ -16,7 +18,7 @@ from epu.errors import (
     TrainingDivergedError,
 )
 from epu.data import SynthConfig, load_dataset, load_images, synth_generate
-from epu.model import ArchConfig, PRESETS, build_model
+from epu.model import ArchConfig, PRESETS, build_model, state_size
 from epu.pfm import PfmStack, RgbImage
 from epu.tensor import Tensor
 from epu.train import (
@@ -488,6 +490,30 @@ def test_checkpoint_header_size_mismatch(tmp_path):
             load_checkpoint(edited)
 
 
+def test_checkpoint_header_sizes_model_before_allocating(tmp_path, monkeypatch):
+    # a header that declares a huge model once made build_model ask numpy for
+    # terabytes, whatever param_count and the payload said
+    model = _trained_tiny()
+    path = str(tmp_path / "m.epu")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    huge = blob.replace(b"blocks = 1x2,1x3\n", b"blocks = 1x2,1x3000000\n", 1)
+    size = state_size(ArchConfig(blocks=((1, 2), (1, 3000000)), kernel_size=3, fc_width=4, input_side=8), 4)
+    edits = {
+        "huge": (huge, r"header describes a model of \d+ floats, param_count says \d+"),
+        "huge_count": (
+            re.sub(rb"param_count = \d+\n", b"param_count = %d\n" % size, huge, count=1),
+            rf"payload holds \d+ floats, header says {size}",
+        ),
+    }
+    monkeypatch.setattr(train_module, "build_model", lambda *a, **k: pytest.fail("model built"))
+    for name, (edited, message) in edits.items():
+        target = str(tmp_path / f"{name}.epu")
+        open(target, "wb").write(edited)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(target)
+
+
 def test_checkpoint_header_out_of_range(tmp_path):
     # values the model builder rejects mark a corrupt checkpoint, not a bad config
     model = _trained_tiny()
@@ -664,3 +690,217 @@ def test_cross_validate_shapes(tmp_path):
     for key in ("auc", "accuracy", "interp_accuracy"):
         mean, std = summary[key]
         assert math.isfinite(mean) and math.isfinite(std)
+
+
+# ---------------------------------------------------------------------------
+# evaluation worker processes
+
+
+def _record_bytes(report):
+    return [
+        (r.source_path, r.label, r.predicted, np.float64(r.probability).tobytes(), r.rss.tobytes())
+        for r in report.records
+    ]
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 9, 40])
+def test_evaluate_records_do_not_depend_on_worker_count(monkeypatch, count):
+    rng = np.random.default_rng(count)
+    model = _trained_tiny()
+    images = [RgbImage(rng.integers(0, 256, size=(10, 12, 3), dtype=np.uint8)) for _ in range(count)]
+    labels = np.arange(count) % 2
+    paths = [f"img{i}" for i in range(count)]
+    forked = []
+
+    def fork_map(fn, args):
+        forked.append(len(args) - 1)
+        return real_fork_map(fn, args)
+
+    real_fork_map = train_module._fork_map
+    monkeypatch.setattr(train_module, "_fork_map", fork_map)
+    if count == 1:  # AUC needs both classes; the records are what is compared
+        monkeypatch.setattr(train_module, "auc", lambda scored: math.nan)
+    reports = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: workers)
+        reports[workers] = evaluate(model, images, labels, paths)
+    chunks = math.ceil(count / train_module.EVAL_CHUNK)
+    assert forked == [min(w, chunks) - 1 for w in (1, 2, 3)]
+    for workers in (2, 3):
+        assert _record_bytes(reports[workers]) == _record_bytes(reports[1])
+        for key in ("auc", "accuracy", "interp_accuracy"):
+            a, b = getattr(reports[workers], key), getattr(reports[1], key)
+            assert (a == b) or (math.isnan(a) and math.isnan(b))
+
+
+PINNED_EVAL_SCRIPT = """
+import hashlib, os, sys
+import numpy as np
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+from epu import train
+from epu.model import ArchConfig, build_model
+from epu.pfm import RgbImage
+
+assert train._eval_workers(10) == 1
+model = build_model(ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8), seed=5)
+rng = np.random.default_rng(9)
+images = [RgbImage(rng.integers(0, 256, size=(10, 12, 3), dtype=np.uint8)) for _ in range(9)]
+report = train.evaluate(model, images, np.arange(9) % 2)
+print(hashlib.sha256(b"".join(np.float64(r.probability).tobytes() + r.rss.tobytes()
+                              for r in report.records)).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_evaluate_pinned_to_one_core_matches_forked_workers(monkeypatch):
+    import hashlib
+    import subprocess
+    import sys
+
+    from conftest import SRC_DIR
+
+    env = dict(os.environ, EPU_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PINNED_EVAL_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 3)
+    model = build_model(ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8), seed=5)
+    rng = np.random.default_rng(9)
+    images = [RgbImage(rng.integers(0, 256, size=(10, 12, 3), dtype=np.uint8)) for _ in range(9)]
+    report = evaluate(model, images, np.arange(9) % 2)
+    digest = hashlib.sha256(
+        b"".join(np.float64(r.probability).tobytes() + r.rss.tobytes() for r in report.records)
+    ).hexdigest()
+    assert proc.stdout.split() == [digest]
+
+
+def test_eval_workers_fall_back_to_one(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 8)
+    assert train_module._eval_workers(3) == 3
+    assert train_module._eval_workers(20) == 8
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert train_module._eval_workers(20) == 1
+    finally:
+        release.set()
+        other.join()
+    monkeypatch.delattr(os, "fork")
+    assert train_module._eval_workers(20) == 1
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_in_child(arg):
+    if arg == 2:
+        raise DimensionError(f"bad share {arg}")
+    return arg * 10
+
+
+class _Unrebuildable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _unrebuildable_in_child(arg):
+    if arg:
+        raise _Unrebuildable("x", "y")
+    return arg
+
+
+def test_fork_map_returns_in_order_and_raises_a_childs_error():
+    assert train_module._fork_map(lambda a: a * 10, [0, 1, 2, 3]) == [0, 10, 20, 30]
+    _assert_no_child_left()
+    with pytest.raises(DimensionError, match="bad share 2"):
+        train_module._fork_map(_fail_in_child, [0, 1, 2, 3])
+    _assert_no_child_left()
+    # an exception that pickle cannot rebuild arrives as its type name and message
+    with pytest.raises(RuntimeError, match="_Unrebuildable: x/y"):
+        train_module._fork_map(_unrebuildable_in_child, [0, 1])
+    _assert_no_child_left()
+
+
+def test_evaluate_child_error_reaches_caller(monkeypatch):
+    caller = os.getpid()
+    real_predict = train_module.predict
+
+    def predict(*args, **kwargs):
+        if os.getpid() != caller:
+            raise DimensionError("failed in a worker")
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "predict", predict)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 3)
+    images, labels = [RgbImage(np.full((8, 8, 3), v, np.uint8)) for v in range(12)], np.arange(12) % 2
+    with pytest.raises(DimensionError, match="failed in a worker"):
+        evaluate(build_model(TINY, seed=0), images, labels)
+    _assert_no_child_left()
+
+
+def test_evaluate_caller_error_kills_and_reaps_children(monkeypatch):
+    caller = os.getpid()
+    real_predict = train_module.predict
+
+    def predict(*args, **kwargs):
+        if os.getpid() == caller:
+            raise DimensionError("failed in the caller")
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "predict", predict)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 3)
+    images, labels = [RgbImage(np.full((8, 8, 3), v, np.uint8)) for v in range(12)], np.arange(12) % 2
+    with pytest.raises(DimensionError, match="failed in the caller"):
+        evaluate(build_model(TINY, seed=0), images, labels)
+    _assert_no_child_left()
+
+
+DEAD_CHILD_SCRIPT = """
+import os, signal, sys
+from epu import train
+
+def share(arg):
+    if arg == 1:
+        os._exit(7)
+    if arg == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return arg
+
+for args in ([0, 1], [0, 2], [0, 3, 1]):
+    try:
+        train._fork_map(share, args)
+    except ChildProcessError as exc:
+        print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_fork_map_dead_child_raises_child_process_error():
+    import subprocess
+    import sys
+
+    from conftest import SRC_DIR
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    # a hang fails through the timeout instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-c", DEAD_CHILD_SCRIPT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4, proc.stdout
+    assert re.fullmatch(r"evaluation worker \d+ ended without a reply \(exit status 7\)", lines[0])
+    assert re.fullmatch(r"evaluation worker \d+ ended without a reply \(killed by signal 9\)", lines[1])
+    assert re.fullmatch(r"evaluation worker \d+ ended without a reply \(exit status 7\)", lines[2])
+    assert lines[3] == "no child left"
