@@ -157,7 +157,8 @@ def _holdout_split(labels, holdout: float, seed: int):
 def cmd_train(args) -> int:
     settings = _settings(args)
     out_dir = settings.out_dir
-    if out_dir is None:
+    # cross-validation only reports; the holdout run writes its artifacts
+    if out_dir is None and not settings.use_folds:
         raise ConfigError("no output directory; pass --out or set [output] dir")
     manifest = load_dataset(args.data)
     images, labels = load_images(manifest)

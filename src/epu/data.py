@@ -47,6 +47,8 @@ class SynthConfig:
             raise ConfigError(f"count must be >= 1, got {self.count}")
         if self.side < 16:
             raise ConfigError(f"side must be >= 16, got {self.side}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

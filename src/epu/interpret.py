@@ -42,8 +42,8 @@ class FeatureMapStack:
         m = np.asarray(self.maps, dtype=np.float64)
         if m.ndim != 3:
             raise DimensionError(f"FeatureMapStack expects (n, h, w), got shape {m.shape}")
-        if m.shape[0] < 2:
-            raise ContractError("FeatureMapStack needs at least 2 maps")
+        if m.shape[0] < 1:
+            raise ContractError("FeatureMapStack needs at least 1 map")
         self.maps = m
 
     @property

@@ -120,7 +120,6 @@ class SubNetwork:
         self.arch = arch
         self.index = index
         k = arch.kernel_size
-        self.pad = k // 2
         name = f"subnet{index}"
 
         self.conv_kernels: list[Param] = []
@@ -133,7 +132,7 @@ class SubNetwork:
                     Param(f"{name}.block{b}.conv{c}.kernels", Tensor(kernels, requires_grad=True))
                 )
                 cin = depth
-            side = math.ceil(side / 2)
+            side = math.ceil(side / T.POOL_WINDOW)
             self.bn.append(_BnState(f"{name}.block{b}.bn", depth))
         self.flat_dim = cin * side * side
 
@@ -196,7 +195,7 @@ class SubNetwork:
             # the 0-based conv of this block whose activations were asked for
             tap = layer - 1 - first if layer is not None and first < layer <= first + count else None
             first += count
-            h = T.conv_block(h, kernels, self.pad, 2, tap)
+            h = T.conv_block(h, kernels, tap)
             if tap is not None:
                 h, act = h
             h = T.batchnorm2d(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
@@ -286,7 +285,7 @@ def state_size(arch: ArchConfig, n_pfms: int) -> int:
         per_subnet += depth * cin * k * k + (count - 1) * depth * depth * k * k
         # gamma, beta, running mean and running variance
         per_subnet += 4 * depth
-        cin, side = depth, math.ceil(side / 2)
+        cin, side = depth, math.ceil(side / T.POOL_WINDOW)
     flat_dim = cin * side * side
     per_subnet += (flat_dim + 1) * arch.fc_width + arch.fc_width + 1
     return n_pfms * per_subnet + 1

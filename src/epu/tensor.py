@@ -1,13 +1,14 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Implements exactly the layer set the perceptual ensembles need: conv2d,
-maxpool2d, batchnorm2d, dense, relu, tanh, sigmoid, add, mul, tsum, reshape,
-`conv_block` (a whole conv block as one op that recomputes its inner
-activations in backward), and `bce_with_logits`, the training loss as one op.
-Every op is a module-level function (`add`, `relu`, `tsum`, `backward`, ...);
-a `Tensor` has no operator overloads. `conv_block` and `batchnorm2d` take a
-whole batch and work through it in parts of `MICRO_BATCH` samples, so their
-temporaries are sized for one part; each records one vertex per call.
+Implements exactly the layer set the perceptual ensembles need: conv2d
+("same" padding at stride 1), maxpool2d, batchnorm2d, dense, relu, tanh,
+sigmoid, add, mul, tsum, reshape, `conv_block` (a whole conv block as one op
+that recomputes its inner activations in backward), and `bce_with_logits`,
+the training loss as one op. Every op is a module-level function (`add`,
+`relu`, `tsum`, `backward`, ...); a `Tensor` has no operator overloads.
+`conv_block` and `batchnorm2d` take a whole batch and work through it in
+parts of `MICRO_BATCH` samples, so their temporaries are sized for one part;
+each records one vertex per call.
 
 The operation graph is kept apart from tensor data. A computed tensor points
 at a private op record, its vertex: the backward closure plus the vertices of
@@ -370,20 +371,17 @@ def flatten_batch(x) -> Tensor:
 _STACKED_MAX_PATCH = 36
 
 
-def _pad_flat(a: Array, ph: int, pw: int):
-    """Zero-pad H by `ph` and W by `pw` on both sides (negative amounts crop),
-    then row-flatten with one spare zero row.
+def _pad_flat(a: Array, pad: int):
+    """Zero-pad H and W by `pad` on both sides, then row-flatten with one
+    spare zero row.
 
     Returns (flat, hp, wp) where flat has shape (B, C, (hp + 1) * wp). The
     spare row keeps every shifted window of `_xcorr` inside the buffer.
     """
     batch, ch, h, w = a.shape
-    hp, wp = h + 2 * ph, w + 2 * pw
+    hp, wp = h + 2 * pad, w + 2 * pad
     flat = np.zeros((batch, ch, hp + 1, wp), dtype=a.dtype)
-    cut_h, cut_w = max(-ph, 0), max(-pw, 0)
-    src = a[:, :, cut_h : h - cut_h, cut_w : w - cut_w]
-    top, left = max(ph, 0), max(pw, 0)
-    flat[:, :, top : top + src.shape[2], left : left + src.shape[3]] = src
+    flat[:, :, pad : pad + h, pad : pad + w] = a
     return flat.reshape(batch, ch, (hp + 1) * wp), hp, wp
 
 
@@ -415,93 +413,70 @@ def _xcorr(flat: Array, hp: int, wp: int, kernels: Array) -> Array:
     return out.reshape(batch, cout, ho, wp)
 
 
-def _check_conv(xshape, kshape, stride: int, padding: int) -> None:
-    """Shape and argument checks of one conv: NCHW input, OIKK kernels."""
+def _check_conv(xshape, kshape) -> None:
+    """Shape checks of one conv: NCHW input, OIKK kernels with odd K."""
     if len(xshape) != 4:
         raise DimensionError(f"conv2d expects NCHW input, got shape {xshape}")
-    if len(kshape) != 4:
-        raise DimensionError(f"conv2d expects OIKK kernels, got shape {kshape}")
-    if stride < 1:
-        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ContractError(f"conv2d padding must be >= 0, got {padding}")
+    if len(kshape) != 4 or kshape[2] != kshape[3] or kshape[2] % 2 == 0:
+        raise DimensionError(f"conv2d expects OIKK kernels with odd K, got shape {kshape}")
     cin, kin = xshape[1], kshape[1]
     if kin != cin:
         raise DimensionError(f"conv2d channel mismatch: input {cin}, kernels {kin}")
-    hp, wp = xshape[2] + 2 * padding, xshape[3] + 2 * padding
-    if kshape[2] > hp or kshape[3] > wp:
-        raise DimensionError(f"kernel {kshape[2]}x{kshape[3]} exceeds padded input {hp}x{wp}")
 
 
-def _conv_forward(xd: Array, kd: Array, stride: int, padding: int) -> Array:
-    """Conv output of a checked input and kernels: a strided view into the
-    GEMM's buffer, whose rows carry kw - 1 wrapped columns past the view."""
-    hp, wp = xd.shape[2] + 2 * padding, xd.shape[3] + 2 * padding
-    flat, _, _ = _pad_flat(xd, padding, padding)
-    return _xcorr(flat, hp, wp, kd)[:, :, ::stride, : wp - kd.shape[3] + 1 : stride]
+def _conv_forward(xd: Array, kd: Array) -> Array:
+    """Conv output of a checked input and kernels: a view into the GEMM's
+    buffer, whose rows carry k - 1 wrapped columns past the view."""
+    flat, hp, wp = _pad_flat(xd, kd.shape[2] // 2)
+    return _xcorr(flat, hp, wp, kd)[..., : xd.shape[3]]
 
 
-def _conv_backward(xd: Array, kd: Array, up: Array, stride: int, padding: int, want_gk: bool, want_gx: bool):
+def _conv_backward(xd: Array, kd: Array, up: Array, want_gk: bool, want_gx: bool):
     """(kernel gradient, input gradient) of one conv for upstream gradient `up`;
     each is None unless asked for.
 
-    Reads only the input and the kernels: grad-w pads the input again.
+    Reads only the input and the kernels: grad-w pads the input again. Both
+    gradients read one buffer, `up` zero-padded like the input: grad-x
+    correlates it with the flipped kernels, and grad-w reads its rows from
+    it, where the columns that wrap into the next row are zero padding.
     """
-    batch, _, h, w = xd.shape
-    cout, _, kh, kw = kd.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    ho, wo = hp - kh + 1, wp - kw + 1
-    span = ho * wp
-    # grad-x pads the stride-1 gradient by kernel - 1 - padding on each side
-    qh, qw = kh - 1 - padding, kw - 1 - padding
-    shared = want_gx and qh == qw == padding
-    if shared:
-        # "same" padding: grad-x's padded gradient has the padded row width,
-        # so grad-w reads its rows from that buffer, where the columns that
-        # wrap into the next row are zero padding. Grad-w alone keeps the
-        # smaller buffer below.
-        gflat = np.zeros((batch, cout, hp + 1, wp), dtype=up.dtype)
-        gflat[:, :, qh : qh + ho : stride, qw : qw + wo : stride] = up
-        gflat = gflat.reshape(batch, cout, (hp + 1) * wp)
-        start = qh * wp + qw
-        rows = gflat[:, :, start : start + span]
-    else:
-        # stride-1 gradient, widened with zero columns to the padded row width
-        g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
-        g1[:, :, ::stride, :wo:stride] = up
-        rows = g1.reshape(batch, cout, span)
+    h, w = xd.shape[2:]
+    pad = kd.shape[2] // 2
+    gflat, hp, wp = _pad_flat(up, pad)
     gk = gx = None
     if want_gk:
-        flat, _, _ = _pad_flat(xd, padding, padding)
+        span, start = h * wp, pad * wp + pad
+        rows = gflat[:, :, start : start + span]
+        flat, _, _ = _pad_flat(xd, pad)
         gk = np.empty(kd.shape, dtype=np.result_type(up, flat))
-        for i in range(kh):
-            for j in range(kw):
+        for i in range(kd.shape[2]):
+            for j in range(kd.shape[3]):
                 window = flat[:, :, i * wp + j : i * wp + j + span]
                 gk[:, :, i, j] = np.matmul(rows, window.transpose(0, 2, 1)).sum(axis=0)
         del flat, window  # freed before grad-x allocates its buffers
     if want_gx:
         flipped = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        if not shared:
-            gflat, _, _ = _pad_flat(g1[..., :wo], qh, qw)
-        gx = _xcorr(gflat, ho + 2 * qh, wo + 2 * qw, flipped)[..., :w]
+        gx = _xcorr(gflat, hp, wp, flipped)[..., :w]
     return gk, gx
 
 
-def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation over NCHW input, no bias.
+def conv2d(x, kernels, padding: int) -> Tensor:
+    """2-D "same" cross-correlation over NCHW input at stride 1, no bias.
 
-    kernels has shape (out_channels, in_channels, k, k); zero padding.
-    Stride > 1 subsamples the stride-1 result; its gradient flows back
-    through the stride-1 gradient, zero between the samples. Backward keeps
-    the input and the kernels, not the padded input copy.
+    kernels has shape (out_channels, in_channels, k, k) with odd k, and the
+    input is zero-padded by `padding`, which must be k // 2: the output has
+    the input's height and width. Backward keeps the input and the kernels,
+    not the padded input copy.
     """
     x, kt = _astensor(x), _astensor(kernels)
-    _check_conv(x.data.shape, kt.data.shape, stride, padding)
+    _check_conv(x.data.shape, kt.data.shape)
+    if padding != kt.data.shape[2] // 2:
+        raise ContractError(f"conv2d padding must be k // 2 = {kt.data.shape[2] // 2}, got {padding}")
     xd, kd, xv, kv = x.data, kt.data, _vertex(x), _vertex(kt)
-    out = np.ascontiguousarray(_conv_forward(xd, kd, stride, padding))
+    out = np.ascontiguousarray(_conv_forward(xd, kd))
 
     def grad_fn(up, fresh):
-        gk, gx = _conv_backward(xd, kd, up, stride, padding, kv is not None, xv is not None)
+        gk, gx = _conv_backward(xd, kd, up, kv is not None, xv is not None)
         _push(fresh, kv, gk)
         _push(fresh, xv, gx)
 
@@ -599,6 +574,10 @@ def maxpool2d(x, window: int) -> Tensor:
 # cache; the same buffer for 8 samples is 1.1 MB and stays in it.
 MICRO_BATCH = 8
 
+# Side of the square max-pool window that ends every `conv_block`: a block
+# maps H x W to ceil(H / POOL_WINDOW) x ceil(W / POOL_WINDOW).
+POOL_WINDOW = 2
+
 
 def _parts(batch: int) -> list[slice]:
     """Leading-axis slices of `MICRO_BATCH` samples covering `batch`; the last may be shorter."""
@@ -610,19 +589,19 @@ def _batch_array(buf: Array | None, batch: int, part: Array) -> Array:
     return np.empty((batch, *part.shape[1:]), dtype=part.dtype) if buf is None else buf
 
 
-def conv_block(x, kernels, padding: int, window: int, tap: int | None = None) -> Tensor | tuple[Tensor, Array]:
+def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Array]:
     """One conv block on NCHW input: conv, ReLU, ..., conv, max-pool, ReLU.
 
-    The convs run in the order of `kernels`, at stride 1 with zero padding
-    `padding`; the pool is `maxpool2d(., window)`. The block's last ReLU comes
-    after the pool: ReLU is monotone, so this equals pooling the ReLU output.
-    The batch runs in parts of `MICRO_BATCH` samples, forward and backward,
-    and the op records one vertex for the whole batch. For batches of up to
-    `MICRO_BATCH` samples the output and every gradient are bitwise those of
-    the same sequence of `conv2d`, `relu` and `maxpool2d`, whose helpers this
-    op calls. Above that, the output and the input gradient still are, but
-    each kernel gradient is summed part by part, so it may differ in the low
-    bits.
+    The convs run in the order of `kernels`, each as `conv2d` does: "same"
+    padding at stride 1. The pool is `maxpool2d(., POOL_WINDOW)`. The block's
+    last ReLU comes after the pool: ReLU is monotone, so this equals pooling
+    the ReLU output. The batch runs in parts of `MICRO_BATCH` samples, forward
+    and backward, and the op records one vertex for the whole batch. For
+    batches of up to `MICRO_BATCH` samples the output and every gradient are
+    bitwise those of the same sequence of `conv2d`, `relu` and `maxpool2d`,
+    whose helpers this op calls. Above that, the output and the input
+    gradient still are, but each kernel gradient is summed part by part, so
+    it may differ in the low bits.
 
     A recorded vertex keeps the input, the kernels, the pool's winner index
     and the output, whose sign masks the last ReLU's gradient; it keeps no
@@ -638,23 +617,25 @@ def conv_block(x, kernels, padding: int, window: int, tap: int | None = None) ->
     kts = [_astensor(k) for k in kernels]
     if not kts:
         raise ContractError("conv_block needs at least one kernel")
-    if window < 1:
-        raise ContractError(f"conv_block window must be >= 1, got {window}")
     last = len(kts) - 1
     if tap is not None and not 0 <= tap <= last:
         raise ContractError(f"conv_block tap must be in 0..{last}, got {tap}")
     xd, kds = x.data, [k.data for k in kts]
     if xd.ndim != 4 or xd.shape[0] == 0:
         raise DimensionError(f"conv_block expects NCHW input of at least one sample, got shape {xd.shape}")
+    # a "same" conv keeps H and W, so each conv's input shape is known up front
+    shape = xd.shape
+    for kd in kds:
+        _check_conv(shape, kd.shape)
+        shape = (shape[0], kd.shape[0], *shape[2:])
     xv, kvs = _vertex(x), [_vertex(k) for k in kts]
     record = _grad_enabled.get() and any(v is not None for v in (xv, *kvs))
-    batch = xd.shape[0]
+    batch, ch, cw = xd.shape[0], *xd.shape[2:]
     out = win = act = None
     for s in _parts(batch):
         h = xd[s]
         for n, kd in enumerate(kds):
-            _check_conv(h.shape, kd.shape, 1, padding)
-            h = _conv_forward(h, kd, 1, padding)
+            h = _conv_forward(h, kd)
             if n < last:
                 _relu_array(h, out=h)
             if n == tap:
@@ -663,8 +644,7 @@ def conv_block(x, kernels, padding: int, window: int, tap: int | None = None) ->
                     act[s] = h
                 else:
                     np.maximum(h, 0, out=act[s])
-        ch, cw = h.shape[2:]
-        pooled, part_win = _pool_max(h, window, record)
+        pooled, part_win = _pool_max(h, POOL_WINDOW, record)
         del h
         out = _batch_array(out, batch, pooled)
         _relu_array(pooled, out=out[s])
@@ -676,16 +656,16 @@ def conv_block(x, kernels, padding: int, window: int, tap: int | None = None) ->
         gks = [None] * len(kds)
         gx_all = None
         for s in _parts(batch):
-            g = _pool_scatter(up[s] * (out[s] > 0), win[s], window, ch, cw)
+            g = _pool_scatter(up[s] * (out[s] > 0), win[s], POOL_WINDOW, ch, cw)
             # each conv's input: the block input, then the inner ReLU outputs,
             # recomputed as forward made them
             hs = [xd[s]]
             for kd in kds[:-1]:
-                c = _conv_forward(hs[-1], kd, 1, padding)
+                c = _conv_forward(hs[-1], kd)
                 hs.append(_relu_array(c, out=c))
             for n in range(last, -1, -1):
                 hn = hs.pop()
-                gk, gx = _conv_backward(hn, kds[n], g, 1, padding, kvs[n] is not None, n > 0 or xv is not None)
+                gk, gx = _conv_backward(hn, kds[n], g, kvs[n] is not None, n > 0 or xv is not None)
                 if gks[n] is None:
                     gks[n] = gk
                 else:

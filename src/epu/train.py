@@ -77,6 +77,8 @@ class TrainConfig:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.lr < math.inf:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
 

@@ -43,11 +43,7 @@ def _layer_cases(rng):
 
     x = leaf(rng.standard_normal((1, 2, 5, 5)))
     k = leaf(rng.standard_normal((3, 2, 3, 3)) * 0.5)
-    cases.append((lambda lv: T.tsum(T.conv2d(lv[0], lv[1], stride=1, padding=1)), [x, k]))
-
-    x = leaf(rng.standard_normal((2, 2, 6, 6)))
-    k = leaf(rng.standard_normal((2, 2, 3, 3)) * 0.5)
-    cases.append((lambda lv: T.tsum(T.conv2d(lv[0], lv[1], stride=2, padding=0)), [x, k]))
+    cases.append((lambda lv: T.tsum(T.conv2d(lv[0], lv[1], padding=1)), [x, k]))
 
     # permutation spacing keeps every within-window gap far above the probe step
     perm = rng.permutation(2 * 3 * 6 * 6).reshape(2, 3, 6, 6) * 0.1

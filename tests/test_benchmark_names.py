@@ -1,5 +1,6 @@
 """Every per-layer metric the benchmark reports names a function it can trace,
-and every `epu` name the benchmark's files use exists.
+every `epu` name the benchmark's files use exists, and every call they make
+into `epu` fits the callee's current signature.
 
 `perfbench/run.py --trace 1` looks up one value per per-layer metric of
 BENCHMARK.json, and a metric whose function was renamed or removed raises
@@ -10,6 +11,7 @@ tracer, reading its files without running it.
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 
 import epu
@@ -36,24 +38,36 @@ def test_per_layer_metrics_resolve_to_traced_functions():
     assert sorted(wanted - spans) == []
 
 
+def _epu_target(node):
+    """(module, name) when `node` is `T.<name>` (T being `epu.tensor`) or
+    `epu.<module>.<name>`, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "T":
+        return ("tensor", node.attr)
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "epu"
+    ):
+        return (node.value.attr, node.attr)
+    return None
+
+
+def _epu_imports(tree):
+    """{local name: (module, name)} of a file's `from epu[.<module>] import <name>`."""
+    return {
+        alias.asname or alias.name: (node.module.partition(".")[2], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("epu")
+        for alias in node.names
+    }
+
+
 def _epu_references(tree):
-    """(module, name) pairs a benchmark file uses: `T.<name>` (T being
-    `epu.tensor`), `epu.<module>.<name>` and `from epu.<module> import <name>`."""
-    refs = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("epu"):
-            module = node.module.partition(".")[2]
-            refs += [(module, alias.name) for alias in node.names]
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "T":
-            refs.append(("tensor", node.attr))
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Attribute)
-            and isinstance(node.value.value, ast.Name)
-            and node.value.value.id == "epu"
-        ):
-            refs.append((node.value.attr, node.attr))
-    return refs
+    """(module, name) pairs a benchmark file uses: `T.<name>`,
+    `epu.<module>.<name>` and `from epu.<module> import <name>`."""
+    refs = list(_epu_imports(tree).values())
+    return refs + [t for t in map(_epu_target, ast.walk(tree)) if t is not None]
 
 
 def test_benchmark_uses_only_names_that_exist():
@@ -69,3 +83,36 @@ def test_benchmark_uses_only_names_that_exist():
         if not hasattr(owner, name):
             missing.append(f"{fname}: epu.{module}.{name}" if module else f"{fname}: epu.{name}")
     assert missing == []
+
+
+def _epu_calls(tree):
+    """(module, name, call) for each call a benchmark file makes to
+    `T.<name>`, `epu.<module>.<name>` or a name from `from epu.<module> import`."""
+    imported = _epu_imports(tree)
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            target = imported.get(func.id) if isinstance(func, ast.Name) else _epu_target(func)
+            if target is not None:
+                calls.append((*target, node))
+    return calls
+
+
+def test_benchmark_calls_bind_to_current_signatures():
+    # a removed or renamed parameter would otherwise surface only when the
+    # benchmark runs; calls that pass *args or **kwargs cannot be checked
+    bound, unbound = set(), []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for module, name, call in _epu_calls(ast.parse(path.read_text(), str(path))):
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                continue
+            callee = getattr(importlib.import_module(f"epu.{module}"), name)
+            try:
+                inspect.signature(callee).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{call.lineno}: epu.{module}.{name}: {exc}")
+            else:
+                bound.add(f"{module}.{name}")
+    assert unbound == []
+    assert {"tensor.conv2d", "tensor.maxpool2d", "tensor.batchnorm2d", "cli.main"} <= bound

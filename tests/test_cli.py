@@ -170,6 +170,24 @@ def test_train_folds_reporting(tmp_path, ds_root):
     assert not (out / "checkpoint.epu").exists()
 
 
+def test_train_folds_without_out_writes_nothing(tmp_path, ds_root, capsys, monkeypatch):
+    # cross-validation only reports, so it needs no output directory; the
+    # holdout run still does
+    from epu import cli
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["train", "--data", str(ds_root), *TINY_FLAGS, "--epochs", "1", "--batch-size", "6", "--augment", "false"]
+    assert cli.main([*argv, "--folds", "2"]) == 0
+    captured = capsys.readouterr()
+    assert [ln for ln in captured.out.splitlines() if ln.startswith("fold ")] != []
+    assert captured.err == ""
+    assert list(work.iterdir()) == []
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: no output directory; pass --out or set [output] dir"]
+
+
 def test_train_divergence_exit4(tmp_path, ds_root):
     # a huge finite rate drives weights and batchnorm buffers to inf; the
     # step's finite check stops training with one line and no numpy warning
@@ -257,6 +275,22 @@ def test_explain_artifacts(tmp_path, trained, ds_root):
     for slug in ("lightdark", "coarsefine", "blueyellow", "greenred"):
         assert (out / f"00001.prm-{slug}.ppm").exists()
     assert (out / "00001.rss.jsonl").exists()
+
+
+def test_explain_one_channel_layer(tmp_path, ds_root, capsys):
+    # a one-channel conv layer ranks its one map: ceil(1 / 2) = 1 keeps it
+    from epu import cli
+
+    run, out = tmp_path / "run", tmp_path / "exp"
+    argv = ["train", "--data", str(ds_root), "--out", str(run), "--blocks", "1x1,1x2", "--input-side", "16",
+            "--fc-width", "4", "--epochs", "1", "--batch-size", "6"]
+    assert cli.main(argv) == 0
+    argv = ["explain", "--model", str(run / "checkpoint.epu"), "--image", str(ds_root / "disk/00001.ppm"),
+            "--out", str(out), "--layer", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    names = ["chart.svg", "rss.jsonl"] + [f"prm-{s}.ppm" for s in ("lightdark", "coarsefine", "blueyellow", "greenred")]
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"00001.{n}" for n in names)
 
 
 def test_explain_sidecar_resums_to_probability(tmp_path, trained, ds_root):

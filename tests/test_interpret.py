@@ -168,9 +168,12 @@ def test_bin_counts_match_numpy_histogram_at_edges():
         assert np.array_equal(I._bin_counts(rows, bins), want)
 
 
-def test_feature_map_stack_needs_two_maps():
+def test_feature_map_stack_needs_one_map():
     with pytest.raises(ContractError):
-        stack_of(np.ones((1, 4, 4)))
+        stack_of(np.ones((0, 4, 4)))
+    # a layer of one channel keeps its map: ceil(1 / 2) = 1
+    one = np.arange(16.0).reshape(1, 4, 4)
+    assert np.array_equal(I.select_informative(stack_of(one)), one)
 
 
 def test_aggregate_single_and_cancelling():
@@ -343,7 +346,7 @@ def test_build_prm_layer_bounds():
         with pytest.raises(ConfigError):
             predict(model, stacks, layer=bad)
     with pytest.raises(ContractError):
-        I.build_prm(np.ones((1, 4, 4)), out_h=8, out_w=8)
+        I.build_prm(np.ones((0, 4, 4)), out_h=8, out_w=8)
     with pytest.raises(DimensionError):
         I.build_prm(np.ones((4, 4)), out_h=8, out_w=8)
 

@@ -144,7 +144,7 @@ def _forward_relu_then_pool(sn, x, layer):
         for (count, _), bn in zip(sn.arch.blocks, sn.bn):
             for _ in range(count):
                 n += 1
-                h = T.relu(T.conv2d(h, next(kernels), padding=sn.pad))
+                h = T.relu(T.conv2d(h, next(kernels), padding=sn.arch.kernel_size // 2))
                 if n == layer:
                     acts = h.data
             h = T.batchnorm2d(T.maxpool2d(h, 2), bn.gamma, bn.beta, bn.running_mean, bn.running_var, False)
@@ -368,7 +368,7 @@ def test_micro_batched_training_forward_uses_whole_batch_statistics():
         kernels = iter(ref.conv_kernels)
         for (count, _), bn in zip(arch.blocks, ref.bn):
             for _ in range(count):
-                h = T.relu(T.conv2d(h, next(kernels), padding=ref.pad))
+                h = T.relu(T.conv2d(h, next(kernels), padding=ref.arch.kernel_size // 2))
             h = M.Tensor(_bn_reference(T.maxpool2d(h, 2).data, bn))
         h = T.relu(T.dense(T.flatten_batch(h), ref.fc_weight, ref.fc_bias))
         want = T.tanh(T.dense(h, ref.head_weight, ref.head_bias)).data

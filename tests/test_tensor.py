@@ -12,49 +12,62 @@ from gradcheck import coord_check, leaf
 
 
 def test_conv2d_hand_example():
+    # a 3x3 kernel of ones over a zero-padded 2x2 input sums all four pixels
     x = T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    k = T.Tensor(np.ones((1, 1, 2, 2)))
-    out = T.conv2d(x, k, stride=1, padding=0)
-    assert out.data.shape == (1, 1, 1, 1)
-    assert out.data[0, 0, 0, 0] == 10.0
+    k = T.Tensor(np.ones((1, 1, 3, 3)))
+    out = T.conv2d(x, k, padding=1)
+    assert out.data.shape == (1, 1, 2, 2)
+    assert np.all(out.data == 10.0)
 
 
 def test_conv2d_zero_kernel():
     rng = np.random.default_rng(1)
     x = T.Tensor(rng.standard_normal((2, 3, 5, 5)))
     k = T.Tensor(np.zeros((4, 3, 3, 3)))
-    out = T.conv2d(x, k, stride=1, padding=1)
+    out = T.conv2d(x, k, padding=1)
     assert np.all(out.data == 0.0)
     assert out.data.shape == (2, 4, 5, 5)
 
 
 def test_conv2d_output_shape_formula():
+    # "same": the output keeps the input's height and width
     x = T.Tensor(np.zeros((1, 2, 11, 9)))
-    k = T.Tensor(np.zeros((3, 2, 3, 3)))
-    out = T.conv2d(x, k, stride=2, padding=1)
-    assert out.data.shape == (1, 3, 6, 5)  # floor((H+2p-k)/s)+1
+    for ksize in (1, 3, 5):
+        out = T.conv2d(x, T.Tensor(np.zeros((3, 2, ksize, ksize))), padding=ksize // 2)
+        assert out.data.shape == (1, 3, 11, 9)
 
 
 def test_conv2d_channel_mismatch():
     x = T.Tensor(np.zeros((1, 2, 4, 4)))
     k = T.Tensor(np.zeros((3, 5, 3, 3)))
     with pytest.raises(DimensionError):
-        T.conv2d(x, k)
+        T.conv2d(x, k, padding=1)
 
 
-def _conv2d_direct(x, k, up, stride, pad):
-    """Forward, grad-w and grad-x of conv2d by direct float64 loops over output pixels."""
-    kh, kw = k.shape[2:]
+def test_conv2d_rejects_other_padding_and_kernel_shapes():
+    x = T.Tensor(np.zeros((1, 2, 6, 6)))
+    for pad in (0, 2):
+        with pytest.raises(ContractError) as info:
+            T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 3))), padding=pad)
+        assert str(info.value) == f"conv2d padding must be k // 2 = 1, got {pad}"
+    for shape in ((3, 2, 2, 2), (3, 2, 3, 5)):
+        with pytest.raises(DimensionError) as info:
+            T.conv2d(x, T.Tensor(np.zeros(shape)), padding=1)
+        assert len(str(info.value).splitlines()) == 1
+
+
+def _conv2d_direct(x, k, up):
+    """Forward, grad-w and grad-x of a "same" conv2d by direct float64 loops over output pixels."""
+    ksize = k.shape[2]
+    pad = ksize // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (xp.shape[2] - kh) // stride + 1
-    wo = (xp.shape[3] - kw) // stride + 1
+    ho, wo = x.shape[2:]
     out = np.zeros((x.shape[0], k.shape[0], ho, wo))
     gk = np.zeros(k.shape)
     gxp = np.zeros(xp.shape)
     for i in range(ho):
         for j in range(wo):
-            rows = slice(i * stride, i * stride + kh)
-            cols = slice(j * stride, j * stride + kw)
+            rows, cols = slice(i, i + ksize), slice(j, j + ksize)
             patch = xp[:, :, rows, cols]
             for b in range(x.shape[0]):
                 for o in range(k.shape[0]):
@@ -67,23 +80,19 @@ def _conv2d_direct(x, k, up, stride, pad):
 
 def test_conv2d_matches_direct_loops():
     # forward, grad-w and grad-x against float64 loops, with a non-uniform upstream
-    # gradient; input channels on both sides of the stacked/per-offset GEMM choice,
-    # padding 3 > kernel 3 - 1 crops the upstream gradient for grad-x
+    # gradient; input channels on both sides of the stacked/per-offset GEMM choice
     rng = np.random.default_rng(7)
-    grid = itertools.product((1, 3, 8), (3, 5), (1, 2, 3), (0, 1, 2, 3), (1, 3))
-    for cin, ksize, stride, pad, batch in grid:
+    for cin, ksize, batch in itertools.product((1, 3, 8), (1, 3, 5), (1, 3)):
         x = rng.standard_normal((batch, cin, 7, 9))
         k = rng.standard_normal((2, cin, ksize, ksize))
-        ho = (7 + 2 * pad - ksize) // stride + 1
-        wo = (9 + 2 * pad - ksize) // stride + 1
-        up = rng.standard_normal((batch, 2, ho, wo))
-        ref_out, ref_gk, ref_gx = _conv2d_direct(x, k, up, stride, pad)
+        up = rng.standard_normal((batch, 2, 7, 9))
+        ref_out, ref_gk, ref_gx = _conv2d_direct(x, k, up)
         for dtype, rtol in ((np.float64, 1e-10), (np.float32, 1e-4)):
             xt = T.Tensor(x.astype(dtype), requires_grad=True)
             kt = T.Tensor(k.astype(dtype), requires_grad=True)
-            out = T.conv2d(xt, kt, stride=stride, padding=pad)
+            out = T.conv2d(xt, kt, padding=ksize // 2)
             T.backward(T.tsum(T.mul(out, T.Tensor(up.astype(dtype)))))
-            case = (cin, ksize, stride, pad, batch, dtype.__name__)
+            case = (cin, ksize, batch, dtype.__name__)
             for got, ref in ((out.data, ref_out), (kt.grad, ref_gk), (xt.grad, ref_gx)):
                 assert got.dtype == dtype, case
                 assert got.shape == ref.shape, case
@@ -97,22 +106,21 @@ def test_conv2d_gradcheck_spec_shape():
     k = base.standard_normal((3, 2, 3, 3))
 
     def make_loss(ls):
-        return T.tsum(T.conv2d(ls[0], ls[1], stride=1, padding=0))
+        return T.tsum(T.conv2d(ls[0], ls[1], padding=1))
 
     fails = coord_check(make_loss, [leaf(x), leaf(k)], np.random.default_rng(4), coords=18)
     assert fails == []
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
-def test_conv2d_gradcheck_strides(stride, pad):
-    base = np.random.default_rng(stride * 10 + pad)
+@pytest.mark.parametrize("ksize", [1, 3])
+def test_conv2d_gradcheck_kernel_sizes(ksize):
+    base = np.random.default_rng(10 + ksize)
     x = base.standard_normal((2, 3, 6, 6))
-    k = base.standard_normal((2, 3, 3, 3))
+    k = base.standard_normal((2, 3, ksize, ksize))
     w = base.standard_normal((2, 2, 6, 6))  # weight the outputs unevenly
 
     def make_loss(ls):
-        out = T.conv2d(ls[0], ls[1], stride=stride, padding=pad)
-        return T.tsum(T.mul(out, T.Tensor(w[:, :, : out.data.shape[2], : out.data.shape[3]])))
+        return T.tsum(T.mul(T.conv2d(ls[0], ls[1], padding=ksize // 2), T.Tensor(w)))
 
     fails = coord_check(make_loss, [leaf(x), leaf(k)], np.random.default_rng(5), coords=12)
     assert fails == []
@@ -285,13 +293,13 @@ def test_maxpool_gradcheck():
     assert fails == []
 
 
-def _block_unfused(x, kernels, window):
-    """The sequence of public ops that `conv_block` fuses, at padding 1."""
+def _block_unfused(x, kernels):
+    """The sequence of public ops that `conv_block` fuses, for 3x3 kernels."""
     h = x
     for n, k in enumerate(kernels):
         h = T.conv2d(h, k, padding=1)
         if n == len(kernels) - 1:
-            h = T.maxpool2d(h, window)
+            h = T.maxpool2d(h, T.POOL_WINDOW)
         h = T.relu(h)
     return h
 
@@ -317,7 +325,7 @@ def test_conv_block_matches_unfused_ops_bitwise():
         up[rng.random(up.shape) < 0.2] = -0.0
         case = (count, h, w, batch, dtype.__name__, kind)
         results = []
-        for op in (lambda xt, kts: T.conv_block(xt, kts, 1, 2), lambda xt, kts: _block_unfused(xt, kts, 2)):
+        for op in (T.conv_block, _block_unfused):
             xt = T.Tensor(x.astype(dtype), requires_grad=True)
             kts = [T.Tensor(k.astype(dtype), requires_grad=True) for k in ks]
             out = op(xt, kts)
@@ -329,7 +337,7 @@ def test_conv_block_matches_unfused_ops_bitwise():
         h = T.Tensor(x.astype(dtype))
         for tap, k in enumerate(ks):
             conv = T.conv2d(h, T.Tensor(k.astype(dtype)), padding=1)
-            out, act = T.conv_block(T.Tensor(x.astype(dtype)), [k.astype(dtype) for k in ks], 1, 2, tap)
+            out, act = T.conv_block(T.Tensor(x.astype(dtype)), [k.astype(dtype) for k in ks], tap)
             assert _same_bits(out.data, results[1][0]), case
             assert _same_bits(act, np.maximum(conv.data, 0)), (case, tap)
             h = T.relu(conv)
@@ -344,7 +352,7 @@ def test_conv_block_gradcheck(count):
     w = base.standard_normal((2, chans[-1], 4, 4))  # weight the outputs unevenly
 
     def make_loss(ls):
-        return T.tsum(T.mul(T.conv_block(ls[0], ls[1:], 1, 2), T.Tensor(w)))
+        return T.tsum(T.mul(T.conv_block(ls[0], ls[1:]), T.Tensor(w)))
 
     # a small step keeps the probes off the ReLU kinks and pool ties
     leaves = [leaf(x), *(leaf(k) for k in ks)]
@@ -363,7 +371,7 @@ def test_conv_block_ragged_batch_matches_unsplit_ops():
     up = rng.standard_normal((19, 4, 4, 5))
     for dtype in (np.float32, np.float64):
         results = []
-        for op in (lambda xt, kts: T.conv_block(xt, kts, 1, 2), lambda xt, kts: _block_unfused(xt, kts, 2)):
+        for op in (T.conv_block, _block_unfused):
             xt = T.Tensor(x.astype(dtype), requires_grad=True)
             kts = [T.Tensor(k.astype(dtype), requires_grad=True) for k in ks]
             out = op(xt, kts)
@@ -377,7 +385,7 @@ def test_conv_block_ragged_batch_matches_unsplit_ops():
         h = T.Tensor(x.astype(dtype))
         for tap, k in enumerate(ks):
             conv = T.conv2d(h, T.Tensor(k.astype(dtype)), padding=1)
-            _, act = T.conv_block(T.Tensor(x.astype(dtype)), [k.astype(dtype) for k in ks], 1, 2, tap)
+            _, act = T.conv_block(T.Tensor(x.astype(dtype)), [k.astype(dtype) for k in ks], tap)
             assert _same_bits(act, np.maximum(conv.data, 0)), (dtype, tap)
             h = T.relu(conv)
 
@@ -389,7 +397,7 @@ def test_conv_block_ragged_batch_gradcheck():
     w = base.standard_normal((19, 2, 3, 3))
 
     def make_loss(ls):
-        return T.tsum(T.mul(T.conv_block(ls[0], ls[1:], 1, 2), T.Tensor(w)))
+        return T.tsum(T.mul(T.conv_block(ls[0], ls[1:]), T.Tensor(w)))
 
     leaves = [leaf(x), *(leaf(k) for k in ks)]
     fails = coord_check(make_loss, leaves, np.random.default_rng(45), step=1e-6, coords=12)
@@ -401,7 +409,7 @@ def test_recorded_conv_block_keeps_input_kernels_index_and_output():
     x = T.Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32), requires_grad=True)
     shapes = ((3, 2, 3, 3), (4, 3, 3, 3))
     kts = [T.Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
-    out = T.conv_block(x, kts, 1, 2)
+    out = T.conv_block(x, kts)
     held = []
     for cell in out._op.grad_fn.__closure__:
         v = cell.cell_contents
@@ -419,15 +427,15 @@ def test_conv_block_bad_arguments():
     x = T.Tensor(np.zeros((1, 2, 6, 6)))
     k = T.Tensor(np.zeros((3, 2, 3, 3)))
     with pytest.raises(ContractError):
-        T.conv_block(x, [], 1, 2)
+        T.conv_block(x, [])
     with pytest.raises(ContractError):
-        T.conv_block(x, [k], 1, 0)
-    with pytest.raises(ContractError):
-        T.conv_block(x, [k], 1, 2, tap=1)
+        T.conv_block(x, [k], tap=1)
     with pytest.raises(DimensionError):
-        T.conv_block(x, [k, k], 1, 2)  # the second conv's channels do not chain
+        T.conv_block(x, [k, k])  # the second conv's channels do not chain
     with pytest.raises(DimensionError):
-        T.conv_block(T.Tensor(np.zeros((0, 2, 6, 6))), [k], 1, 2)
+        T.conv_block(x, [T.Tensor(np.zeros((3, 2, 2, 2)))])  # even kernel
+    with pytest.raises(DimensionError):
+        T.conv_block(T.Tensor(np.zeros((0, 2, 6, 6))), [k])
 
 
 def test_batchnorm_trivial_cases():
@@ -658,12 +666,12 @@ def test_composed_network_gradcheck():
     base = np.random.default_rng(42)
     x = base.standard_normal((2, 1, 6, 6))
     k = base.standard_normal((2, 1, 3, 3)) * 0.5
-    wf = base.standard_normal((2 * 2 * 2, 1)) * 0.3
+    wf = base.standard_normal((2 * 3 * 3, 1)) * 0.3
     bf = base.standard_normal(1)
     y = np.array([1.0, 0.0])
 
     def make_loss(ls):
-        h = T.relu(T.conv2d(ls[0], ls[1], stride=1, padding=0))
+        h = T.relu(T.conv2d(ls[0], ls[1], padding=1))
         h = T.maxpool2d(h, 2)
         h = T.flatten_batch(h)
         return T.bce_with_logits(T.reshape(T.dense(h, ls[2], ls[3]), (2,)), y)
@@ -926,23 +934,17 @@ def test_relu_backward_bitwise_masked_form():
     assert np.signbit(xt.grad[4])  # -0.0 upstream at a positive input keeps its sign
 
 
-def _conv_grad_w_saved(x, k, up, stride, pad, x_grad):
-    """Conv grad-w as the loop over a padded input copy saved at forward time."""
+def _conv_grad_w_saved(x, k, up):
+    """Conv grad-w as the loop over a padded input copy saved at forward
+    time, with the upstream gradient widened by zero columns to the padded
+    row width in a buffer of its own."""
     batch, _, h, w = x.shape
     cout, _, kh, kw = k.shape
-    flat, hp, wp = T._pad_flat(x, pad, pad)  # the saved copy
-    ho, wo = hp - kh + 1, wp - kw + 1
-    span = ho * wp
-    qh, qw = kh - 1 - pad, kw - 1 - pad
-    if x_grad and qh == qw == pad:
-        gflat = np.zeros((batch, cout, hp + 1, wp), dtype=up.dtype)
-        gflat[:, :, qh : qh + ho : stride, qw : qw + wo : stride] = up
-        gflat = gflat.reshape(batch, cout, (hp + 1) * wp)
-        rows = gflat[:, :, qh * wp + qw : qh * wp + qw + span]
-    else:
-        g1 = np.zeros((batch, cout, ho, wp), dtype=up.dtype)
-        g1[:, :, ::stride, :wo:stride] = up
-        rows = g1.reshape(batch, cout, span)
+    flat, hp, wp = T._pad_flat(x, kh // 2)  # the saved copy
+    span = h * wp
+    g1 = np.zeros((batch, cout, h, wp), dtype=up.dtype)
+    g1[..., :w] = up
+    rows = g1.reshape(batch, cout, span)
     gk = np.empty(k.shape, dtype=np.result_type(up, flat))
     for i in range(kh):
         for j in range(kw):
@@ -952,13 +954,15 @@ def _conv_grad_w_saved(x, k, up, stride, pad, x_grad):
 
 
 def test_conv_grad_w_bitwise_saved_padded_copy():
+    # grad-w reads its rows from the one padded gradient buffer that grad-x
+    # also reads, with or without grad-x, and matches the separate widened buffer
     rng = np.random.default_rng(14)
-    for cin, stride, pad, x_grad in itertools.product((1, 8), (1, 2), (0, 1, 2), (False, True)):
+    for cin, ksize, x_grad in itertools.product((1, 8), (1, 3, 5), (False, True)):
         x = rng.standard_normal((3, cin, 7, 9)).astype(np.float32)
-        k = rng.standard_normal((4, cin, 3, 3)).astype(np.float32)
+        k = rng.standard_normal((4, cin, ksize, ksize)).astype(np.float32)
         xt = T.Tensor(x, requires_grad=x_grad)
         kt = T.Tensor(k, requires_grad=True)
-        out = T.conv2d(xt, kt, stride=stride, padding=pad)
+        out = T.conv2d(xt, kt, padding=ksize // 2)
         up = rng.standard_normal(out.data.shape).astype(np.float32)
         T.backward(out, up)
-        assert _same_bits(kt.grad, _conv_grad_w_saved(x, k, up, stride, pad, x_grad)), (cin, stride, pad, x_grad)
+        assert _same_bits(kt.grad, _conv_grad_w_saved(x, k, up)), (cin, ksize, x_grad)
