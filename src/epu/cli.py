@@ -255,27 +255,23 @@ def cmd_explain(args) -> int:
         )
     rss = RssVector(scores[0], model.pfm_labels)
     names = model.class_names or ("class0", "class1")
+    stem = _stem(args.image)
+    # every artifact is built before the first is written, so a failure leaves none
+    files = [(f"{stem}.chart.svg", render_local_chart(rss, names).encode("utf-8"))]
+    for slug, maps in zip(PFM_SLUGS, acts):
+        prm = build_prm(maps[0], side, side, bins=settings.bins)
+        files.append((f"{stem}.prm-{slug}.ppm", encode_ppm(overlay_prm(resized, prm))))
+    files.append((f"{stem}.rss.jsonl", rss_sidecar(rss).encode("utf-8")))
     print(
         f"predicted={names[int(p >= 0.5)]}"
         f" probability={p!r} beta={float(model.beta.tensor.data[0])!r}"
     )
     out_dir = settings.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    stem = _stem(args.image)
-
-    chart_path = os.path.join(out_dir, f"{stem}.chart.svg")
-    _write_text(chart_path, render_local_chart(rss, names))
-    print(chart_path)
-
-    for slug, maps in zip(PFM_SLUGS, acts):
-        prm = build_prm(maps[0], side, side, bins=settings.bins)
-        path = os.path.join(out_dir, f"{stem}.prm-{slug}.ppm")
-        _write_bytes(path, encode_ppm(overlay_prm(resized, prm)))
+    for name, blob in files:
+        path = os.path.join(out_dir, name)
+        _write_bytes(path, blob)
         print(path)
-
-    sidecar_path = os.path.join(out_dir, f"{stem}.rss.jsonl")
-    _write_text(sidecar_path, rss_sidecar(rss))
-    print(sidecar_path)
     return 0
 
 
@@ -323,14 +319,9 @@ def _add_setting(sub, section: str, key: str, help=None) -> None:
     sub.add_argument("--" + key.replace("_", "-"), type=SCHEMA[section][key], help=help)
 
 
-def _add_config_flags(sub, arch=True):
+def _add_config_flags(sub):
     sub.add_argument("--config", help="sectioned key = value config file")
     sub.add_argument("--out", help="output directory")
-    if arch:
-        _add_setting(sub, "arch", "preset", "architecture preset name")
-        _add_setting(sub, "arch", "blocks", "conv blocks, e.g. 2x8,2x16,3x32")
-        for key in ("kernel_size", "fc_width", "input_side"):
-            _add_setting(sub, "arch", key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,6 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
         "held-out fraction, at most 0.5 (default 0.2); rounded to 1/k, e.g. 0.4 -> 1/2",
     )
     _add_config_flags(p)
+    _add_setting(p, "arch", "preset", "architecture preset name")
+    _add_setting(p, "arch", "blocks", "conv blocks, e.g. 2x8,2x16,3x32")
+    for key in ("kernel_size", "fc_width", "input_side"):
+        _add_setting(p, "arch", key)
 
     p = subs.add_parser("explain", help="per-image prediction, score chart, relevance overlays")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -374,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting(p, "interpret", "layer", "1-based conv layer for relevance maps")
     _add_setting(p, "interpret", "bins")
-    _add_config_flags(p, arch=False)
+    _add_config_flags(p)
 
     p = subs.add_parser("global-explain", help="dataset-wide per-class score statistics")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="labeled dataset root")
-    _add_config_flags(p, arch=False)
+    _add_config_flags(p)
 
     return parser
 

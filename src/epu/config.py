@@ -17,6 +17,10 @@ from .train import TrainConfig
 DEFAULT_PRESET = "desk"
 DEFAULT_LAYER = 5
 DEFAULT_BINS = 256
+# Most histogram bins: the entropy ranking counts all maps of a layer at once
+# in a (maps, bins + 1) int64 array (`interpret._bin_counts`), which grows
+# with the count without limit, and bins beyond a map's pixel count stay empty.
+MAX_BINS = 2**16
 DEFAULT_HOLDOUT = 0.2
 
 
@@ -159,8 +163,8 @@ def resolve_settings(file_values: dict | None = None, overrides: dict | None = N
     if layer < 1:
         raise ConfigError(f"interpret layer must be >= 1, got {layer}")
     bins = merged["interpret"].get("bins", DEFAULT_BINS)
-    if bins < 2:
-        raise ConfigError(f"bins must be >= 2, got {bins}")
+    if not 2 <= bins <= MAX_BINS:
+        raise ConfigError(f"bins must lie in [2, {MAX_BINS}], got {bins}")
     return RunSettings(
         arch=arch,
         train=train,

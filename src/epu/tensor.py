@@ -1,11 +1,12 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Implements exactly the layer set the perceptual ensembles need: conv2d
-("same" padding at stride 1), maxpool2d, batchnorm2d, dense, relu, tanh,
-sigmoid, add, mul, tsum, reshape, `conv_block` (a whole conv block as one op
-that recomputes its inner activations in backward), and `bce_with_logits`,
-the training loss as one op. Every op is a module-level function (`add`,
-`relu`, `tsum`, `backward`, ...); a `Tensor` has no operator overloads.
+("same" padding at stride 1), maxpool2d (2x2 windows), batchnorm2d, dense,
+relu, tanh, sigmoid, add, tsum, reshape, `conv_block` (a whole conv block as
+one op that recomputes its inner activations in backward), and
+`bce_with_logits`, the training loss as one op. Every op is a module-level
+function (`add`, `relu`, `tsum`, `backward`, ...); a `Tensor` has no
+operator overloads.
 `conv_block` and `batchnorm2d` take a whole batch and work through it in
 parts of `MICRO_BATCH` samples, so their temporaries are sized for one part;
 each records one vertex per call.
@@ -75,10 +76,8 @@ class _Op:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_op")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _op=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False, _op=None):
+        arr = np.asarray(data)
         if arr.dtype.type not in _FLOATS:
             arr = arr.astype(np.float32)
         self.data = arr
@@ -220,18 +219,6 @@ def add(a, b) -> Tensor:
     def grad_fn(up, fresh):
         _push(fresh, av, _unbroadcast(up, ashape))
         _push(fresh, bv, _unbroadcast(up, bshape))
-
-    return _node(out, (av, bv), grad_fn)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _astensor(a), _astensor(b)
-    out = a.data * b.data
-    ad, bd, av, bv = a.data, b.data, _vertex(a), _vertex(b)
-
-    def grad_fn(up, fresh):
-        _push(fresh, av, _unbroadcast(up * bd, ad.shape))
-        _push(fresh, bv, _unbroadcast(up * ad, bd.shape))
 
     return _node(out, (av, bv), grad_fn)
 
@@ -483,34 +470,39 @@ def conv2d(x, kernels, padding: int) -> Tensor:
     return _node(out, (xv, kv), grad_fn)
 
 
-def _pool_max(xd: Array, window: int, record: bool):
+# Side of the square max-pool window, the only one there is: every pool maps
+# H x W to ceil(H / POOL_WINDOW) x ceil(W / POOL_WINDOW).
+POOL_WINDOW = 2
+# (row, column) offset in the window of each winner index, in row-major order
+_POOL_OFFSETS = [divmod(n, POOL_WINDOW) for n in range(POOL_WINDOW * POOL_WINDOW)]
+
+
+def _pool_max(xd: Array, record: bool):
     """Max-pool output of `xd` and, when `record`, its winner index (else None).
 
     Every max-pool of the package runs here. See `maxpool2d` for the order of
     ties and NaNs that the output and the index follow.
     """
+    k = POOL_WINDOW
     batch, ch, h, w = xd.shape
-    ho, wo = -(-h // window), -(-w // window)
-    ph, pw = ho * window - h, wo * window - w
+    ho, wo = -(-h // k), -(-w // k)
+    ph, pw = ho * k - h, wo * k - w
     if ph or pw:
         xp = np.pad(xd, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
     else:
         xp = xd
-    offsets = [(i, j) for i in range(window) for j in range(window)]
-    out = xp[:, :, ::window, ::window].copy()
+    out = xp[:, :, ::k, ::k].copy()
     win = None
     if record:
-        # sized for offsets up to window² - 1: uint8 would wrap above 16
-        idx = np.min_scalar_type(window * window - 1)
-        win = np.zeros(out.shape, dtype=idx)
-        gt, cand = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=idx)
-    for n, (i, j) in enumerate(offsets[1:], 1):
-        v = xp[:, :, i::window, j::window]
+        win = np.zeros(out.shape, dtype=np.uint8)
+        gt, cand = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=np.uint8)
+    for n, (i, j) in enumerate(_POOL_OFFSETS[1:], 1):
+        v = xp[:, :, i::k, j::k]
         if record:
             # offsets come in increasing order, so a later strict winner has
             # the larger index; a max is several times faster than a masked copy
             np.greater(v, out, out=gt)
-            np.maximum(win, np.multiply(gt, idx.type(n), out=cand), out=win)
+            np.maximum(win, np.multiply(gt, np.uint8(n), out=cand), out=win)
         # the running maximum goes second: numpy returns the second operand of
         # an equal pair, so a tie (-0.0 against +0.0) keeps the earlier value
         np.maximum(v, out, out=out)
@@ -518,52 +510,52 @@ def _pool_max(xd: Array, window: int, record: bool):
         nan = np.isnan(out)
         if nan.any():
             # a NaN never compares greater; its window goes to its first NaN
-            for n, (i, j) in reversed(list(enumerate(offsets))):
-                np.copyto(win, idx.type(n), where=nan & np.isnan(xp[:, :, i::window, j::window]))
+            for n, (i, j) in reversed(list(enumerate(_POOL_OFFSETS))):
+                np.copyto(win, np.uint8(n), where=nan & np.isnan(xp[:, :, i::k, j::k]))
     return out, win
 
 
-def _pool_scatter(up: Array, win: Array, window: int, h: int, w: int) -> Array:
+def _pool_scatter(up: Array, win: Array, h: int, w: int) -> Array:
     """Gradient of a max-pool's (B, C, h, w) input: each window's upstream
     value at its winner, +0.0 elsewhere."""
     # Multiplying up's bit pattern by the 0/1 mask writes up's exact bits
     # where the gradient goes and +0.0 elsewhere (a masked float copy is
     # several times slower on strided views). The views tile g, so every
     # element is written once and g needs no zero fill.
+    k = POOL_WINDOW
     batch, ch, ho, wo = win.shape
     bits = np.dtype(f"u{up.dtype.itemsize}")
-    g = np.empty((batch, ch, ho * window, wo * window), dtype=up.dtype)
+    g = np.empty((batch, ch, ho * k, wo * k), dtype=up.dtype)
     hit = np.empty(win.shape, dtype=bool)
-    for n in range(window * window):
-        i, j = divmod(n, window)
+    for n, (i, j) in enumerate(_POOL_OFFSETS):
         np.equal(win, n, out=hit)
-        np.multiply(up.view(bits), hit, out=g.view(bits)[:, :, i::window, j::window])
+        np.multiply(up.view(bits), hit, out=g.view(bits)[:, :, i::k, j::k])
     return g if g.shape[2:] == (h, w) else np.ascontiguousarray(g[:, :, :h, :w])
 
 
 def maxpool2d(x, window: int) -> Tensor:
-    """Square max pooling; ragged edges padded with -inf (output ceil(H/w)).
+    """2x2 max pooling; ragged edges padded with -inf (output ceil(H/2)).
 
-    The output is the elementwise maximum of the window² strided views
-    xp[:, :, i::w, j::w], taken in row-major order of (i, j). A NaN in a
-    window makes its output NaN. Ties keep the first maximum's value, and the
-    gradient goes to the first maximum in row-major order, or to the first
-    NaN. When a graph is recorded, the forward max loop also notes that
-    winner's offset in the window, one byte per output element (two for
-    windows above 16); backward reads only that index, so the graph keeps
-    neither the input nor the output. Without a graph no index is computed.
+    `window` must be `POOL_WINDOW`. The output is the elementwise maximum of
+    the four strided views xp[:, :, i::2, j::2], taken in row-major order of
+    (i, j). A NaN in a window makes its output NaN. Ties keep the first
+    maximum's value, and the gradient goes to the first maximum in row-major
+    order, or to the first NaN. When a graph is recorded, the forward max
+    loop also notes that winner's offset in the window, one byte per output
+    element; backward reads only that index, so the graph keeps neither the
+    input nor the output. Without a graph no index is computed.
     """
     x = _astensor(x)
     if x.data.ndim != 4:
         raise DimensionError(f"maxpool2d expects NCHW input, got shape {x.data.shape}")
-    if window < 1:
-        raise ContractError(f"maxpool2d window must be >= 1, got {window}")
+    if window != POOL_WINDOW:
+        raise ContractError(f"maxpool2d window must be {POOL_WINDOW}, got {window}")
     xv = _vertex(x)
     h, w = x.data.shape[2:]
-    out, win = _pool_max(x.data, window, xv is not None and _grad_enabled.get())
+    out, win = _pool_max(x.data, xv is not None and _grad_enabled.get())
 
     def grad_fn(up, fresh):
-        _push(fresh, xv, _pool_scatter(up, win, window, h, w))
+        _push(fresh, xv, _pool_scatter(up, win, h, w))
 
     return _node(out, (xv,), grad_fn)
 
@@ -573,10 +565,6 @@ def maxpool2d(x, window: int) -> Tensor:
 # samples, (64, 8, 64, 66) float32, is 8.6 MB, four times a core's 2 MiB L2
 # cache; the same buffer for 8 samples is 1.1 MB and stays in it.
 MICRO_BATCH = 8
-
-# Side of the square max-pool window that ends every `conv_block`: a block
-# maps H x W to ceil(H / POOL_WINDOW) x ceil(W / POOL_WINDOW).
-POOL_WINDOW = 2
 
 
 def _parts(batch: int) -> list[slice]:
@@ -593,7 +581,7 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
     """One conv block on NCHW input: conv, ReLU, ..., conv, max-pool, ReLU.
 
     The convs run in the order of `kernels`, each as `conv2d` does: "same"
-    padding at stride 1. The pool is `maxpool2d(., POOL_WINDOW)`. The block's
+    padding at stride 1. The pool is `maxpool2d`'s 2x2 pool. The block's
     last ReLU comes after the pool: ReLU is monotone, so this equals pooling
     the ReLU output. The batch runs in parts of `MICRO_BATCH` samples, forward
     and backward, and the op records one vertex for the whole batch. For
@@ -644,7 +632,7 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
                     act[s] = h
                 else:
                     np.maximum(h, 0, out=act[s])
-        pooled, part_win = _pool_max(h, POOL_WINDOW, record)
+        pooled, part_win = _pool_max(h, record)
         del h
         out = _batch_array(out, batch, pooled)
         _relu_array(pooled, out=out[s])
@@ -656,7 +644,7 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
         gks = [None] * len(kds)
         gx_all = None
         for s in _parts(batch):
-            g = _pool_scatter(up[s] * (out[s] > 0), win[s], POOL_WINDOW, ch, cw)
+            g = _pool_scatter(up[s] * (out[s] > 0), win[s], ch, cw)
             # each conv's input: the block input, then the inner ReLU outputs,
             # recomputed as forward made them
             hs = [xd[s]]

@@ -568,8 +568,9 @@ def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (len(images),):
         raise ContractError(f"need one label per image, got {labels.shape} for {len(images)} images")
-    if np.any(labels < 0):
-        raise ContractError(f"labels must be >= 0, got {labels.min()}")
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise ContractError(f"labels must be 0 or 1, got {bad[0]}")
     paths = _paths_for(images, paths)
     side = model.arch.input_side
 

@@ -1,11 +1,16 @@
 """Finite-difference gradient oracles shared by unit and acceptance tests."""
 import numpy as np
 
-from epu.tensor import Tensor, backward
+from epu.tensor import Tensor, backward, matmul, reshape
 
 
 def leaf(arr):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+
+
+def dot(a, b):
+    """The scalar sum of a * b over all elements, as a graph of reshape and matmul."""
+    return reshape(matmul(reshape(a, (1, -1)), reshape(b, (-1, 1))), ())
 
 
 def coord_check(make_loss, leaves, rng, step=1e-3, rtol=1e-3, coords=16):

@@ -28,7 +28,7 @@ from epu.model import ArchConfig, PRESETS, build_model, predict
 from epu.pfm import PfmStack, dwt2_level, idwt2_level, srgb_to_lab, upsample, RgbImage
 from epu.tensor import Tensor
 from conftest import run_cli
-from gradcheck import coord_check, leaf
+from gradcheck import coord_check, dot, leaf
 
 TINY = ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8)
 
@@ -58,7 +58,7 @@ def _layer_cases(rng):
         rm = np.zeros(3)
         rv = np.ones(3)
         out = T.batchnorm2d(lv[0], lv[1], lv[2], rm, rv, training=True)
-        return T.tsum(T.mul(out, out))
+        return dot(out, out)
 
     cases.append((bn_loss, [x, g, b]))
 
@@ -71,9 +71,7 @@ def _layer_cases(rng):
     vals = rng.standard_normal((4, 5))
     vals = np.where(np.abs(vals) < 0.05, vals + 0.1, vals)
     x = leaf(vals)
-    cases.append(
-        (lambda lv: T.tsum(T.mul(T.tanh(T.relu(lv[0])), T.sigmoid(lv[0]))), [x])
-    )
+    cases.append((lambda lv: dot(T.tanh(T.relu(lv[0])), T.sigmoid(lv[0])), [x]))
     return cases
 
 
@@ -104,10 +102,10 @@ class _DecisionRecorder:
                 self.sink.append(res > 0)
             return res
 
-        def pool_rec(xd, window, record):
+        def pool_rec(xd, record):
             if self.sink is not None:
-                self.sink.append(_pool_argmax(xd, window))
-            return self._pool(xd, window, record)
+                self.sink.append(_pool_argmax(xd, T.POOL_WINDOW))
+            return self._pool(xd, record)
 
         T._relu_array, T._pool_max = relu_rec, pool_rec
         return self

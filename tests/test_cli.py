@@ -113,6 +113,25 @@ def test_pfm_gray_input_gives_midgray_chroma(tmp_path):
         assert values == {128}, f"{slug}: {sorted(values)}"
 
 
+def test_pfm_takes_no_arch_flags_and_reads_side_from_config(tmp_path, ds_root):
+    # pfm once accepted all five arch flags, and --blocks, --kernel-size and
+    # --fc-width did nothing; its own --side sets the side
+    image = str(ds_root / "disk/00000.ppm")
+    for flag in (["--preset", "desk"], ["--blocks", "9x9"], ["--kernel-size", "5"], ["--fc-width", "3"],
+                 ["--input-side", "16"]):
+        proc = run_cli(["pfm", "--image", image, "--out", str(tmp_path / "p"), *flag], tmp_path)
+        assert proc.returncode == 2, flag
+        assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
+    assert not (tmp_path / "p").exists()
+    # a config file's [arch] input_side is still the default side
+    conf = tmp_path / "c.conf"
+    conf.write_text("[arch]\ninput_side = 16\n")
+    proc = run_cli(["pfm", "--image", image, "--out", str(tmp_path / "q"), "--config", str(conf)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    blob = (tmp_path / "q" / "00000.pfm-lightdark.pgm").read_bytes()
+    assert blob.startswith(b"P5\n16 16\n255\n")
+
+
 def test_pfm_decode_error_exit3(tmp_path):
     bad = tmp_path / "bad.ppm"
     for blob in (b"not a pixmap at all", b"hello"):
@@ -314,6 +333,43 @@ def test_explain_chart_values_match_sidecar(tmp_path, trained, ds_root):
     assert bars.keys() == rows.keys()
     for label, value in rows.items():
         assert math.isclose(bars[label], value, rel_tol=0, abs_tol=1e-12)
+
+
+def test_explain_bins_above_bound_exit2_writes_nothing(tmp_path, trained, ds_root, capsys):
+    # 10^8 bins used to allocate until the process was killed, after the
+    # chart was written
+    from epu import cli
+    from epu.config import MAX_BINS
+
+    out = tmp_path / "e"
+    argv = ["explain", "--model", str(trained / "checkpoint.epu"), "--image", str(ds_root / "disk/00000.ppm"),
+            "--out", str(out), "--layer", "2", "--bins"]
+    for bins in (MAX_BINS + 1, 100000000):
+        assert cli.main([*argv, str(bins)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: bins must lie in [2, {MAX_BINS}], got {bins}"]
+        assert not out.exists()
+    assert cli.main([*argv, str(MAX_BINS)]) == 0
+    assert len(list(out.iterdir())) == 6
+
+
+def test_explain_failure_after_predict_writes_nothing(tmp_path, trained, ds_root, capsys, monkeypatch):
+    # every artifact is built before the first is written
+    from epu import cli
+
+    def build_prm(*args, **kwargs):
+        raise MemoryError("no room for the relevance map")
+
+    monkeypatch.setattr(cli, "build_prm", build_prm)
+    out = tmp_path / "e"
+    argv = ["explain", "--model", str(trained / "checkpoint.epu"), "--image", str(ds_root / "disk/00000.ppm"),
+            "--out", str(out), "--layer", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_explain_side_mismatch_names_both(tmp_path, trained, ds_root):
@@ -764,7 +820,11 @@ def test_settings_too_large_for_memory_exit2(tmp_path, trained, ds_root, case):
         capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
-    assert _one_error_line(proc).startswith(f"error: {argv[0]} needs more memory than there is: ")
+    if case == "bins":
+        # refused by its bound before it allocates anything
+        assert _one_error_line(proc).startswith("error: bins must lie in [2, ")
+    else:
+        assert _one_error_line(proc).startswith(f"error: {argv[0]} needs more memory than there is: ")
 
 
 def test_train_and_global_explain_print_each_line_once(tmp_path, ds_root):

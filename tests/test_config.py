@@ -4,6 +4,7 @@ import pytest
 
 from epu.cli import _overrides_from_args, build_parser
 from epu.config import (
+    MAX_BINS,
     parse_blocks,
     parse_bool,
     parse_config_text,
@@ -158,6 +159,9 @@ def test_bad_ranges():
         resolve_settings({"interpret": {"layer": 0}})
     with pytest.raises(ConfigError):
         resolve_settings({"interpret": {"bins": 1}})
+    assert resolve_settings({"interpret": {"bins": MAX_BINS}}).bins == MAX_BINS
+    with pytest.raises(ConfigError, match=r"^bins must lie in \[2, 65536\], got 65537$"):
+        resolve_settings({"interpret": {"bins": MAX_BINS + 1}})
 
 
 def test_output_dir_resolution():

@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import threading
@@ -8,7 +9,8 @@ import pytest
 
 from epu import tensor as T
 from epu.errors import ContractError, DimensionError
-from gradcheck import coord_check, leaf
+from conftest import SRC_DIR, TESTS_DIR
+from gradcheck import coord_check, dot, leaf
 
 
 def test_conv2d_hand_example():
@@ -91,7 +93,7 @@ def test_conv2d_matches_direct_loops():
             xt = T.Tensor(x.astype(dtype), requires_grad=True)
             kt = T.Tensor(k.astype(dtype), requires_grad=True)
             out = T.conv2d(xt, kt, padding=ksize // 2)
-            T.backward(T.tsum(T.mul(out, T.Tensor(up.astype(dtype)))))
+            T.backward(out, up.astype(dtype))
             case = (cin, ksize, batch, dtype.__name__)
             for got, ref in ((out.data, ref_out), (kt.grad, ref_gk), (xt.grad, ref_gx)):
                 assert got.dtype == dtype, case
@@ -120,7 +122,7 @@ def test_conv2d_gradcheck_kernel_sizes(ksize):
     w = base.standard_normal((2, 2, 6, 6))  # weight the outputs unevenly
 
     def make_loss(ls):
-        return T.tsum(T.mul(T.conv2d(ls[0], ls[1], padding=ksize // 2), T.Tensor(w)))
+        return dot(T.conv2d(ls[0], ls[1], padding=ksize // 2), w)
 
     fails = coord_check(make_loss, [leaf(x), leaf(k)], np.random.default_rng(5), coords=12)
     assert fails == []
@@ -197,8 +199,9 @@ def test_maxpool_matches_references():
     # window, and ragged sides pool over -inf padding
     rng = np.random.default_rng(17)
     kinds = ("plain", "ties", "nans")
-    grid = itertools.product((1, 2, 3), ((6, 6), (5, 7)), (1, 3), (np.float32, np.float64), kinds)
-    for window, (h, w), batch, dtype, kind in grid:
+    grid = itertools.product(((6, 6), (5, 7)), (1, 3), (np.float32, np.float64), kinds)
+    window = T.POOL_WINDOW
+    for (h, w), batch, dtype, kind in grid:
         x = rng.standard_normal((batch, 2, h, w))
         if kind != "plain":
             x = np.round(x * 2) / 2
@@ -209,28 +212,19 @@ def test_maxpool_matches_references():
         xt = T.Tensor(x, requires_grad=True)
         out = T.maxpool2d(xt, window)
         T.backward(out, up)
-        case = (window, h, w, batch, dtype.__name__, kind)
+        case = (h, w, batch, dtype.__name__, kind)
         assert out.data.dtype == dtype and xt.grad.dtype == dtype, case
         for ref_out, ref_grad in (_maxpool_direct(x, window, up), _maxpool_argmax(x, window, up)):
             assert out.data.tobytes() == ref_out.tobytes(), case
             assert xt.grad.tobytes() == ref_grad.tobytes(), case
 
 
-def test_maxpool_window_above_16_indexes_every_offset():
-    # 17² = 289 offsets: a one-byte winner index would wrap past offset 255
-    rng = np.random.default_rng(23)
-    for dtype in (np.float32, np.float64):
-        x = rng.standard_normal((2, 2, 31, 34)).astype(dtype)
-        x[0, 0, 16, 16] = 9.0  # offset 288, the last of its window
-        x[0, 1, 15, 5] = 9.0  # offset 260
-        x[1, 0, 15, 3] = x[1, 0, 16, 0] = 9.0  # a tie past 255: 258 wins over 272
-        up = rng.standard_normal((2, 2, 2, 2)).astype(dtype)
-        xt = T.Tensor(x, requires_grad=True)
-        out = T.maxpool2d(xt, 17)
-        T.backward(out, up)
-        ref_out, ref_grad = _maxpool_direct(x, 17, up)
-        assert out.data.tobytes() == ref_out.tobytes()
-        assert xt.grad.tobytes() == ref_grad.tobytes()
+def test_maxpool_rejects_other_windows():
+    x = T.Tensor(np.zeros((1, 2, 6, 6)))
+    for window in (0, 1, 3, 17):
+        with pytest.raises(ContractError) as info:
+            T.maxpool2d(x, window)
+        assert str(info.value) == f"maxpool2d window must be 2, got {window}"
 
 
 def test_relu_after_maxpool_matches_relu_before_bitwise():
@@ -241,8 +235,9 @@ def test_relu_after_maxpool_matches_relu_before_bitwise():
     # first and at the first maximum with the pool first.
     rng = np.random.default_rng(29)
     kinds = ("plain", "ties", "nans")
-    grid = itertools.product((2, 3), ((6, 6), (5, 7)), (np.float32, np.float64), kinds)
-    for window, (h, w), dtype, kind in grid:
+    grid = itertools.product(((6, 6), (5, 7)), (np.float32, np.float64), kinds)
+    window = T.POOL_WINDOW
+    for (h, w), dtype, kind in grid:
         x = rng.standard_normal((3, 2, h, w))
         if kind != "plain":
             x = np.round(x * 2) / 2
@@ -259,7 +254,7 @@ def test_relu_after_maxpool_matches_relu_before_bitwise():
         before = T.Tensor(x, requires_grad=True)
         out_before = T.maxpool2d(T.relu(before), window)
         T.backward(out_before, up)
-        case = (window, h, w, dtype.__name__, kind)
+        case = (h, w, dtype.__name__, kind)
         assert out_after.data.tobytes() == out_before.data.tobytes(), case
         blocked = (out_after.data <= 0).repeat(window, 2).repeat(window, 3)[:, :, :h, :w]
         bits = f"u{x.itemsize}"
@@ -287,7 +282,7 @@ def test_maxpool_gradcheck():
     w = base.standard_normal((2, 2, 3, 3))
 
     def make_loss(ls):
-        return T.tsum(T.mul(T.maxpool2d(ls[0], 2), T.Tensor(w)))
+        return dot(T.maxpool2d(ls[0], 2), w)
 
     fails = coord_check(make_loss, [leaf(x)], np.random.default_rng(12), coords=24)
     assert fails == []
@@ -352,7 +347,7 @@ def test_conv_block_gradcheck(count):
     w = base.standard_normal((2, chans[-1], 4, 4))  # weight the outputs unevenly
 
     def make_loss(ls):
-        return T.tsum(T.mul(T.conv_block(ls[0], ls[1:]), T.Tensor(w)))
+        return dot(T.conv_block(ls[0], ls[1:]), w)
 
     # a small step keeps the probes off the ReLU kinks and pool ties
     leaves = [leaf(x), *(leaf(k) for k in ks)]
@@ -397,7 +392,7 @@ def test_conv_block_ragged_batch_gradcheck():
     w = base.standard_normal((19, 2, 3, 3))
 
     def make_loss(ls):
-        return T.tsum(T.mul(T.conv_block(ls[0], ls[1:]), T.Tensor(w)))
+        return dot(T.conv_block(ls[0], ls[1:]), w)
 
     leaves = [leaf(x), *(leaf(k) for k in ks)]
     fails = coord_check(make_loss, leaves, np.random.default_rng(45), step=1e-6, coords=12)
@@ -496,7 +491,7 @@ def test_batchnorm_gradcheck(training):
 
     def make_loss(ls):
         out = T.batchnorm2d(ls[0], ls[1], ls[2], rm.copy(), rv.copy(), training=training)
-        return T.tsum(T.mul(out, T.Tensor(w)))
+        return dot(out, w)
 
     fails = coord_check(
         make_loss, [leaf(x), leaf(g), leaf(b)], np.random.default_rng(23), coords=16
@@ -519,7 +514,7 @@ def test_dense_trivial_and_gradcheck():
     wsum = base.standard_normal((2, 2))
 
     def make_loss(ls):
-        return T.tsum(T.mul(T.dense(ls[0], ls[1], ls[2]), T.Tensor(wsum)))
+        return dot(T.dense(ls[0], ls[1], ls[2]), wsum)
 
     fails = coord_check(make_loss, [leaf(xs), leaf(ws), leaf(bs)], np.random.default_rng(31))
     assert fails == []
@@ -556,7 +551,7 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_across_calls():
     x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    y = T.tsum(T.mul(x, x))
+    y = dot(x, x)
     T.backward(y)
     first = x.grad.copy()
     T.backward(y)
@@ -580,7 +575,7 @@ def test_backward_seed_matches_weighted_sum():
     T.backward(root, g)
     seeded = [t.grad.copy() for t in leaves]
     leaves, root = _fan_out_graph(np.random.default_rng(0))
-    T.backward(T.tsum(T.mul(root, T.Tensor(g))))
+    T.backward(dot(root, g))
     for got, ref in zip(seeded, (t.grad for t in leaves)):
         assert np.array_equal(got, ref)
 
@@ -612,12 +607,12 @@ def test_backward_seed_shape_mismatch():
 def test_backward_keeps_grads_on_leaves_only():
     x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     w = T.Tensor(np.array([0.5, 0.5, 0.5]), requires_grad=True)
-    hidden = T.relu(T.mul(x, w))
-    scaled = T.mul(hidden, 2.0)
+    hidden = T.relu(T.add(x, w))
+    scaled = T.add(hidden, hidden)
     T.backward(T.tsum(scaled))
     assert hidden.grad is None and scaled.grad is None
-    assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
-    assert np.array_equal(w.grad, [2.0, 0.0, 6.0])
+    assert np.array_equal(x.grad, [2.0, 0.0, 2.0])
+    assert np.array_equal(w.grad, [2.0, 0.0, 2.0])
 
 
 def test_broadcast_add_unbroadcasts_grad():
@@ -631,7 +626,7 @@ def test_broadcast_add_unbroadcasts_grad():
 
 def test_scalar_constants_do_not_widen_dtype():
     x = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    y = T.mul(T.add(1.0, x), 2.0)
+    y = T.add(T.add(1.0, x), 2)
     assert y.data.dtype == np.float32
 
 
@@ -652,10 +647,10 @@ def test_elementwise_gradchecks_many_seeds(seed):
         ]
         acc = None
         for p in pieces:
-            term = T.mul(p, T.Tensor(w))
+            term = dot(p, w)
             acc = term if acc is None else T.add(acc, term)
         bce = T.bce_with_logits(T.reshape(t, (12,)), y)
-        return T.add(T.add(T.tsum(acc), T.tsum(T.mul(t, t))), bce)
+        return T.add(T.add(acc, dot(t, t)), bce)
 
     fails = coord_check(make_loss, [leaf(x)], np.random.default_rng(seed), coords=12)
     assert fails == []
@@ -707,7 +702,7 @@ def test_sgd_two_steps_same_grad():
 def test_no_grad_blocks_graph():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
-        y = T.tsum(T.mul(x, 2.0))
+        y = T.tsum(T.add(x, x))
     assert y._op is None
 
 
@@ -724,7 +719,7 @@ def test_no_grad_on_one_thread_leaves_another_threads_graph():
     try:
         assert inside.wait(timeout=10)
         x = T.Tensor(np.ones(3), requires_grad=True)
-        y = T.tsum(T.mul(x, 2.0))
+        y = T.tsum(T.add(x, x))
     finally:
         done.set()
         thread.join(timeout=10)
@@ -788,7 +783,7 @@ def test_batchnorm_ragged_batch_gradcheck():
 
     def make_loss(ls):
         out = T.batchnorm2d(ls[0], ls[1], ls[2], np.zeros(2), np.ones(2), training=True)
-        return T.tsum(T.mul(T.tanh(out), T.Tensor(w)))
+        return dot(T.tanh(out), w)
 
     fails = coord_check(make_loss, [leaf(x), leaf(g), leaf(b)], np.random.default_rng(25), coords=12)
     assert fails == []
@@ -856,8 +851,8 @@ def test_graph_has_no_cycles_and_closures_hold_no_tensors():
         h = T.batchnorm2d(h, g, b, np.zeros(2), np.ones(2), training=True)
         h = T.matmul(T.flatten_batch(h), w)
         h = T.add(T.tanh(h), T.sigmoid(h))
-        h = T.mul(T.sigmoid(h), T.add(h, 1.0))
-        return T.bce_with_logits(T.reshape(T.mul(h, h), (6,)), np.ones(6))
+        h = T.add(T.sigmoid(h), T.add(h, 1.0))
+        return T.bce_with_logits(T.reshape(T.tanh(h), (6,)), np.ones(6))
 
     def op_closures(root):
         """Every op record's closure; checks what each closure holds."""
@@ -966,3 +961,50 @@ def test_conv_grad_w_bitwise_saved_padded_copy():
         up = rng.standard_normal(out.data.shape).astype(np.float32)
         T.backward(out, up)
         assert _same_bits(kt.grad, _conv_grad_w_saved(x, k, up)), (cin, ksize, x_grad)
+
+
+# ---------------------------------------------------------------------------
+# what the engine exports
+
+
+def _tensor_module_uses(tree):
+    """Names that a module takes from `epu.tensor`: imported from it, or read
+    as attributes of a name the module binds to it."""
+    used, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("tensor", "epu.tensor"):
+                used.update(a.name for a in node.names)
+            elif node.module in (None, "epu"):
+                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_tensor_name_has_a_caller_outside_the_tests():
+    # a caller is another top-level statement of tensor.py, the rest of the
+    # package or the benchmark; a name that only tests reach should go
+    source = SRC_DIR / "epu" / "tensor.py"
+    body = ast.parse(source.read_text()).body
+    public = {}
+    for n, node in enumerate(body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        public.update((name, n) for name in names if not name.startswith("_"))
+    used = set()
+    for n, node in enumerate(body):
+        used.update(
+            v.id for v in ast.walk(node) if isinstance(v, ast.Name) and public.get(v.id, n) != n
+        )
+    others = [p for p in (SRC_DIR / "epu").glob("*.py") if p != source]
+    others += (TESTS_DIR.parent / "perfbench").glob("*.py")
+    for path in others:
+        used |= _tensor_module_uses(ast.parse(path.read_text()))
+    assert len(public) > 20
+    assert sorted(set(public) - used) == []

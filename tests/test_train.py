@@ -228,8 +228,8 @@ def test_pool_workers_run_in_the_callers_grad_mode():
     x = Tensor(np.ones(3), requires_grad=True)
     with ThreadPoolExecutor(max_workers=2) as pool:
         with T.no_grad():
-            quiet = _pool_map(pool, lambda k: T.mul(x, float(k)), [1, 2])
-        recorded = _pool_map(pool, lambda k: T.mul(x, float(k)), [1, 2])
+            quiet = _pool_map(pool, lambda k: T.add(x, float(k)), [1, 2])
+        recorded = _pool_map(pool, lambda k: T.add(x, float(k)), [1, 2])
     assert all(t._op is None for t in quiet)
     assert all(t._op is not None for t in recorded)
 
@@ -661,6 +661,19 @@ def test_evaluate_empty_rejected():
     model = build_model(TINY, seed=0)
     with pytest.raises(ContractError):
         evaluate(model, [], np.array([], dtype=np.int64))
+
+
+def test_evaluate_rejects_labels_other_than_0_and_1_before_scoring(monkeypatch):
+    # a label of 2 used to pass, and was refused only after every chunk was scored
+    def predict(*args, **kwargs):
+        raise AssertionError("predict called")
+
+    monkeypatch.setattr(train_module, "predict", predict)
+    images = [RgbImage(np.full((8, 8, 3), v, np.uint8)) for v in range(3)]
+    for bad in (2, -1):
+        with pytest.raises(ContractError) as info:
+            evaluate(build_model(TINY, seed=0), images, np.array([0, bad, 1]))
+        assert str(info.value) == f"labels must be 0 or 1, got {bad}"
 
 
 def test_evaluate_paths_length_mismatch_rejected(tmp_path):
