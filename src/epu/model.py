@@ -21,7 +21,9 @@ backward recomputes the block's inner ReLU outputs from its input, running
 every conv's forward again except the last one's. Training thus keeps no
 full-resolution activation: a desk sub-network's graph is about a third of
 what it is with the inner ReLU outputs kept, and each inner conv's forward
-runs twice per step.
+runs twice per step. The backward sweep frees each vertex's saved arrays as
+it passes it, so a sub-network's graph shrinks from the head down while it is
+swept, and a swept graph cannot be swept again.
 """
 from __future__ import annotations
 

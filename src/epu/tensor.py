@@ -19,13 +19,16 @@ gradient reads. An output that no gradient reads, such as a conv's
 pre-activation once ReLU has consumed it, is therefore freed as soon as its
 tensor is dropped, and a graph holds no reference cycle: reference counting
 frees it when its root goes. `backward` replays the vertices in reverse
-topological order.
+topological order; a replayed vertex drops its closure and inputs, freeing
+the arrays it saved while the caller still holds the root.
 
-Gradients land on leaves only: each backward call adds its contribution to
-`.grad` of every requires-grad leaf in the ancestry, so two calls double the
-grads unless they are zeroed in between. Computed tensors pass their gradient
-on and keep no `.grad`. A sweep may start from any tensor with an explicit
-seed gradient, so a graph can be cut at a tensor and swept in stages.
+Each graph is swept once: a sweep that reaches a swept vertex, from its own
+root or another, raises `ContractError` before any `.grad` changes. Gradients
+land on leaves only: each backward call adds its contribution to `.grad` of
+every requires-grad leaf in the ancestry, so sweeps of separately built graphs
+accumulate unless the grads are zeroed in between. Computed tensors pass their
+gradient on and keep no `.grad`. A sweep may start from any tensor with an
+explicit seed gradient, so a graph can be cut at a tensor and swept in stages.
 """
 from __future__ import annotations
 
@@ -162,8 +165,10 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
     Without `grad` the root must be a scalar loss and the seed is one. With
     it, `grad` must have the root's shape and stands for d(loss)/d(root) of a
     loss further down the graph. Accumulates into `.grad` of every
-    requires-grad leaf reachable from `root`. Propagation uses per-call fresh
-    gradients so repeated calls add rather than compound.
+    requires-grad leaf reachable from `root`. Each vertex is swept once: once
+    its closure has pushed its gradients it drops the closure and its inputs,
+    freeing the arrays it saved, and a later sweep that reaches it raises
+    `ContractError` before touching any `.grad`.
     """
     if grad is None:
         if root.data.size != 1:
@@ -189,6 +194,8 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
         seen.add(id(vertex))
         stack.append((vertex, True))
         if type(vertex) is _Op:
+            if vertex.inputs is None:
+                raise ContractError("backward reached a vertex that an earlier sweep already freed")
             for p in vertex.inputs:
                 if id(p) not in seen:
                     stack.append((p, False))
@@ -200,6 +207,7 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
             continue
         if type(vertex) is _Op:
             vertex.grad_fn(g, fresh)
+            vertex.grad_fn = vertex.inputs = None  # frees the arrays the closure saved
         elif vertex.grad is None:
             # an owned copy: `g` may be shared with other vertices or the seed
             vertex.grad = np.array(g, dtype=vertex.data.dtype)

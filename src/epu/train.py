@@ -404,9 +404,9 @@ def fit(
     plain = None if config.augment else make_samples(images, labels, side)
     for epoch in range(config.epochs):
         if config.augment:
+            samples = None  # last epoch's stacks go before this epoch's are extracted
             arng = np.random.default_rng([config.seed, epoch, 1])
-            epoch_images = [augment_orientation(img, arng) for img in images]
-            samples = make_samples(epoch_images, labels, side)
+            samples = make_samples([augment_orientation(img, arng) for img in images], labels, side)
         else:
             samples = plain
         srng = np.random.default_rng([config.seed, epoch, 2])

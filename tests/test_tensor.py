@@ -549,13 +549,13 @@ def test_backward_requires_scalar():
         T.backward(T.add(x, 1.0))
 
 
-def test_backward_accumulates_across_calls():
+def test_backward_accumulates_across_separate_graphs():
     x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    y = dot(x, x)
-    T.backward(y)
-    first = x.grad.copy()
-    T.backward(y)
-    assert np.allclose(x.grad, 2.0 * first)
+    first, second = dot(x, x), dot(x, x)
+    T.backward(first)
+    once = x.grad.copy()
+    T.backward(second)
+    assert np.array_equal(x.grad, 2.0 * once)
 
 
 def _fan_out_graph(rng):
@@ -578,6 +578,38 @@ def test_backward_seed_matches_weighted_sum():
     T.backward(dot(root, g))
     for got, ref in zip(seeded, (t.grad for t in leaves)):
         assert np.array_equal(got, ref)
+
+
+def _grad_bytes(leaves):
+    return [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+
+def test_backward_second_sweep_of_a_graph_raises():
+    g = np.random.default_rng(1).standard_normal((2, 3))
+    leaves, root = _fan_out_graph(np.random.default_rng(0))
+    T.backward(root, g)
+    before = _grad_bytes(leaves)
+    with pytest.raises(ContractError, match="already freed"):
+        T.backward(root, g)
+    assert _grad_bytes(leaves) == before
+
+
+@pytest.mark.parametrize("fresh_first", (True, False))
+def test_backward_from_a_root_sharing_a_swept_subgraph_raises(fresh_first):
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.standard_normal((2, 1, 5, 5)), requires_grad=True)
+    k = T.Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+    h = T.relu(T.conv2d(x, k, padding=1))
+    T.backward(T.tsum(h))
+    # the second root also reaches the fresh leaf `v`, on either side of the
+    # swept `h` in the sweep order; no leaf may take a gradient
+    v = T.Tensor(np.ones(3), requires_grad=True)
+    parts = (T.tsum(v), T.tsum(T.tanh(h)))
+    other = T.add(*(parts if fresh_first else parts[::-1]))
+    before = _grad_bytes((x, k))
+    with pytest.raises(ContractError, match="already freed"):
+        T.backward(other)
+    assert _grad_bytes((x, k)) == before and v.grad is None
 
 
 def test_backward_leaf_grad_is_an_owned_copy_of_the_first_gradient():
@@ -834,6 +866,25 @@ def test_conv_preactivation_freed_once_relu_consumed_it():
         grads.append((x.grad, k.grad))
     for got, want in zip(grads[1], grads[0]):
         assert _same_bits(got, want)
+
+
+def test_backward_frees_saved_arrays_while_the_root_lives():
+    rng = np.random.default_rng(13)
+    x = T.Tensor(rng.standard_normal((3, 2, 8, 8)).astype(np.float32), requires_grad=True)
+    shapes = ((3, 2, 3, 3), (4, 3, 3, 3))
+    kts = [T.Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+    gamma = T.Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+    beta = T.Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+    h = T.conv_block(x, kts)
+    root = T.tsum(T.batchnorm2d(h, gamma, beta, np.zeros(4), np.ones(4), training=True))
+    ref = weakref.ref(h.data)
+    del h
+    # the block's and batchnorm's closures both hold the block's output until swept
+    assert ref() is not None
+    T.backward(root)
+    # no gc.collect(): reference counting alone frees the array
+    assert ref() is None
+    assert root._op.grad_fn is None and root._op.inputs is None
 
 
 def test_graph_has_no_cycles_and_closures_hold_no_tensors():

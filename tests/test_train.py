@@ -3,6 +3,8 @@
 import math
 import os
 import re
+import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -214,6 +216,45 @@ def test_train_step_rejects_non_finite_buffers():
     samples = _separable_samples(np.random.default_rng(0), per_class=2)
     with pytest.raises(TrainingDivergedError, match="non-finite weights or batchnorm buffers"):
         train_epoch(model, samples, TrainConfig(batch_size=4, lr=0.01, epochs=1))
+
+
+def test_train_step_frees_each_graph_as_its_sweep_passes(monkeypatch):
+    real = T.backward
+    alive = []
+
+    def backward(root, grad=None):
+        closures, stack = [], [root._op]
+        while stack:
+            op = stack.pop()
+            closures.append(weakref.ref(op.grad_fn))
+            stack.extend(v for v in op.inputs if isinstance(v, T._Op))
+        real(root, grad)
+        # this frame and the step still hold the root, but none of its closures
+        alive.append(sum(r() is not None for r in closures))
+
+    monkeypatch.setattr(T, "backward", backward)
+    model = build_model(TINY, seed=0)
+    samples = _separable_samples(np.random.default_rng(0), per_class=2)
+    train_epoch(model, samples, TrainConfig(batch_size=4, epochs=1))
+    # one step: the head's sweep, then one per score
+    assert alive == [0] * (1 + model.n_pfms)
+
+
+def test_train_step_peak_memory():
+    # one desk step at batch 64 on one worker, where the traced peak repeats
+    # exactly: 37.52 MB when each swept vertex frees its arrays, 42.16 MB when
+    # they stay until the step returns (numpy 2.4.6)
+    model = build_model(PRESETS["desk"], seed=0)
+    stacks = np.random.default_rng(0).uniform(-1, 1, size=(64, 4, 64, 64)).astype(np.float32)
+    labels = (np.arange(64) % 2).astype(np.float32)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tracemalloc.start()
+        try:
+            train_module._train_step(model, pool, stacks, labels, model.parameters(), 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 def test_train_epoch_worker_error_reaches_caller():
@@ -633,6 +674,21 @@ def test_fit_divergence_reports_epoch(tmp_path):
     with pytest.raises(TrainingDivergedError) as exc:
         fit(images, labels, TINY, config)
     assert exc.value.epoch == 0
+
+
+def test_fit_drops_last_epochs_stacks_before_extracting_the_next(tmp_path, monkeypatch):
+    images, labels = _tiny_dataset(tmp_path)
+    last, overlaps = [], []
+
+    def spy(imgs, labs, side):
+        overlaps.append(sum(r() is not None for r in last))
+        out = make_samples(imgs, labs, side)
+        last[:] = [weakref.ref(s.stack.maps) for s in out]
+        return out
+
+    monkeypatch.setattr(train_module, "make_samples", spy)
+    fit(images, labels, TINY, TrainConfig(batch_size=4, lr=0.01, epochs=3, seed=0))
+    assert overlaps == [0, 0, 0]
 
 
 def test_fit_empty_rejected():
