@@ -18,9 +18,12 @@ arrays and vertices, never tensors, and each op saves only the arrays its
 gradient reads. An output that no gradient reads, such as a conv's
 pre-activation once ReLU has consumed it, is therefore freed as soon as its
 tensor is dropped, and a graph holds no reference cycle: reference counting
-frees it when its root goes. `backward` replays the vertices in reverse
-topological order; a replayed vertex drops its closure and inputs, freeing
-the arrays it saved while the caller still holds the root.
+frees it when its root goes. A vertex may also rebuild its output part by
+part from the arrays it saves (batchnorm does), and a `conv_block` fed by
+such a vertex keeps that rebuild instead of its input, so a block boundary
+keeps only the pre-batchnorm array. `backward` replays the vertices in
+reverse topological order; a replayed vertex drops its closure, inputs and
+rebuild, freeing the arrays it saved while the caller still holds the root.
 
 Each graph is swept once: a sweep that reaches a swept vertex, from its own
 root or another, raises `ContractError` before any `.grad` changes. Gradients
@@ -66,14 +69,18 @@ class _Op:
     """Graph vertex of a computed tensor: its backward closure and input vertices.
 
     `grad_fn(up, fresh)` turns the upstream gradient into `_push` calls on
-    the input vertices it captured.
+    the input vertices it captured. `rebuild`, when set, maps a `_parts`
+    slice to that slice of the vertex's output, recomputed bitwise from the
+    arrays the vertex saves, so a consumer may drop the output and rebuild it
+    part by part in its own backward.
     """
 
-    __slots__ = ("grad_fn", "inputs")
+    __slots__ = ("grad_fn", "inputs", "rebuild")
 
-    def __init__(self, grad_fn, inputs):
+    def __init__(self, grad_fn, inputs, rebuild=None):
         self.grad_fn = grad_fn
         self.inputs = inputs
+        self.rebuild = rebuild
 
 
 class Tensor:
@@ -128,11 +135,11 @@ def _vertex(t: Tensor):
     return t if t.requires_grad else None
 
 
-def _node(data: Array, vertices, grad_fn) -> Tensor:
+def _node(data: Array, vertices, grad_fn, rebuild=None) -> Tensor:
     """Wrap an op's output; `grad_fn` pushes onto `vertices` (None entries skipped)."""
     inputs = tuple(v for v in vertices if v is not None)
     if _grad_enabled.get() and inputs:
-        return Tensor(data, requires_grad=True, _op=_Op(grad_fn, inputs))
+        return Tensor(data, requires_grad=True, _op=_Op(grad_fn, inputs, rebuild))
     return Tensor(data)
 
 
@@ -166,9 +173,9 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
     it, `grad` must have the root's shape and stands for d(loss)/d(root) of a
     loss further down the graph. Accumulates into `.grad` of every
     requires-grad leaf reachable from `root`. Each vertex is swept once: once
-    its closure has pushed its gradients it drops the closure and its inputs,
-    freeing the arrays it saved, and a later sweep that reaches it raises
-    `ContractError` before touching any `.grad`.
+    its closure has pushed its gradients it drops the closure, its inputs and
+    its rebuild, freeing the arrays it saved, and a later sweep that reaches
+    it raises `ContractError` before touching any `.grad`.
     """
     if grad is None:
         if root.data.size != 1:
@@ -207,7 +214,8 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
             continue
         if type(vertex) is _Op:
             vertex.grad_fn(g, fresh)
-            vertex.grad_fn = vertex.inputs = None  # frees the arrays the closure saved
+            # frees the arrays the closures saved
+            vertex.grad_fn = vertex.inputs = vertex.rebuild = None
         elif vertex.grad is None:
             # an owned copy: `g` may be shared with other vertices or the seed
             vertex.grad = np.array(g, dtype=vertex.data.dtype)
@@ -601,10 +609,13 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
 
     A recorded vertex keeps the input, the kernels, the pool's winner index
     and the output, whose sign masks the last ReLU's gradient; it keeps no
-    full-resolution activation. Backward, part by part, recomputes the inner
-    ReLU outputs from the input, then runs the convs' backward in reverse. It
-    thus re-runs every conv's forward but the last one, whose backward reads
-    only its input and the gradient that the winner index scatters.
+    full-resolution activation. An input whose vertex can rebuild it (a
+    `batchnorm2d` output) is not kept: backward rebuilds each part of it,
+    bitwise, from batchnorm's saved input. Backward, part by part, recomputes
+    the inner ReLU outputs from the input, then runs the convs' backward in
+    reverse. It thus re-runs every conv's forward but the last one, whose
+    backward reads only its input and the gradient that the winner index
+    scatters.
 
     With `tap`, a 0-based conv index, returns (output, that conv's post-ReLU
     activations as a full-resolution array outside the graph) instead.
@@ -626,6 +637,10 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
         shape = (shape[0], kd.shape[0], *shape[2:])
     xv, kvs = _vertex(x), [_vertex(k) for k in kts]
     record = _grad_enabled.get() and any(v is not None for v in (xv, *kvs))
+    # backward reads the input part by part; an input that its producer can
+    # rebuild (batchnorm's output) is rebuilt there instead of kept
+    rebuild = xv.rebuild if type(xv) is _Op else None
+    kept = None if rebuild else xd
     batch, ch, cw = xd.shape[0], *xd.shape[2:]
     out = win = act = None
     for s in _parts(batch):
@@ -655,7 +670,7 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
             g = _pool_scatter(up[s] * (out[s] > 0), win[s], ch, cw)
             # each conv's input: the block input, then the inner ReLU outputs,
             # recomputed as forward made them
-            hs = [xd[s]]
+            hs = [kept[s] if rebuild is None else rebuild(s)]
             for kd in kds[:-1]:
                 c = _conv_forward(hs[-1], kd)
                 hs.append(_relu_array(c, out=c))
@@ -733,10 +748,13 @@ def batchnorm2d(x, gamma, beta, running_mean: Array, running_var: Array, trainin
         mean, var = running_mean.copy(), running_var
     ivstd = 1.0 / np.sqrt(var + _BN_EPS)
     batch, bc = xd.shape[0], (1, ch, 1, 1)
+
+    def rebuild(s):
+        return gd.reshape(bc) * _bn_normalize(xd[s], mean, ivstd)[1] + bd.reshape(bc)
+
     out = None
     for s in _parts(batch):
-        _, xhat = _bn_normalize(xd[s], mean, ivstd)
-        part = gd.reshape(bc) * xhat + bd.reshape(bc)
+        part = rebuild(s)
         out = _batch_array(out, batch, part)
         out[s] = part
     xv, gv, bv = _vertex(x), _vertex(gt), _vertex(bt)
@@ -773,7 +791,7 @@ def batchnorm2d(x, gamma, beta, running_mean: Array, running_var: Array, trainin
             dx[s] = part
         _push(fresh, xv, dx)
 
-    return _node(out, (xv, gv, bv), grad_fn)
+    return _node(out, (xv, gv, bv), grad_fn, rebuild)
 
 
 # ---------------------------------------------------------------------------

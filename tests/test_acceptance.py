@@ -62,6 +62,22 @@ def _layer_cases(rng):
 
     cases.append((bn_loss, [x, g, b]))
 
+    # batchnorm feeding a conv block, which rebuilds its input from
+    # batchnorm's saved arrays in backward; 10 samples run as parts of 8 and 2.
+    # A shift far above the normalized spread and positive kernels keep every
+    # ReLU well inside its positive side.
+    x = leaf(rng.standard_normal((10, 2, 4, 4)))
+    g = leaf(rng.uniform(0.5, 1.5, size=2))
+    b = leaf(rng.uniform(4.0, 5.0, size=2))
+    k = leaf(rng.uniform(0.1, 0.6, size=(2, 2, 3, 3)))
+    w_block = rng.standard_normal((10, 2, 2, 2))
+
+    def bn_block_loss(lv):
+        out = T.batchnorm2d(lv[0], lv[1], lv[2], np.zeros(2), np.ones(2), training=True)
+        return dot(T.conv_block(out, [lv[3]]), w_block)
+
+    cases.append((bn_block_loss, [x, g, b, k]))
+
     x = leaf(rng.standard_normal((3, 7)))
     w = leaf(rng.standard_normal((7, 2)) * 0.5)
     b = leaf(rng.standard_normal(2) * 0.1)

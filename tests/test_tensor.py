@@ -887,6 +887,61 @@ def test_backward_frees_saved_arrays_while_the_root_lives():
     assert root._op.grad_fn is None and root._op.inputs is None
 
 
+def test_conv_block_fed_by_batchnorm_keeps_no_batchnorm_output():
+    # the block rebuilds its input from batchnorm's saved arrays in backward,
+    # so the recorded graph keeps batchnorm's input but not its output
+    rng = np.random.default_rng(14)
+    x = T.Tensor(rng.standard_normal((11, 2, 8, 8)).astype(np.float32), requires_grad=True)
+    gamma = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    beta = T.Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    kts = [T.Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), requires_grad=True)]
+    refs, bn_ops = [], []
+
+    def forward():
+        y = T.batchnorm2d(x, gamma, beta, np.zeros(2), np.ones(2), training=True)
+        refs.append(weakref.ref(y.data))
+        bn_ops.append(y._op)
+        return T.tsum(T.conv_block(y, kts))
+
+    root = forward()
+    # no gc.collect(): reference counting alone frees the array
+    assert refs[0]() is None
+    assert bn_ops[0].rebuild is not None
+    T.backward(root)
+    assert bn_ops[0].rebuild is None  # the sweep frees what the rebuild saved
+    assert all(t.grad is not None for t in (x, gamma, beta, *kts))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_block_rebuilt_input_gradients_match_the_cut_chain(training):
+    # batchnorm -> conv_block, where the block rebuilds batchnorm's output in
+    # backward, against the same chain cut at that output: a requires-grad
+    # leaf copy, swept in two seeded stages. 11 samples run as parts of 8 and 3.
+    assert T.MICRO_BATCH == 8
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((11, 2, 7, 9)) * 2.0 + 0.5
+    gamma, beta = rng.standard_normal(2) + 1.5, rng.standard_normal(2)
+    rm, rv = rng.standard_normal(2), rng.uniform(0.5, 2.0, 2)
+    ks = [rng.standard_normal((co, ci, 3, 3)) * 0.5 for ci, co in ((2, 3), (3, 4))]
+    up = rng.standard_normal((11, 4, 4, 5))
+    for dtype in (np.float32, np.float64):
+        results = []
+        for cut in (False, True):
+            leaves = [T.Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta, *ks)]
+            y = T.batchnorm2d(*leaves[:3], rm.astype(dtype), rv.astype(dtype), training)
+            if cut:
+                c = T.Tensor(y.data.copy(), requires_grad=True)
+                out = T.conv_block(c, leaves[3:])
+                T.backward(out, up.astype(dtype))
+                T.backward(y, c.grad)
+            else:
+                out = T.conv_block(y, leaves[3:])
+                T.backward(out, up.astype(dtype))
+            results.append([out.data, *(t.grad for t in leaves)])
+        for got, want in zip(*results):
+            assert _same_bits(got, want), dtype
+
+
 def test_graph_has_no_cycles_and_closures_hold_no_tensors():
     rng = np.random.default_rng(12)
     x = T.Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
