@@ -23,7 +23,7 @@ class InterpLabel:
         s = np.asarray(self.signs, dtype=np.int8)
         if s.ndim != 1 or s.size == 0:
             raise ContractError(f"InterpLabel needs a non-empty 1-D sign vector, got shape {s.shape}")
-        if not np.all(np.isin(s, (-1, 1))):
+        if not np.all((s == -1) | (s == 1)):
             raise ContractError("InterpLabel entries must be -1 or +1")
         self.signs = s
 
@@ -40,7 +40,7 @@ class ScoredSet:
         self.labels = np.asarray(self.labels)
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
             raise ContractError("scores and labels must be equal-length 1-D arrays")
-        if not np.all(np.isin(self.labels, (0, 1))):
+        if not np.all((self.labels == 0) | (self.labels == 1)):
             raise ContractError("labels must be 0 or 1")
 
 
@@ -111,7 +111,12 @@ def jaccard_signed(a: InterpLabel, b: InterpLabel) -> float:
 
 
 def interpretability_accuracy(rss_rows, labels) -> float:
-    """Mean signed-Jaccard agreement over evaluated samples, in [0, 1]."""
+    """Mean signed-Jaccard agreement over evaluated samples, in [0, 1].
+
+    Row by row this is `jaccard_signed(predicted_interp(row),
+    ground_truth_interp(y, n))`, taken for all rows at once; the per-row
+    values are summed in row order.
+    """
     rows = np.atleast_2d(np.asarray(rss_rows, dtype=np.float64))
     labels = np.asarray(labels)
     if rows.shape[0] == 0 or labels.size == 0:
@@ -119,7 +124,13 @@ def interpretability_accuracy(rss_rows, labels) -> float:
     if rows.shape[0] != labels.size:
         raise ContractError(f"{rows.shape[0]} rss rows but {labels.size} labels")
     n = rows.shape[1]
-    total = 0.0
-    for row, y in zip(rows, labels):
-        total += jaccard_signed(predicted_interp(row), ground_truth_interp(int(y), n))
-    return total / rows.shape[0]
+    if n == 0:
+        raise ContractError("interpretability accuracy needs at least one score per sample")
+    ys = labels.reshape(-1).astype(np.int64)
+    bad = ys[(ys != 0) & (ys != 1)]
+    if bad.size:
+        raise ContractError(f"binary label must be 0 or 1, got {bad[0]}")
+    # an exact zero counts as +1, as in `predicted_interp`
+    matches = ((rows >= 0.0) == (ys == 1)[:, None]).sum(axis=1)
+    per_row = matches / (2 * n - matches)
+    return float(np.cumsum(per_row)[-1]) / rows.shape[0]

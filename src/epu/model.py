@@ -20,7 +20,9 @@ only its input, the pool's one-byte winner index and its pooled output,
 which is also batchnorm's input. A block fed by batchnorm keeps not its
 input but batchnorm's rebuild of it, so each block boundary keeps one array,
 the pre-batchnorm output, and the block rebuilds its input part by part in
-backward. Backward then recomputes the block's inner ReLU outputs from its
+backward. The dense head does the same with the last block's batchnorm
+output, which it rebuilds for its weight gradient, so the head keeps no
+activation of the blocks: only its own small ReLU and tanh outputs. Backward then recomputes the block's inner ReLU outputs from its
 input, running every conv's forward again except the last one's. Training
 thus keeps no full-resolution activation: a desk sub-network's graph is about
 a third of what it is with the inner ReLU outputs kept, and each inner conv's

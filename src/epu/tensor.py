@@ -19,11 +19,14 @@ gradient reads. An output that no gradient reads, such as a conv's
 pre-activation once ReLU has consumed it, is therefore freed as soon as its
 tensor is dropped, and a graph holds no reference cycle: reference counting
 frees it when its root goes. A vertex may also rebuild its output part by
-part from the arrays it saves (batchnorm does), and a `conv_block` fed by
-such a vertex keeps that rebuild instead of its input, so a block boundary
-keeps only the pre-batchnorm array. `backward` replays the vertices in
-reverse topological order; a replayed vertex drops its closure, inputs and
-rebuild, freeing the arrays it saved while the caller still holds the root.
+part from the arrays it saves (batchnorm does). Three ops use that: a
+`conv_block` keeps such a rebuild instead of its input, `reshape` passes it
+on, each part reshaped, when the leading axis keeps its length, and `matmul`
+keeps it instead of its left operand. So a block boundary keeps only the
+pre-batchnorm array, and a dense layer fed by a flattened batchnorm output
+keeps none. `backward` replays the vertices in reverse topological order; a
+replayed vertex drops its closure, inputs and rebuild, freeing the arrays it
+saved while the caller still holds the root.
 
 Each graph is swept once: a sweep that reaches a swept vertex, from its own
 root or another, raises `ContractError` before any `.grad` changes. Gradients
@@ -72,7 +75,9 @@ class _Op:
     the input vertices it captured. `rebuild`, when set, maps a `_parts`
     slice to that slice of the vertex's output, recomputed bitwise from the
     arrays the vertex saves, so a consumer may drop the output and rebuild it
-    part by part in its own backward.
+    part by part in its own backward. `batchnorm2d` sets it; `reshape` sets
+    its input's, reshaped; `conv_block` (for its input) and `matmul` (for its
+    left operand) are the consumers that keep it instead of the array.
     """
 
     __slots__ = ("grad_fn", "inputs", "rebuild")
@@ -240,6 +245,13 @@ def add(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Row-by-row product of 2-D `a` and `b`.
+
+    The graph keeps `b` and, when `b` needs a gradient, `a`. An `a` whose
+    vertex can rebuild it part by part (a `reshape` of a `batchnorm2d`
+    output) is not kept: backward rebuilds it, bitwise, for the gradient of
+    `b`.
+    """
     a, b = _astensor(a), _astensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError("matmul expects 2-D operands")
@@ -249,11 +261,17 @@ def matmul(a, b) -> Tensor:
     # rounds differently from one row alone, and a row's result must not
     # depend on the rows batched with it
     out = np.matmul(a.data[:, None, :], b.data)[:, 0]
-    ad, bd, av, bv = a.data, b.data, _vertex(a), _vertex(b)
+    bd, av, bv, batch = b.data, _vertex(a), _vertex(b), a.data.shape[0]
+    # the weight gradient reads the left operand; one that its producer can
+    # rebuild (a reshaped batchnorm output) is rebuilt there instead of kept
+    rebuild = av.rebuild if type(av) is _Op else None
+    kept = None if rebuild else a.data
 
     def grad_fn(up, fresh):
         _push(fresh, av, up @ bd.T)
-        _push(fresh, bv, ad.T @ up)
+        if bv is not None:
+            ad = kept if rebuild is None else _join_parts(rebuild, batch)
+            _push(fresh, bv, ad.T @ up)
 
     return _node(out, (av, bv), grad_fn)
 
@@ -346,14 +364,26 @@ def bce_with_logits(z, y) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
+    """`x`'s data reshaped to `shape`.
+
+    When the leading axis keeps its length, each sample's elements stay in
+    its row, so a vertex of `x` that can rebuild its output part by part (a
+    `batchnorm2d` output) has that rebuild passed on, each part reshaped.
+    """
     x = _astensor(x)
     out = x.data.reshape(shape)
     xv, in_shape = _vertex(x), x.data.shape
+    rebuild = None
+    if type(xv) is _Op and xv.rebuild is not None and out.shape[:1] == in_shape[:1]:
+        inner, tail = xv.rebuild, out.shape[1:]
+
+        def rebuild(s):
+            return inner(s).reshape((-1, *tail))
 
     def grad_fn(up, fresh):
         _push(fresh, xv, up.reshape(in_shape))
 
-    return _node(out, (xv,), grad_fn)
+    return _node(out, (xv,), grad_fn, rebuild)
 
 
 def flatten_batch(x) -> Tensor:
@@ -593,6 +623,16 @@ def _batch_array(buf: Array | None, batch: int, part: Array) -> Array:
     return np.empty((batch, *part.shape[1:]), dtype=part.dtype) if buf is None else buf
 
 
+def _join_parts(rebuild, batch: int) -> Array:
+    """The whole output of `batch` samples, built part by part by `rebuild`."""
+    out = None
+    for s in _parts(batch):
+        part = rebuild(s)
+        out = _batch_array(out, batch, part)
+        out[s] = part
+    return out
+
+
 def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Array]:
     """One conv block on NCHW input: conv, ReLU, ..., conv, max-pool, ReLU.
 
@@ -752,11 +792,7 @@ def batchnorm2d(x, gamma, beta, running_mean: Array, running_var: Array, trainin
     def rebuild(s):
         return gd.reshape(bc) * _bn_normalize(xd[s], mean, ivstd)[1] + bd.reshape(bc)
 
-    out = None
-    for s in _parts(batch):
-        part = rebuild(s)
-        out = _batch_array(out, batch, part)
-        out[s] = part
+    out = _join_parts(rebuild, batch)
     xv, gv, bv = _vertex(x), _vertex(gt), _vertex(bt)
 
     def grad_fn(up, fresh):

@@ -10,8 +10,14 @@ each runs on one thread, and the results do not depend on the worker count.
 `evaluate` splits its chunks into contiguous runs and scores one run in the
 calling process and each other run in a child forked for the call, up to one
 process per core; every sample is scored as it would be alone, so records do
-not depend on the process count either. Orientation augmentation is applied
-to raw images each epoch, before feature-map extraction.  Checkpoints are a
+not depend on the process count either.
+
+Feature maps are extracted batch by batch: a training batch's maps, and an
+evaluation chunk's, are written into one array when the batch is formed and
+dropped after its step, so memory does not grow with the dataset. Each epoch
+draws one orientation op per raw image, in image order, and a batch applies
+its images' ops just before extraction; without augmentation the same path
+runs with no ops and extracts every image again each epoch. Checkpoints are a
 small self-describing binary format with a payload checksum.
 """
 
@@ -39,7 +45,7 @@ from .errors import (
 )
 from .metrics import ScoredSet, accuracy, auc, interpretability_accuracy
 from .model import ArchConfig, EpuModel, build_model, predict, state_size
-from .pfm import PfmStack, RgbImage, build_pfm_stack
+from .pfm import PFM_LABELS, PfmStack, RgbImage, build_pfm_stack
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"EPU1\n"
@@ -93,10 +99,28 @@ class EpochStats:
 # epoch loop
 
 
-def _batch_arrays(batch):
-    stacks = np.stack([s.stack.maps for s in batch])
-    labels = np.array([s.label for s in batch], dtype=np.float32)
-    return stacks, labels
+def _feature_maps(images, side: int, ops=None) -> np.ndarray:
+    """(B, 4, side, side) float32 maps of `images`, each turned first by its
+    orientation op in `ops` when given. Each image's `build_pfm_stack` is
+    written into its row and dropped, so no per-image copy outlives the call.
+    """
+    out = np.empty((len(images), len(PFM_LABELS), side, side), dtype=np.float32)
+    for i, img in enumerate(images):
+        if ops is not None:
+            img = apply_orientation(img, ops[i])
+        out[i] = build_pfm_stack(img, side).maps
+    return out
+
+
+def _binary_labels(labels, count: int) -> np.ndarray:
+    """`labels` as int64: one per image, each 0 or 1, else `ContractError`."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (count,):
+        raise ContractError(f"need one label per image, got {labels.shape} for {count} images")
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise ContractError(f"labels must be 0 or 1, got {bad[0]}")
+    return labels
 
 
 def _usable_cores() -> int:
@@ -145,27 +169,34 @@ def _train_step(model: EpuModel, pool, stacks, labels, params, lr: float):
     return value, prob
 
 
-def train_epoch(model: EpuModel, samples, config: TrainConfig, rng=None) -> EpochStats:
-    """One pass over shuffled mini-batches; one loss and update per batch."""
-    if len(samples) == 0:
-        raise ContractError("cannot train on an empty sample set")
-    for s in samples:
-        if s.label not in (0, 1):
-            raise ContractError(f"binary labels must be 0 or 1, got {s.label}")
+def train_epoch(model: EpuModel, images, labels, config: TrainConfig, rng=None, ops=None) -> EpochStats:
+    """One pass over shuffled mini-batches; one loss and update per batch.
+
+    `rng` draws the order. A batch's feature maps are extracted when the batch
+    is formed, from its images turned by their orientation ops (`ops`, an
+    array of one op per image, or None for none), and dropped after its step:
+    the epoch holds one batch of maps at a time.
+    """
+    if len(images) == 0:
+        raise ContractError("cannot train on an empty image set")
+    labels = _binary_labels(labels, len(images))
     if rng is None:
         rng = np.random.default_rng([config.seed])
-    order = rng.permutation(len(samples))
+    order = rng.permutation(len(images))
+    side = model.arch.input_side
     params = model.parameters()
     loss_sum = 0.0
     correct = 0
     with ThreadPoolExecutor(max_workers=min(model.n_pfms, _usable_cores())) as pool:
-        for start in range(0, len(samples), config.batch_size):
-            batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
-            stacks, labels = _batch_arrays(batch)
-            value, prob = _train_step(model, pool, stacks, labels, params, config.lr)
-            loss_sum += value * len(batch)
-            correct += int(np.sum((prob >= 0.5).astype(np.int64) == labels.astype(np.int64)))
-    n = len(samples)
+        for start in range(0, len(images), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            targets = labels[idx].astype(np.float32)
+            stacks = _feature_maps([images[j] for j in idx], side, None if ops is None else ops[idx])
+            value, prob = _train_step(model, pool, stacks, targets, params, config.lr)
+            del stacks  # before the next batch's maps are extracted
+            loss_sum += value * len(idx)
+            correct += int(np.sum((prob >= 0.5).astype(np.int64) == targets.astype(np.int64)))
+    n = len(images)
     return EpochStats(loss=loss_sum / n, accuracy=correct / n)
 
 
@@ -189,9 +220,9 @@ def apply_orientation(image: RgbImage, op: int) -> RgbImage:
     return RgbImage(pixels=np.ascontiguousarray(out))
 
 
-def augment_orientation(image: RgbImage, rng) -> RgbImage:
-    """Uniformly pick one of the six axis-aligned orientations."""
-    return apply_orientation(image, int(rng.integers(6)))
+def draw_orientations(count: int, rng) -> np.ndarray:
+    """`count` orientation ops, each uniform over the six, one draw apiece in order."""
+    return np.array([rng.integers(6) for _ in range(count)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +414,10 @@ class FitResult:
 
 
 def make_samples(images, labels, side: int) -> list:
-    """Extract feature-map stacks for a list of RGB images."""
+    """Extract feature-map stacks for a list of RGB images, one `Sample` each.
+
+    Holds every stack at once; `fit` and `evaluate` instead extract a batch
+    at a time."""
     return [Sample(stack=build_pfm_stack(img, side), label=int(y)) for img, y in zip(images, labels)]
 
 
@@ -395,23 +429,24 @@ def fit(
     class_names=None,
     log=None,
 ) -> FitResult:
-    """Train a fresh binary model; rebuilds feature maps per augmented epoch."""
+    """Train a fresh binary model, one `train_epoch` per epoch.
+
+    With augmentation, epoch e draws one orientation op per image, in image
+    order, from `default_rng([seed, e, 1])`; every epoch draws its batch order
+    from `default_rng([seed, e, 2])`. Feature maps are extracted per batch,
+    so every epoch extracts each image once, augmented or not.
+    """
     if len(images) == 0:
         raise ContractError("cannot fit on an empty image set")
     model = build_model(arch, n_pfms=4, seed=config.seed, class_names=class_names)
-    side = arch.input_side
     history = []
-    plain = None if config.augment else make_samples(images, labels, side)
     for epoch in range(config.epochs):
+        ops = None
         if config.augment:
-            samples = None  # last epoch's stacks go before this epoch's are extracted
-            arng = np.random.default_rng([config.seed, epoch, 1])
-            samples = make_samples([augment_orientation(img, arng) for img in images], labels, side)
-        else:
-            samples = plain
+            ops = draw_orientations(len(images), np.random.default_rng([config.seed, epoch, 1]))
         srng = np.random.default_rng([config.seed, epoch, 2])
         try:
-            stats = train_epoch(model, samples, config, srng)
+            stats = train_epoch(model, images, labels, config, srng, ops)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"{exc} at epoch {epoch}", epoch=epoch) from exc
         history.append(stats)
@@ -565,20 +600,14 @@ def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
     """
     if len(images) == 0:
         raise ContractError("cannot evaluate an empty image set")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (len(images),):
-        raise ContractError(f"need one label per image, got {labels.shape} for {len(images)} images")
-    bad = labels[(labels != 0) & (labels != 1)]
-    if bad.size:
-        raise ContractError(f"labels must be 0 or 1, got {bad[0]}")
+    labels = _binary_labels(labels, len(images))
     paths = _paths_for(images, paths)
     side = model.arch.input_side
 
     def score_run(starts):
         prob_parts, rss_parts = [], []
         for start in starts:
-            stacks = np.stack([build_pfm_stack(img, side).maps for img in images[start : start + EVAL_CHUNK]])
-            prob, scores = predict(model, stacks)
+            prob, scores = predict(model, _feature_maps(images[start : start + EVAL_CHUNK], side))
             prob_parts.append(prob)
             rss_parts.append(scores)
         return np.concatenate(prob_parts), np.concatenate(rss_parts)

@@ -116,3 +116,28 @@ def test_benchmark_calls_bind_to_current_signatures():
                 bound.add(f"{module}.{name}")
     assert unbound == []
     assert {"tensor.conv2d", "tensor.maxpool2d", "tensor.batchnorm2d", "cli.main"} <= bound
+
+
+def _hooked_names():
+    """Span names the benchmark hooks by name: the keys of every dict in a
+    workload's `trace_hooks` and of worker.py's `batch_sizes` argument."""
+    names = set()
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    for fn in ast.walk(workloads):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "trace_hooks":
+            names |= {k.value for d in ast.walk(fn) if isinstance(d, ast.Dict) for k in d.keys}
+    worker = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    for kw in ast.walk(worker):
+        if isinstance(kw, ast.keyword) and kw.arg == "batch_sizes" and isinstance(kw.value, ast.Dict):
+            names |= {k.value for k in kw.value.keys}
+    return names
+
+
+def test_hooked_names_resolve_to_traced_functions():
+    # a renamed `train_epoch` would leave the traced `train` run's epoch hook
+    # unfired, and every span would be labelled `<op>:0`
+    tracer = _tracer_module()
+    spans = {name for name, *_ in tracer._targets({m: getattr(epu, m) for m in tracer.LAYERS})}
+    hooked = _hooked_names()
+    assert {"train.train_epoch", "model.forward_batch"} <= hooked
+    assert sorted(hooked - spans) == []

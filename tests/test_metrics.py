@@ -142,3 +142,29 @@ def test_interpretability_accuracy_mean():
 def test_interpretability_accuracy_empty_rejected():
     with pytest.raises(ContractError):
         MX.interpretability_accuracy(np.empty((0, 4)), np.array([]))
+
+
+def test_interpretability_accuracy_matches_the_per_row_jaccard_bitwise():
+    # the reference: each row's jaccard_signed of its predicted and target
+    # sign patterns, summed in row order; exact zeros count as +1
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        k, n = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+        rows = rng.normal(size=(k, n))
+        rows[rng.random((k, n)) < 0.2] = 0.0
+        rows[rng.random((k, n)) < 0.05] = -0.0
+        labels = rng.integers(0, 2, size=k)
+        total = 0.0
+        for row, y in zip(rows, labels):
+            total += MX.jaccard_signed(MX.predicted_interp(row), MX.ground_truth_interp(int(y), n))
+        want = total / k
+        assert np.float64(MX.interpretability_accuracy(rows, labels)).tobytes() == np.float64(want).tobytes()
+
+
+def test_interpretability_accuracy_rejects_labels_other_than_0_and_1():
+    rows = np.ones((3, 4))
+    for bad in (2, -1):
+        with pytest.raises(ContractError, match=f"binary label must be 0 or 1, got {bad}"):
+            MX.interpretability_accuracy(rows, np.array([0, bad, 1]))
+    with pytest.raises(ContractError):
+        MX.interpretability_accuracy(np.empty((2, 0)), np.array([0, 1]))

@@ -942,6 +942,68 @@ def test_conv_block_rebuilt_input_gradients_match_the_cut_chain(training):
             assert _same_bits(got, want), dtype
 
 
+def test_matmul_fed_by_reshaped_batchnorm_keeps_no_batchnorm_output():
+    # reshape passes batchnorm's rebuild on and matmul keeps it instead of its
+    # left operand, so the graph of batchnorm -> flatten -> matmul keeps
+    # batchnorm's input but not its output
+    rng = np.random.default_rng(15)
+    x = T.Tensor(rng.standard_normal((11, 2, 3, 3)).astype(np.float32), requires_grad=True)
+    gamma = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    beta = T.Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((18, 4)).astype(np.float32), requires_grad=True)
+    refs, ops = [], []
+
+    def forward():
+        y = T.batchnorm2d(x, gamma, beta, np.zeros(2), np.ones(2), training=True)
+        flat = T.flatten_batch(y)
+        refs.append(weakref.ref(y.data))
+        ops.extend([y._op, flat._op])
+        return T.tsum(T.matmul(flat, w))
+
+    root = forward()
+    # no gc.collect(): reference counting alone frees the array
+    assert refs[0]() is None
+    assert all(op.rebuild is not None for op in ops)
+    T.backward(root)
+    assert all(op.rebuild is None for op in ops)  # the sweep frees what the rebuilds saved
+    assert all(t.grad is not None for t in (x, gamma, beta, w))
+    # a reshape that moves samples across rows passes no rebuild on
+    y = T.batchnorm2d(x, gamma, beta, np.zeros(2), np.ones(2), training=True)
+    assert T.reshape(y, (22, 9))._op.rebuild is None
+    assert T.reshape(y, (11, 2, 9))._op.rebuild is not None
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_matmul_rebuilt_operand_gradients_match_the_cut_chain(training):
+    # batchnorm -> flatten -> matmul, where matmul rebuilds the flattened
+    # batchnorm output for the weight gradient, against the same chain cut at
+    # that output: a requires-grad leaf copy, swept in two seeded stages.
+    # 11 samples run as parts of 8 and 3.
+    assert T.MICRO_BATCH == 8
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((11, 3, 2, 3)) * 2.0 + 0.5
+    gamma, beta = rng.standard_normal(3) + 1.5, rng.standard_normal(3)
+    rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+    w = rng.standard_normal((18, 5))
+    up = rng.standard_normal((11, 5))
+    for dtype in (np.float32, np.float64):
+        results = []
+        for cut in (False, True):
+            leaves = [T.Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta, w)]
+            flat = T.flatten_batch(T.batchnorm2d(*leaves[:3], rm.astype(dtype), rv.astype(dtype), training))
+            if cut:
+                c = T.Tensor(flat.data.copy(), requires_grad=True)
+                out = T.matmul(c, leaves[3])
+                T.backward(out, up.astype(dtype))
+                T.backward(flat, c.grad)
+            else:
+                out = T.matmul(flat, leaves[3])
+                T.backward(out, up.astype(dtype))
+            results.append([out.data, *(t.grad for t in leaves)])
+        for got, want in zip(*results):
+            assert _same_bits(got, want), dtype
+
+
 def test_graph_has_no_cycles_and_closures_hold_no_tensors():
     rng = np.random.default_rng(12)
     x = T.Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)

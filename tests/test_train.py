@@ -1,8 +1,10 @@
 """Loss, epoch loop, augmentation, k-fold, and checkpoint tests."""
 
+import dataclasses
 import math
 import os
 import re
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -28,8 +30,8 @@ from epu.train import (
     TrainConfig,
     _pool_map,
     apply_orientation,
-    augment_orientation,
     cross_validate,
+    draw_orientations,
     evaluate,
     fit,
     kfold_split,
@@ -43,15 +45,22 @@ from epu.train import (
 TINY = ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8)
 
 
-def _separable_samples(rng, per_class=8, side=8):
-    """Class 0 stacks sit near -0.3, class 1 near +0.3."""
-    out = []
-    for label in (0, 1):
-        center = -0.3 if label == 0 else 0.3
+def _separable_images(rng, per_class=8, side=8):
+    """(images, labels): class 0 images are noisy blue, class 1 noisy yellow."""
+    images, labels = [], []
+    for label, color in ((0, (60, 60, 200)), (1, (200, 200, 60))):
         for _ in range(per_class):
-            maps = np.clip(rng.normal(center, 0.1, size=(4, side, side)), -1, 1)
-            out.append(Sample(stack=PfmStack(maps=maps.astype(np.float32)), label=label))
-    return out
+            pixels = np.clip(rng.normal(color, 20, size=(side, side, 3)), 0, 255)
+            images.append(RgbImage(pixels.astype(np.uint8)))
+            labels.append(label)
+    return images, np.array(labels)
+
+
+def _old_path_stacks(images, labels, side):
+    """Stacks and labels as training built them before it extracted maps per
+    batch: `make_samples`, then `np.stack` of the batch's stacks."""
+    samples = make_samples(images, labels, side)
+    return np.stack([s.stack.maps for s in samples]), np.array([s.label for s in samples], dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +138,15 @@ def test_bce_rejects_mismatched_shapes():
 def test_train_epoch_empty_rejected():
     model = build_model(TINY, seed=0)
     with pytest.raises(ContractError):
-        train_epoch(model, [], TrainConfig(epochs=1))
+        train_epoch(model, [], [], TrainConfig(epochs=1))
 
 
 def test_train_epoch_zero_lr_keeps_parameters():
     rng = np.random.default_rng(0)
     model = build_model(TINY, seed=1)
     before = [p.data.copy() for p in model.parameters()]
-    samples = _separable_samples(rng, per_class=4)
-    stats = train_epoch(model, samples, TrainConfig(batch_size=4, lr=0.0, epochs=1), rng)
+    images, labels = _separable_images(rng, per_class=4)
+    stats = train_epoch(model, images, labels, TrainConfig(batch_size=4, lr=0.0, epochs=1), rng)
     assert math.isfinite(stats.loss)
     for prev, param in zip(before, model.parameters()):
         assert np.array_equal(prev, param.data)
@@ -147,9 +156,9 @@ def test_train_epoch_deterministic():
     losses = []
     for _ in range(2):
         model = build_model(TINY, seed=3)
-        samples = _separable_samples(np.random.default_rng(7), per_class=4)
+        images, labels = _separable_images(np.random.default_rng(7), per_class=4)
         stats = train_epoch(
-            model, samples, TrainConfig(batch_size=4, lr=0.01, epochs=1), np.random.default_rng(5)
+            model, images, labels, TrainConfig(batch_size=4, lr=0.01, epochs=1), np.random.default_rng(5)
         )
         losses.append(stats.loss)
     assert losses[0] == losses[1]
@@ -157,21 +166,23 @@ def test_train_epoch_deterministic():
 
 def test_train_epoch_loss_decreases_on_separable_data():
     model = build_model(TINY, seed=0)
-    samples = _separable_samples(np.random.default_rng(2), per_class=8)
+    images, labels = _separable_images(np.random.default_rng(2), per_class=8)
     config = TrainConfig(batch_size=16, lr=0.01, epochs=1)
     losses = []
     for epoch in range(5):
         rng = np.random.default_rng([0, epoch])
-        losses.append(train_epoch(model, samples, config, rng).loss)
+        losses.append(train_epoch(model, images, labels, config, rng).loss)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
 def test_train_epoch_updates_bias_and_every_subnet():
-    model = build_model(TINY, seed=4)
+    # at 8 px the light-dark map, a third-level approximation, is constant
+    arch = dataclasses.replace(TINY, input_side=16)
+    model = build_model(arch, seed=4)
     beta_before = model.beta.data.copy()
     subnet_before = [sn.parameters()[0].data.copy() for sn in model.subnets]
-    samples = _separable_samples(np.random.default_rng(1), per_class=4)
-    train_epoch(model, samples, TrainConfig(batch_size=8, lr=0.05, epochs=1), np.random.default_rng(0))
+    images, labels = _separable_images(np.random.default_rng(1), per_class=4, side=16)
+    train_epoch(model, images, labels, TrainConfig(batch_size=8, lr=0.05, epochs=1), np.random.default_rng(0))
     assert not np.array_equal(beta_before, model.beta.data)
     for prev, sn in zip(subnet_before, model.subnets):
         assert not np.array_equal(prev, sn.parameters()[0].data)
@@ -179,32 +190,36 @@ def test_train_epoch_updates_bias_and_every_subnet():
 
 def test_train_epoch_rejects_bad_labels():
     model = build_model(TINY, seed=0)
-    sample = Sample(stack=PfmStack(maps=np.zeros((4, 8, 8), np.float32)), label=2)
-    with pytest.raises(ContractError):
-        train_epoch(model, [sample], TrainConfig(epochs=1))
+    images = [RgbImage(np.zeros((8, 8, 3), np.uint8))] * 3
+    for bad in (2, -1):
+        with pytest.raises(ContractError, match=f"labels must be 0 or 1, got {bad}"):
+            train_epoch(model, images, np.array([0, bad, 1]), TrainConfig(epochs=1))
+    with pytest.raises(ContractError, match="one label per image"):
+        train_epoch(model, images, np.array([0, 1]), TrainConfig(epochs=1))
 
 
 def test_train_epoch_matches_whole_graph_step():
     # the split, threaded step updates exactly as one sweep over the whole
     # graph, with batches of one part and of three micro-batches
     for batch_size, per_class in ((4, 5), (2 * T.MICRO_BATCH + 3, 20)):
-        samples = _separable_samples(np.random.default_rng(6), per_class=per_class)
+        images, labels = _separable_images(np.random.default_rng(6), per_class=per_class)
         config = TrainConfig(batch_size=batch_size, lr=0.05, epochs=1)
         model = build_model(TINY, seed=2)
-        train_epoch(model, samples, config, np.random.default_rng(8))
+        train_epoch(model, images, labels, config, np.random.default_rng(8))
 
         ref = build_model(TINY, seed=2)
         params = ref.parameters()
-        order = np.random.default_rng(8).permutation(len(samples))
-        for start in range(0, len(samples), config.batch_size):
-            batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
-            _, scores = ref.forward_batch(np.stack([s.stack.maps for s in batch]), training=True)
-            loss = T.bce_with_logits(ref.logits(scores), np.array([s.label for s in batch], dtype=np.float32))
+        stacks, targets = _old_path_stacks(images, labels, TINY.input_side)
+        order = np.random.default_rng(8).permutation(len(images))
+        for start in range(0, len(images), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            _, scores = ref.forward_batch(stacks[idx], training=True)
+            loss = T.bce_with_logits(ref.logits(scores), targets[idx])
             T.zero_grads(params)
             T.backward(loss)
             T.sgd_step(params, config.lr)
 
-        assert len(samples) > 2 * config.batch_size
+        assert len(images) > 2 * config.batch_size
         for (name, got), (_, want) in zip(model.state_entries(), ref.state_entries()):
             assert np.array_equal(got, want), (batch_size, name)
 
@@ -213,9 +228,9 @@ def test_train_step_rejects_non_finite_buffers():
     # the loss stays finite: training-mode batchnorm does not read its buffers
     model = build_model(TINY, seed=0)
     model.subnets[1].bn[0].running_var[0] = np.inf
-    samples = _separable_samples(np.random.default_rng(0), per_class=2)
+    images, labels = _separable_images(np.random.default_rng(0), per_class=2)
     with pytest.raises(TrainingDivergedError, match="non-finite weights or batchnorm buffers"):
-        train_epoch(model, samples, TrainConfig(batch_size=4, lr=0.01, epochs=1))
+        train_epoch(model, images, labels, TrainConfig(batch_size=4, lr=0.01, epochs=1))
 
 
 def test_train_step_frees_each_graph_as_its_sweep_passes(monkeypatch):
@@ -234,17 +249,18 @@ def test_train_step_frees_each_graph_as_its_sweep_passes(monkeypatch):
 
     monkeypatch.setattr(T, "backward", backward)
     model = build_model(TINY, seed=0)
-    samples = _separable_samples(np.random.default_rng(0), per_class=2)
-    train_epoch(model, samples, TrainConfig(batch_size=4, epochs=1))
+    images, labels = _separable_images(np.random.default_rng(0), per_class=2)
+    train_epoch(model, images, labels, TrainConfig(batch_size=4, epochs=1))
     # one step: the head's sweep, then one per score
     assert alive == [0] * (1 + model.n_pfms)
 
 
 def test_train_step_peak_memory():
     # one desk step at batch 64 on one worker, where the traced peak repeats
-    # exactly: 26.24 MB when a block fed by batchnorm rebuilds its input in
-    # backward, 37.52 MB when the graph keeps batchnorm's output too, 42.16 MB
-    # when every vertex's arrays stay until the step returns (numpy 2.4.6)
+    # exactly: 24.67 MB when the dense head rebuilds the last batchnorm output
+    # too, 26.24 MB when it keeps it, 37.52 MB when blocks fed by batchnorm
+    # keep its output as well, 42.16 MB when every vertex's arrays stay until
+    # the step returns (numpy 2.4.6)
     model = build_model(PRESETS["desk"], seed=0)
     stacks = np.random.default_rng(0).uniform(-1, 1, size=(64, 4, 64, 64)).astype(np.float32)
     labels = (np.arange(64) % 2).astype(np.float32)
@@ -255,15 +271,23 @@ def test_train_step_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 28.7e6, peak
+    assert peak < 27.2e6, peak
 
 
 def test_train_epoch_worker_error_reaches_caller():
-    # the sub-network forward that rejects the side runs on a pool worker
+    # a sub-network forward runs on a pool worker; its error reaches the caller
     model = build_model(TINY, seed=0)
-    samples = _separable_samples(np.random.default_rng(0), per_class=2, side=16)
-    with pytest.raises(DimensionError, match="subnet expects"):
-        train_epoch(model, samples, TrainConfig(batch_size=4, epochs=1))
+    threads = []
+
+    def forward(x, training, layer=None):
+        threads.append(threading.get_ident())
+        raise DimensionError("subnet rejected its input")
+
+    model.subnets[2].forward = forward
+    images, labels = _separable_images(np.random.default_rng(0), per_class=2)
+    with pytest.raises(DimensionError, match="subnet rejected its input"):
+        train_epoch(model, images, labels, TrainConfig(batch_size=4, epochs=1))
+    assert threads and threading.get_ident() not in threads
 
 
 def test_pool_workers_run_in_the_callers_grad_mode():
@@ -286,14 +310,12 @@ def test_loss_matches_bce_of_score_sum():
     from epu.model import predict
 
     model = build_model(TINY, seed=9)
-    samples = _separable_samples(np.random.default_rng(3), per_class=3)
-    stacks = np.stack([s.stack.maps for s in samples])
-    labels = np.array([s.label for s in samples], dtype=np.float32)
+    stacks, labels = _old_path_stacks(*_separable_images(np.random.default_rng(3), per_class=3), 8)
     _, scores = model.forward_batch(stacks, training=False)
     direct = float(T.bce_with_logits(model.logits(scores), labels).data)
     rebuilt = []
-    for s in samples:
-        _, scores = predict(model, s.stack)
+    for maps in stacks:
+        _, scores = predict(model, PfmStack(maps))
         rebuilt.append(model.beta.tensor.data[0] + scores[0].sum())
     recomputed = float(T.bce_with_logits(np.array(rebuilt), labels).data)
     assert math.isclose(direct, recomputed, rel_tol=1e-5)
@@ -355,20 +377,18 @@ def test_augment_covers_all_orientations():
     img = _gray([[1, 2], [3, 4]])
     variants = [apply_orientation(img, op).pixels.tobytes() for op in range(6)]
     assert len(set(variants)) == 6
+    ops = draw_orientations(600, np.random.default_rng(0))
+    counts = np.bincount(ops, minlength=6)
+    assert len(counts) == 6 and counts.min() > 0 and counts.max() < 200
+    # one scalar draw per op: the stream that augmented checkpoints were trained on
     rng = np.random.default_rng(0)
-    counts = dict.fromkeys(range(6), 0)
-    for _ in range(600):
-        got = augment_orientation(img, rng).pixels.tobytes()
-        counts[variants.index(got)] += 1
-    assert all(c > 0 for c in counts.values())
-    assert max(counts.values()) < 200
+    assert ops.tolist() == [int(rng.integers(6)) for _ in range(600)]
 
 
 def test_augment_deterministic():
-    img = _gray([[5, 6], [7, 8]])
-    a = [augment_orientation(img, np.random.default_rng(4)).pixels.tobytes() for _ in range(1)]
-    b = [augment_orientation(img, np.random.default_rng(4)).pixels.tobytes() for _ in range(1)]
-    assert a == b
+    a = draw_orientations(8, np.random.default_rng(4))
+    b = draw_orientations(8, np.random.default_rng(4))
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +465,8 @@ def test_kfold_seed_determinism():
 
 def _trained_tiny(seed=0):
     model = build_model(TINY, seed=seed, class_names=("crescent", "disk"))
-    samples = _separable_samples(np.random.default_rng(seed), per_class=4)
-    train_epoch(model, samples, TrainConfig(batch_size=8, lr=0.05, epochs=1), np.random.default_rng(0))
+    images, labels = _separable_images(np.random.default_rng(seed), per_class=4)
+    train_epoch(model, images, labels, TrainConfig(batch_size=8, lr=0.05, epochs=1), np.random.default_rng(0))
     return model
 
 
@@ -677,19 +697,93 @@ def test_fit_divergence_reports_epoch(tmp_path):
     assert exc.value.epoch == 0
 
 
-def test_fit_drops_last_epochs_stacks_before_extracting_the_next(tmp_path, monkeypatch):
+@pytest.mark.parametrize("augment", [True, False])
+def test_fit_holds_one_batch_of_feature_maps_at_each_step(tmp_path, monkeypatch, augment):
+    # each image's stack is dropped once written into its batch's array, and
+    # each batch's array once its step returns, so a step sees no maps but
+    # its own batch's
     images, labels = _tiny_dataset(tmp_path)
-    last, overlaps = [], []
+    stacks_made, batches, seen = [], [], []
+    real_build, real_step = train_module.build_pfm_stack, train_module._train_step
 
-    def spy(imgs, labs, side):
-        overlaps.append(sum(r() is not None for r in last))
-        out = make_samples(imgs, labs, side)
-        last[:] = [weakref.ref(s.stack.maps) for s in out]
+    def build(img, side):
+        out = real_build(img, side)
+        stacks_made.append(weakref.ref(out.maps))
         return out
 
-    monkeypatch.setattr(train_module, "make_samples", spy)
-    fit(images, labels, TINY, TrainConfig(batch_size=4, lr=0.01, epochs=3, seed=0))
-    assert overlaps == [0, 0, 0]
+    def step(model, pool, stacks, targets, params, lr):
+        alive = (sum(r() is not None for r in stacks_made), sum(r() is not None for r in batches))
+        seen.append((len(stacks), *alive))
+        batches.append(weakref.ref(stacks))
+        return real_step(model, pool, stacks, targets, params, lr)
+
+    monkeypatch.setattr(train_module, "build_pfm_stack", build)
+    monkeypatch.setattr(train_module, "_train_step", step)
+    fit(images, labels, TINY, TrainConfig(batch_size=3, lr=0.01, epochs=2, seed=0, augment=augment))
+    assert len(images) == 8 and len(stacks_made) == 2 * 8
+    assert seen == [(3, 0, 0), (3, 0, 0), (2, 0, 0)] * 2
+
+
+def _old_path_fit(images, labels, arch, config):
+    """(model, history) of `fit` as it ran when each epoch's stacks were all
+    extracted up front by `make_samples` and each batch was copied out of
+    them by `np.stack`."""
+    model = build_model(arch, n_pfms=4, seed=config.seed)
+    params, history = model.parameters(), []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for epoch in range(config.epochs):
+            epoch_images = images
+            if config.augment:
+                arng = np.random.default_rng([config.seed, epoch, 1])
+                epoch_images = [apply_orientation(img, int(arng.integers(6))) for img in images]
+            samples = make_samples(epoch_images, labels, arch.input_side)
+            order = np.random.default_rng([config.seed, epoch, 2]).permutation(len(samples))
+            loss_sum, correct = 0.0, 0
+            for start in range(0, len(samples), config.batch_size):
+                batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
+                stacks = np.stack([s.stack.maps for s in batch])
+                targets = np.array([s.label for s in batch], dtype=np.float32)
+                value, prob = train_module._train_step(model, pool, stacks, targets, params, config.lr)
+                loss_sum += value * len(batch)
+                correct += int(np.sum((prob >= 0.5).astype(np.int64) == targets.astype(np.int64)))
+            history.append((loss_sum / len(samples), correct / len(samples)))
+    return model, history
+
+
+def _state_bytes(model):
+    return [(name, a.tobytes()) for name, a in model.state_entries()]
+
+
+@pytest.mark.parametrize("batch_size", [64, 19])
+@pytest.mark.parametrize("augment", [True, False])
+def test_fit_matches_the_old_extract_everything_path_bitwise(tmp_path, batch_size, augment):
+    images, labels = _tiny_dataset(tmp_path, count=40)
+    config = TrainConfig(batch_size=batch_size, lr=0.05, epochs=2, seed=5, augment=augment)
+    result = fit(images, labels, TINY, config)
+    model, history = _old_path_fit(images, labels, TINY, config)
+    assert len(images) > batch_size
+    assert [(h.loss, h.accuracy) for h in result.history] == history
+    assert _state_bytes(result.model) == _state_bytes(model)
+
+
+def test_cross_validate_fold_matches_the_old_path_bitwise(tmp_path):
+    from epu.model import predict
+
+    images, labels = _tiny_dataset(tmp_path, count=12)
+    labels = np.asarray(labels)
+    config = TrainConfig(batch_size=5, lr=0.05, epochs=2, seed=3, folds=3)
+    report = cross_validate(images, labels, TINY, config)[0]
+    tr, va = kfold_split(labels, config.folds, config.seed)[0]
+    model, _ = _old_path_fit([images[i] for i in tr], labels[tr], TINY, config)
+    val_images = [images[i] for i in va]
+    probs, rss = [], []
+    for start in range(0, len(va), train_module.EVAL_CHUNK):
+        chunk = slice(start, start + train_module.EVAL_CHUNK)
+        prob, scores = predict(model, _old_path_stacks(val_images[chunk], labels[va][chunk], 8)[0])
+        probs += [np.float64(p).tobytes() for p in prob]
+        rss += [row.tobytes() for row in scores]
+    assert [np.float64(r.probability).tobytes() for r in report.records] == probs
+    assert [r.rss.tobytes() for r in report.records] == rss
 
 
 def test_fit_empty_rejected():
@@ -700,10 +794,9 @@ def test_fit_empty_rejected():
 def test_evaluate_separable(tmp_path):
     images, labels = _tiny_dataset(tmp_path, count=8)
     model = build_model(TINY, seed=0)
-    samples = make_samples(images, labels, side=TINY.input_side)
     config = TrainConfig(batch_size=16, lr=0.05, epochs=1)
     for epoch in range(8):
-        train_epoch(model, samples, config, np.random.default_rng([1, epoch]))
+        train_epoch(model, images, labels, config, np.random.default_rng([1, epoch]))
     report = evaluate(model, images, labels)
     assert len(report.records) == 16
     assert 0.9 <= report.auc <= 1.0
