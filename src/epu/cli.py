@@ -63,7 +63,7 @@ from .interpret import (  # noqa: E402
     rss_sidecar,
 )
 from .model import RssVector, predict  # noqa: E402
-from .pfm import PFM_SLUGS, build_pfm_stack, resize_rgb  # noqa: E402
+from .pfm import PFM_LABELS, PFM_SLUGS, build_pfm_stack, resize_rgb  # noqa: E402
 from .train import (  # noqa: E402
     check_val_splits,
     cross_validate,
@@ -253,7 +253,7 @@ def cmd_explain(args) -> int:
         raise MetricError(
             f"the model's output is not finite (probability={p!r}); its weights overflow the forward pass"
         )
-    rss = RssVector(scores[0], model.pfm_labels)
+    rss = RssVector(scores[0], PFM_LABELS)
     names = model.class_names or ("class0", "class1")
     stem = _stem(args.image)
     # every artifact is built before the first is written, so a failure leaves none
@@ -289,7 +289,7 @@ def cmd_global_explain(args) -> int:
     rss_rows = np.stack([r.rss for r in report.records])
     rec_labels = np.array([r.label for r in report.records], dtype=np.int64)
     names = model.class_names or manifest.class_names
-    stats = global_rss_stats(rss_rows, rec_labels, names, model.pfm_labels)
+    stats = global_rss_stats(rss_rows, rec_labels, names, PFM_LABELS)
 
     out_dir = settings.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)

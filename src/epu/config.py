@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import PRESETS, ArchConfig
+from .pfm import MIN_SIDE
 from .train import TrainConfig
 
 DEFAULT_PRESET = "desk"
@@ -157,8 +158,8 @@ def resolve_settings(file_values: dict | None = None, overrides: dict | None = N
         )
 
     pfm_side = merged["pfm"].get("side", arch.input_side)
-    if pfm_side < 8:
-        raise ConfigError(f"pfm side must be >= 8, got {pfm_side}")
+    if pfm_side < MIN_SIDE:
+        raise ConfigError(f"pfm side must be >= {MIN_SIDE}, got {pfm_side}")
     layer = merged["interpret"].get("layer", DEFAULT_LAYER)
     if layer < 1:
         raise ConfigError(f"interpret layer must be >= 1, got {layer}")

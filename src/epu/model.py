@@ -39,7 +39,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
-from .pfm import PFM_LABELS, PfmStack
+from .pfm import MIN_SIDE, PFM_LABELS, PfmStack
 from .tensor import Param, Tensor
 
 
@@ -63,8 +63,8 @@ class ArchConfig:
             raise ConfigError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
         if self.fc_width < 1:
             raise ConfigError(f"fc_width must be >= 1, got {self.fc_width}")
-        if self.input_side < 8:
-            raise ConfigError(f"input_side must be >= 8, got {self.input_side}")
+        if self.input_side < MIN_SIDE:
+            raise ConfigError(f"input_side must be >= {MIN_SIDE}, got {self.input_side}")
 
     @property
     def conv_layer_count(self) -> int:
@@ -212,14 +212,16 @@ class SubNetwork:
 
 
 class EpuModel:
-    """N sub-networks plus a learnable intercept."""
+    """One sub-network per entry of `PFM_LABELS`, in that order, plus a
+    learnable intercept. `class_names`, when given, names the two classes."""
 
-    def __init__(self, arch, subnets, beta: Param, pfm_labels, class_names=None):
+    def __init__(self, arch, subnets, beta: Param, class_names=None):
+        if class_names is not None and len(class_names) != 2:
+            raise ConfigError(f"need two class names, got {len(class_names)}: {tuple(class_names)}")
         self.arch = arch
         self.subnets = list(subnets)
         self.beta = beta
-        self.pfm_labels = tuple(pfm_labels)
-        self.class_names = tuple(class_names) if class_names else None
+        self.class_names = None if class_names is None else tuple(class_names)
 
     @property
     def n_pfms(self) -> int:
@@ -282,10 +284,9 @@ class EpuModel:
         return T.reshape(logits, (logits.data.shape[0],))
 
 
-def state_size(arch: ArchConfig, n_pfms: int) -> int:
+def state_size(arch: ArchConfig) -> int:
     """Floats in the parameters and buffers of a model, by arithmetic alone:
-    what `build_model(arch, n_pfms)` would allocate, as `state_entries` lists
-    it."""
+    what `build_model(arch)` would allocate, as `state_entries` lists it."""
     k = arch.kernel_size
     per_subnet, cin, side = 0, 1, arch.input_side
     for count, depth in arch.blocks:
@@ -295,35 +296,23 @@ def state_size(arch: ArchConfig, n_pfms: int) -> int:
         cin, side = depth, math.ceil(side / T.POOL_WINDOW)
     flat_dim = cin * side * side
     per_subnet += (flat_dim + 1) * arch.fc_width + arch.fc_width + 1
-    return n_pfms * per_subnet + 1
+    return len(PFM_LABELS) * per_subnet + 1
 
 
-def build_model(
-    arch: ArchConfig,
-    n_pfms: int = 4,
-    seed: int | None = 0,
-    pfm_labels=None,
-    class_names=None,
-) -> EpuModel:
-    """Construct N independently initialized sub-networks and a zero intercept.
+def build_model(arch: ArchConfig, seed: int | None = 0, class_names=None) -> EpuModel:
+    """Construct one independently initialized sub-network per feature map
+    and a zero intercept.
 
     Sub-network i draws its weights from `default_rng([seed, i])`. With
     `seed=None` no weights are drawn and all are zero, for a caller that
     restores every parameter afterwards (as `load_checkpoint` does).
     """
-    if n_pfms < 1:
-        raise ConfigError(f"n_pfms must be >= 1, got {n_pfms}")
-    if pfm_labels is None:
-        pfm_labels = PFM_LABELS if n_pfms == 4 else tuple(f"pfm{i}" for i in range(n_pfms))
-    if len(pfm_labels) != n_pfms:
-        raise ConfigError(f"need {n_pfms} pfm labels, got {len(pfm_labels)}")
-
     subnets = [
         SubNetwork(arch, i, None if seed is None else np.random.default_rng([seed, i]))
-        for i in range(n_pfms)
+        for i in range(len(PFM_LABELS))
     ]
     beta = Param("beta", Tensor(np.zeros(1, np.float32), requires_grad=True))
-    return EpuModel(arch, subnets, beta, pfm_labels, class_names)
+    return EpuModel(arch, subnets, beta, class_names)
 
 
 def predict(model: EpuModel, stacks, layer: int | None = None):

@@ -22,6 +22,9 @@ from .errors import DimensionError
 
 PFM_LABELS = ("light-dark", "coarse-fine", "blue-yellow", "green-red")
 PFM_SLUGS = ("lightdark", "coarsefine", "blueyellow", "greenred")
+# Smallest map side: at 8 the third-level Haar approximation is 1x1, so the
+# light-dark map is all zeros for every image; at 9 it is 2x2.
+MIN_SIDE = 9
 
 _SQRT2 = np.sqrt(2.0)
 

@@ -18,7 +18,8 @@ dropped after its step, so memory does not grow with the dataset. Each epoch
 draws one orientation op per raw image, in image order, and a batch applies
 its images' ops just before extraction; without augmentation the same path
 runs with no ops and extracts every image again each epoch. Checkpoints are a
-small self-describing binary format with a payload checksum.
+small self-describing binary format whose checksum covers the header and the
+payload.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .pfm import PFM_LABELS, PfmStack, RgbImage, build_pfm_stack
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"EPU1\n"
-CHECKPOINT_FORMAT = "1"
+CHECKPOINT_FORMAT = "2"
 # images per `predict` call in `evaluate`: larger chunks held more memory
 # without scoring faster
 EVAL_CHUNK = 4
@@ -229,13 +230,14 @@ def draw_orientations(count: int, rng) -> np.ndarray:
 # k-fold splitting
 
 
-def kfold_split(samples, folds: int, seed: int = 0):
-    """Stratified folds: per-class shuffle, then continuous round-robin deal.
+def kfold_split(labels, folds: int, seed: int = 0):
+    """Stratified folds of `labels`: per-class shuffle, then continuous
+    round-robin deal.
 
     The deal position carries over between classes so overall fold sizes
     differ by at most one while each class stays evenly spread.
     """
-    labels = np.asarray([getattr(s, "label", s) for s in samples], dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
@@ -287,11 +289,6 @@ def _header_blob(model: EpuModel, epoch: int, seed: int, count: int) -> bytes:
     a = model.arch
     pairs = [
         ("format", CHECKPOINT_FORMAT),
-        # every model is binary; both fields stay in the format, and loading checks the mode
-        ("mode", "binary"),
-        ("n_pfms", str(model.n_pfms)),
-        ("n_classes", "2"),
-        ("pfm_labels", ",".join(model.pfm_labels)),
         ("blocks", ",".join(f"{r}x{c}" for r, c in a.blocks)),
         ("kernel_size", str(a.kernel_size)),
         ("fc_width", str(a.fc_width)),
@@ -307,12 +304,13 @@ def _header_blob(model: EpuModel, epoch: int, seed: int, count: int) -> bytes:
 
 
 def save_checkpoint(model: EpuModel, path: str, epoch: int = 0, seed: int = 0) -> None:
-    """Magic, `key = value` header, blank line, <f4 payload, crc32 trailer."""
+    """Magic, `key = value` header, blank line, <f4 payload, then the crc32 of
+    all of those bytes."""
     entries = model.state_entries()
     payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in entries)
     count = sum(a.size for _, a in entries)
-    blob = CHECKPOINT_MAGIC + _header_blob(model, epoch, seed, count) + b"\n"
-    blob += payload + zlib.crc32(payload).to_bytes(4, "little")
+    blob = CHECKPOINT_MAGIC + _header_blob(model, epoch, seed, count) + b"\n" + payload
+    blob += zlib.crc32(blob).to_bytes(4, "little")
     # a crash mid-write leaves the temporary file, never a truncated checkpoint
     tmp = path + ".tmp"
     try:
@@ -344,23 +342,26 @@ def _parse_header(blob: bytes):
         key, value = line.split(" = ", 1)
         header[key] = value
     if header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unsupported format version {header.get('format')!r}")
+        version = header.get("format")
+        raise CheckpointError(f"unsupported checkpoint format {version!r}; this version reads {CHECKPOINT_FORMAT}")
     return header, sep + 2
 
 
 def load_checkpoint(path: str) -> EpuModel:
-    """Rebuild the model from the header, then restore parameters bitwise."""
+    """Check the magic, the format version and the checksum over everything
+    before the trailer; then rebuild the model from the header and restore
+    parameters bitwise."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header, body_start = _parse_header(blob)
-    # a view: slicing the bytes would copy the whole payload twice, and those
-    # fresh copies are page-faulted in again on every load
-    body = memoryview(blob)[body_start:]
-    if len(body) < 4:
+    if len(blob) < body_start + 4:
         raise CheckpointError("truncated payload")
-    payload, crc = body[:-4], body[-4:]
-    if zlib.crc32(payload) != int.from_bytes(crc, "little"):
-        raise CheckpointError("payload checksum mismatch")
+    # views: slicing the bytes would copy the whole payload twice, and those
+    # fresh copies are page-faulted in again on every load
+    signed = memoryview(blob)[:-4]
+    if zlib.crc32(signed) != int.from_bytes(blob[-4:], "little"):
+        raise CheckpointError("checksum mismatch")
+    payload = signed[body_start:]
     try:
         count = int(header["param_count"])
         blocks = tuple(
@@ -374,25 +375,19 @@ def load_checkpoint(path: str) -> EpuModel:
             input_side=int(header["input_side"]),
             preset=header.get("preset", ""),
         )
-        if header["mode"] != "binary":
-            raise CheckpointError(f"bad header field: mode {header['mode']!r}, only binary models exist")
-        n_pfms = int(header["n_pfms"])
-        if n_pfms < 1:
-            raise CheckpointError(f"bad header field: n_pfms must be >= 1, got {n_pfms}")
-        pfm_labels = tuple(header["pfm_labels"].split(","))
         class_names = (
             tuple(header["class_names"].split(",")) if "class_names" in header else None
         )
     except (KeyError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"bad header field: {exc}") from exc
     # sized before anything is allocated: a header may describe any model
-    size = state_size(arch, n_pfms)
+    size = state_size(arch)
     if size != count:
         raise CheckpointError(f"header describes a model of {size} floats, param_count says {count}")
     if len(payload) != 4 * count:
         raise CheckpointError(f"payload holds {len(payload) // 4} floats, header says {count}")
     try:
-        model = build_model(arch, n_pfms=n_pfms, seed=None, pfm_labels=pfm_labels, class_names=class_names)
+        model = build_model(arch, seed=None, class_names=class_names)
     except ConfigError as exc:
         raise CheckpointError(f"bad header field: {exc}") from exc
     flat = np.frombuffer(payload, dtype="<f4")
@@ -438,7 +433,7 @@ def fit(
     """
     if len(images) == 0:
         raise ContractError("cannot fit on an empty image set")
-    model = build_model(arch, n_pfms=4, seed=config.seed, class_names=class_names)
+    model = build_model(arch, seed=config.seed, class_names=class_names)
     history = []
     for epoch in range(config.epochs):
         ops = None

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,25 @@ def run_cli(args, cwd, env_extra=None):
         cwd=str(cwd),
         env=env,
     )
+
+
+def resign(checkpoint: bytes) -> bytes:
+    """`checkpoint` with its crc32 trailer recomputed over every byte before
+    it: an edited header then reaches the field checks behind the checksum."""
+    body = checkpoint[:-4]
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def format1(checkpoint: bytes) -> bytes:
+    """A format 2 `checkpoint` as format 1 wrote it: its header also held
+    `mode`, `n_pfms`, `n_classes` and `pfm_labels`, and its crc32 covered the
+    payload alone."""
+    start = checkpoint.index(b"\n\n") + 2
+    payload = checkpoint[start:-4]
+    dropped = b"mode = binary\nn_pfms = 4\nn_classes = 2\n"
+    dropped += b"pfm_labels = light-dark,coarse-fine,blue-yellow,green-red\n"
+    head = checkpoint[:start].replace(b"format = 2\n", b"format = 1\n" + dropped, 1)
+    return head + payload + zlib.crc32(payload).to_bytes(4, "little")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -30,7 +30,7 @@ from epu.tensor import Tensor
 from conftest import run_cli
 from gradcheck import coord_check, dot, leaf
 
-TINY = ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8)
+TINY = ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=9)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_c02_additive_identity():
     for seed in range(100):
         rng = np.random.default_rng([21, seed])
         model = build_model(TINY, seed=seed)
-        stack = PfmStack(maps=rng.uniform(-1, 1, size=(4, 8, 8)).astype(np.float32))
+        stack = PfmStack(maps=rng.uniform(-1, 1, size=(4, 9, 9)).astype(np.float32))
         prob, scores = predict(model, stack)
         logit = float(model.beta.tensor.data[0]) + float(scores[0].sum())
         rebuilt = 1.0 / (1.0 + math.exp(-logit))

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import SRC_DIR, run_cli
+from conftest import SRC_DIR, format1, resign, run_cli
 from epu.data import SynthConfig, encode_ppm, synth_generate
 from epu.pfm import RgbImage
 
@@ -406,7 +406,7 @@ def test_explain_header_size_mismatch_exit3(tmp_path, trained, ds_root):
     blob = (trained / "checkpoint.epu").read_bytes()
     for width in (b"3", b"5"):
         edited = tmp_path / f"fc{width.decode()}.epu"
-        edited.write_bytes(blob.replace(b"fc_width = 4\n", b"fc_width = " + width + b"\n", 1))
+        edited.write_bytes(resign(blob.replace(b"fc_width = 4\n", b"fc_width = " + width + b"\n", 1)))
         proc = run_cli(
             ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"),
              "--out", str(tmp_path / "e")],
@@ -419,7 +419,7 @@ def test_explain_header_size_mismatch_exit3(tmp_path, trained, ds_root):
 def test_explain_header_not_utf8_exit3(tmp_path, trained, ds_root):
     edited = tmp_path / "bad.epu"
     blob = (trained / "checkpoint.epu").read_bytes()
-    edited.write_bytes(blob.replace(b"format = 1\n", b"format = \xff1\n", 1))
+    edited.write_bytes(blob.replace(b"format = 2\n", b"format = \xff2\n", 1))
     proc = run_cli(
         ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"),
          "--out", str(tmp_path / "e")],
@@ -434,14 +434,13 @@ def test_explain_header_out_of_range_exit3(tmp_path, trained, ds_root):
     edits = (
         (b"kernel_size = 3\n", b"kernel_size = 4\n"),
         (b"fc_width = 4\n", b"fc_width = 0\n"),
-        (b"mode = binary\n", b"mode = other\n"),
-        (b"mode = binary\n", b"mode = multiclass\n"),
-        (b"n_pfms = 4\n", b"n_pfms = 0\n"),
+        (b"class_names = crescent,disk\n", b"class_names = crescent\n"),
+        (b"class_names = crescent,disk\n", b"class_names = crescent,disk,moon\n"),
     )
     for n, (old, new) in enumerate(edits):
         assert old in blob
         edited = tmp_path / f"edit{n}.epu"
-        edited.write_bytes(blob.replace(old, new, 1))
+        edited.write_bytes(resign(blob.replace(old, new, 1)))
         proc = run_cli(
             ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"),
              "--out", str(tmp_path / "e")],
@@ -449,6 +448,60 @@ def test_explain_header_out_of_range_exit3(tmp_path, trained, ds_root):
         )
         assert proc.returncode == 3, proc.stderr
         assert "bad header field" in proc.stderr
+
+
+def test_explain_unsigned_header_edit_exit3(tmp_path, trained, ds_root, capsys):
+    # the checksum covers the header: swapped class names once loaded and
+    # named the other class at the same probability
+    from epu import cli
+
+    blob = (trained / "checkpoint.epu").read_bytes()
+    edits = (
+        (b"class_names = crescent,disk\n", b"class_names = disk,crescent\n"),
+        (b"epoch = 2\n", b"epoch = 99\n"),
+        (b"seed = 0\n", b"seed = 7\n"),
+        (b"preset = desk\n", b"preset = base_i\n"),
+    )
+    for n, (old, new) in enumerate(edits):
+        assert old in blob
+        edited = tmp_path / f"edit{n}.epu"
+        edited.write_bytes(blob.replace(old, new, 1))
+        out = tmp_path / f"e{n}"
+        argv = ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"), "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: checksum mismatch\n"
+        assert not out.exists()
+
+
+def test_explain_format1_checkpoint_exit3(tmp_path, trained, ds_root, capsys):
+    from epu import cli
+
+    edited = tmp_path / "old.epu"
+    edited.write_bytes(format1((trained / "checkpoint.epu").read_bytes()))
+    argv = ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"), "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: unsupported checkpoint format '1'; this version reads 2\n"
+
+
+def test_side_8_refused_exit2(tmp_path, ds_root, capsys):
+    # at side 8 the light-dark map is all zeros for every image
+    from epu import cli
+
+    train_conf, pfm_conf = tmp_path / "train.conf", tmp_path / "pfm.conf"
+    train_conf.write_text("[arch]\ninput_side = 8\n")
+    pfm_conf.write_text("[pfm]\nside = 8\n")
+    train = ["train", "--data", str(ds_root), "--out", str(tmp_path / "out")]
+    pfm = ["pfm", "--image", str(ds_root / "disk/00000.ppm"), "--out", str(tmp_path / "out")]
+    cases = (
+        (train + ["--input-side", "8"], "input_side must be >= 9, got 8"),
+        (train + ["--config", str(train_conf)], "input_side must be >= 9, got 8"),
+        (pfm + ["--side", "8"], "pfm side must be >= 9, got 8"),
+        (pfm + ["--config", str(pfm_conf)], "pfm side must be >= 9, got 8"),
+    )
+    for argv, message in cases:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 BAD_PPMS = {
@@ -741,13 +794,10 @@ def test_repeated_train_reuses_heap_pages(tmp_path):
 
 def _scaled_checkpoint(src, dst, factor):
     """`src` with every payload float multiplied by `factor`, CRC recomputed."""
-    import zlib
-
     blob = src.read_bytes()
     start = blob.index(b"\n\n") + 2
     payload = (np.frombuffer(blob[start:-4], dtype="<f4").astype(np.float64) * factor).astype("<f4")
-    body = payload.tobytes()
-    dst.write_bytes(blob[:start] + body + zlib.crc32(body).to_bytes(4, "little"))
+    dst.write_bytes(resign(blob[:start] + payload.tobytes() + blob[-4:]))
     return dst
 
 
@@ -782,7 +832,7 @@ def test_global_explain_overflowing_checkpoint_exit2(tmp_path, trained, ds_root,
 def test_explain_header_declares_huge_model_exit3(tmp_path, trained, ds_root):
     blob = (trained / "checkpoint.epu").read_bytes()
     edited = tmp_path / "huge.epu"
-    edited.write_bytes(blob.replace(b"blocks = 1x2,1x3\n", b"blocks = 1x2,1x3000000\n", 1))
+    edited.write_bytes(resign(blob.replace(b"blocks = 1x2,1x3\n", b"blocks = 1x2,1x3000000\n", 1)))
     proc = run_cli(
         ["explain", "--model", str(edited), "--image", str(ds_root / "disk/00000.ppm"),
          "--out", str(tmp_path / "e")],

@@ -337,11 +337,11 @@ def test_build_prm_zero_activations_empty_mask():
 
 def test_build_prm_layer_bounds():
     # the layer whose maps feed build_prm must be one of the conv layers
-    arch = ArchConfig(blocks=((1, 2), (1, 3)), fc_width=4, input_side=8)
-    model = build_model(arch, n_pfms=1, seed=0)
-    stacks = np.zeros((1, 1, 8, 8), dtype=np.float32)
+    arch = ArchConfig(blocks=((1, 2), (1, 3)), fc_width=4, input_side=9)
+    model = build_model(arch, seed=0)
+    stacks = np.zeros((1, 4, 9, 9), dtype=np.float32)
     acts = predict(model, stacks, layer=2)[2]
-    assert I.build_prm(acts[0][0], out_h=8, out_w=8).plane.shape == (8, 8)
+    assert I.build_prm(acts[0][0], out_h=9, out_w=9).plane.shape == (9, 9)
     for bad in (0, 3):
         with pytest.raises(ConfigError):
             predict(model, stacks, layer=bad)

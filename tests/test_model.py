@@ -8,16 +8,16 @@ import pytest
 from epu import model as M
 from epu import tensor as T
 from epu.errors import ConfigError, ContractError, DimensionError
-from epu.pfm import PfmStack, RgbImage, build_pfm_stack
+from epu.pfm import PFM_LABELS, PfmStack, RgbImage, build_pfm_stack
 
-TINY = M.ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8, preset="")
-
-
-def tiny_model(seed=0, n_pfms=4, **kw):
-    return M.build_model(TINY, n_pfms=n_pfms, seed=seed, **kw)
+TINY = M.ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=9, preset="")
 
 
-def rand_stack(rng, n=4, side=8):
+def tiny_model(seed=0, **kw):
+    return M.build_model(TINY, seed=seed, **kw)
+
+
+def rand_stack(rng, n=4, side=9):
     return PfmStack(maps=rng.uniform(-1, 1, size=(n, side, side)).astype(np.float32))
 
 
@@ -46,7 +46,7 @@ def test_arch_validation():
 
 
 def test_build_desk_model_structure():
-    m = M.build_model(M.PRESETS["desk"], n_pfms=4, seed=1)
+    m = M.build_model(M.PRESETS["desk"], seed=1)
     assert len(m.subnets) == 4
     for sn in m.subnets:
         assert len(sn.conv_kernels) == 7
@@ -56,7 +56,7 @@ def test_build_desk_model_structure():
 
 
 def test_desk_parameter_count_frozen():
-    m = M.build_model(M.PRESETS["desk"], n_pfms=4, seed=0)
+    m = M.build_model(M.PRESETS["desk"], seed=0)
     n_params = sum(p.tensor.data.size for p in m.parameters())
     n_buffers = sum(b.size for _, b in m.buffers())
     assert n_params == 371429  # 4 x 92857 subnet weights + scalar intercept
@@ -64,12 +64,12 @@ def test_desk_parameter_count_frozen():
 
 
 def test_same_seed_is_bitwise_identical():
-    a = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=7)
-    b = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=7)
+    a = M.build_model(M.PRESETS["desk"], seed=7)
+    b = M.build_model(M.PRESETS["desk"], seed=7)
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert pa.name == pb.name
         assert np.array_equal(pa.tensor.data, pb.tensor.data)
-    c = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=8)
+    c = M.build_model(M.PRESETS["desk"], seed=8)
     assert not np.array_equal(a.subnets[0].conv_kernels[0].tensor.data,
                               c.subnets[0].conv_kernels[0].tensor.data)
 
@@ -77,7 +77,7 @@ def test_same_seed_is_bitwise_identical():
 def test_build_model_weights_follow_seeded_draws():
     # sub-network i draws kaiming-uniform weights from default_rng([seed, i]):
     # every conv kernel in order, then the dense layer, then the head
-    m = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=5)
+    m = M.build_model(M.PRESETS["desk"], seed=5)
     for i, sn in enumerate(m.subnets):
         rng = np.random.default_rng([5, i])
         weights = [p.tensor.data for p in sn.conv_kernels] + [sn.fc_weight.tensor.data, sn.head_weight.tensor.data]
@@ -120,17 +120,17 @@ def test_zero_head_gives_zero_rss():
 
 
 def test_cached_activation_count_and_shapes():
-    m = M.build_model(M.PRESETS["desk"], n_pfms=1, seed=0)
-    stacks = np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 64, 64)).astype(np.float32)
+    m = M.build_model(M.PRESETS["desk"], seed=0)
+    stacks = np.random.default_rng(0).uniform(-1, 1, size=(2, 4, 64, 64)).astype(np.float32)
     prob, scores = M.predict(m, stacks)
     shapes = [(8, 64, 64)] * 2 + [(16, 32, 32)] * 2 + [(32, 16, 16)] * 3
     for k, shape in enumerate(shapes, 1):
         got_prob, got_scores, acts = M.predict(m, stacks, layer=k)
-        assert len(acts) == 1 and acts[0].shape == (2, *shape)
-        assert np.all(acts[0] >= 0.0)  # post-ReLU
+        assert len(acts) == 4 and all(a.shape == (2, *shape) for a in acts)
+        assert all(np.all(a >= 0.0) for a in acts)  # post-ReLU
         # asking for a layer changes nothing else
         assert np.array_equal(got_prob, prob) and np.array_equal(got_scores, scores)
-    assert scores.shape == (2, 1) and np.all(np.abs(scores) <= 1.0)
+    assert scores.shape == (2, 4) and np.all(np.abs(scores) <= 1.0)
     for bad in (0, 8):
         with pytest.raises(ConfigError):
             M.predict(m, stacks, layer=bad)
@@ -154,13 +154,13 @@ def _forward_relu_then_pool(sn, x, layer):
 
 
 def test_predict_activations_match_relu_before_pool_reference():
-    m = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=4)
+    m = M.build_model(M.PRESETS["desk"], seed=4)
     rng = np.random.default_rng(5)
     for sn in m.subnets:
         for bn in sn.bn:
             bn.running_mean[:] = rng.standard_normal(bn.running_mean.shape)
             bn.running_var[:] = rng.uniform(0.5, 2.0, bn.running_var.shape)
-    stacks = rng.uniform(-1, 1, size=(T.MICRO_BATCH + 3, 2, 64, 64)).astype(np.float32)
+    stacks = rng.uniform(-1, 1, size=(T.MICRO_BATCH + 3, 4, 64, 64)).astype(np.float32)
     for k in range(1, M.PRESETS["desk"].conv_layer_count + 1):
         _, scores, acts = M.predict(m, stacks, layer=k)
         for i, sn in enumerate(m.subnets):
@@ -170,8 +170,8 @@ def test_predict_activations_match_relu_before_pool_reference():
 
 
 def test_predict_leaves_no_state_on_the_model():
-    m = M.build_model(M.PRESETS["desk"], n_pfms=2, seed=3)
-    stacks = np.random.default_rng(1).uniform(-1, 1, size=(1, 2, 64, 64)).astype(np.float32)
+    m = M.build_model(M.PRESETS["desk"], seed=3)
+    stacks = np.random.default_rng(1).uniform(-1, 1, size=(1, 4, 64, 64)).astype(np.float32)
 
     def snapshot():
         objs = [m] + m.subnets
@@ -236,7 +236,7 @@ def test_evaluate_records_do_not_depend_on_order():
 @pytest.mark.parametrize("batch", [2, 3, 4, 5, 8, 2 * T.MICRO_BATCH + 3])
 def test_predict_batch_equals_single_calls(batch):
     rng = np.random.default_rng(100 + batch)
-    m = M.build_model(M.PRESETS["desk"], n_pfms=4, seed=batch)
+    m = M.build_model(M.PRESETS["desk"], seed=batch)
     stacks = rng.uniform(-1, 1, size=(batch, 4, 64, 64)).astype(np.float32)
     prob, scores, acts = M.predict(m, stacks, layer=5)
     for i in range(batch):
@@ -269,10 +269,9 @@ def test_cancelling_rss_gives_half():
 @pytest.mark.parametrize("seed", range(8))
 def test_additive_identity_random_models(seed):
     rng = np.random.default_rng(200 + seed)
-    n = int(rng.integers(1, 5))
-    m = tiny_model(seed=seed, n_pfms=n)
+    m = tiny_model(seed=seed)
     m.beta.tensor.data[:] = rng.normal()
-    stack = rand_stack(rng, n=n)
+    stack = rand_stack(rng)
     prob, scores = M.predict(m, stack)
     recomputed = 1.0 / (1.0 + np.exp(-(float(m.beta.tensor.data[0]) + scores[0].sum())))
     assert abs(prob[0] - recomputed) <= 1e-6
@@ -284,12 +283,7 @@ def test_permuted_subnets_same_probability():
     stack = rand_stack(rng)
     base = M.predict(m, stack)[0][0]
     perm = [2, 0, 3, 1]
-    m2 = M.EpuModel(
-        m.arch,
-        [m.subnets[i] for i in perm],
-        m.beta,
-        [m.pfm_labels[i] for i in perm],
-    )
+    m2 = M.EpuModel(m.arch, [m.subnets[i] for i in perm], m.beta)
     stack2 = PfmStack(maps=stack.maps[perm])
     assert abs(M.predict(m2, stack2)[0][0] - base) <= 1e-6
     # identical ordering is bitwise stable
@@ -311,9 +305,10 @@ def test_ablation_consistency():
 
 
 def test_stack_count_mismatch_rejected():
-    m = tiny_model(n_pfms=3)
-    with pytest.raises(DimensionError):
-        M.predict(m, rand_stack(np.random.default_rng(0), n=4))
+    m = tiny_model()
+    for n in (3, 5):
+        with pytest.raises(DimensionError):
+            M.predict(m, rand_stack(np.random.default_rng(0), n=n))
 
 
 def test_wrong_plane_size_rejected():
@@ -324,16 +319,19 @@ def test_wrong_plane_size_rejected():
 
 def test_subnet_input_requiring_grad_rejected():
     m = tiny_model()
-    x = M.Tensor(np.zeros((2, 1, 8, 8), np.float32), requires_grad=True)
+    x = M.Tensor(np.zeros((2, 1, 9, 9), np.float32), requires_grad=True)
     with pytest.raises(ContractError):
         m.subnets[0].forward(x, training=True)
 
 
 def test_build_model_validation():
-    with pytest.raises(ConfigError):
-        M.build_model(TINY, n_pfms=0)
-    with pytest.raises(ConfigError):
-        M.build_model(TINY, n_pfms=3, pfm_labels=("a", "b"))
+    # one sub-network per feature map, and every model is binary
+    assert len(tiny_model().subnets) == len(PFM_LABELS)
+    assert tiny_model(class_names=("a", "b")).class_names == ("a", "b")
+    assert tiny_model().class_names is None
+    for names in ((), ("a",), ("a", "b", "c")):
+        with pytest.raises(ConfigError, match="need two class names"):
+            tiny_model(class_names=names)
 
 
 def _bn_reference(h, bn):
@@ -413,18 +411,18 @@ def test_training_forward_retains_only_what_backward_reads():
 
 
 @pytest.mark.parametrize(
-    "arch, n_pfms",
+    "arch",
     [
-        (M.PRESETS["desk"], 4),
-        (M.PRESETS["base_i"], 4),
-        (M.ArchConfig(blocks=((1, 3), (3, 5)), kernel_size=5, fc_width=7, input_side=9), 1),
-        (M.ArchConfig(blocks=((2, 2),), kernel_size=3, fc_width=1, input_side=13), 3),
+        M.PRESETS["desk"],
+        M.PRESETS["base_i"],
+        M.ArchConfig(blocks=((1, 3), (3, 5)), kernel_size=5, fc_width=7, input_side=9),
+        M.ArchConfig(blocks=((2, 2),), kernel_size=3, fc_width=1, input_side=13),
     ],
 )
-def test_state_size_counts_what_build_model_allocates(arch, n_pfms):
+def test_state_size_counts_what_build_model_allocates(arch):
     # zero weights: no draws, and the pages of a large model are never touched
-    model = M.build_model(arch, n_pfms=n_pfms, seed=None)
-    assert M.state_size(arch, n_pfms) == sum(a.size for _, a in model.state_entries())
+    model = M.build_model(arch, seed=None)
+    assert M.state_size(arch) == sum(a.size for _, a in model.state_entries())
 
 
 def test_training_forward_keeps_no_batchnorm_output(monkeypatch):

@@ -2,7 +2,8 @@
 
 Each case breaks one input of a command that succeeds unbroken: a
 checkpoint header field, a PPM header field, a config value or a dataset
-layout. Every case must end in exit 2, 3 or 4 with exactly one stderr line,
+layout. Header edits are re-signed, so that they reach the field checks
+behind the checksum, except the unsigned ones, which the checksum must catch. Every case must end in exit 2, 3 or 4 with exactly one stderr line,
 never a traceback. The cases that were first found by hand come first;
 then every value of the mutation pools once, each through a command that a
 seeded generator picks, in an order it shuffles. All of them run through `epu.cli.main` in
@@ -19,7 +20,7 @@ import sys
 
 import pytest
 
-from conftest import SRC_DIR, run_cli
+from conftest import SRC_DIR, resign, run_cli
 from epu.data import SynthConfig, synth_generate
 
 # the base run's settings, given as flags or as a config file
@@ -51,14 +52,21 @@ json.dump(results, open(sys.argv[2], "w"))
 # values no checkpoint header field of the base model accepts, by field;
 # `blocks` values that parse describe a model of another size
 HEADER_VALUES = {
-    "format": ["2", "0", "", "1.0", "one"],
-    "mode": ["multiclass", "Binary", "", "other"],
-    "n_pfms": ["0", "-1", "3", "5", "x", ""],
+    "format": ["1", "3", "0", "", "1.0", "one"],
+    "class_names": ["crescent", "crescent,disk,moon", ""],
     "blocks": ["", "x", "0x2,1x3", "1x2;1x3", "1x2,1x3000000", "2x8,2x16,3x3000000", "1x2,1x3,1x4"],
     "kernel_size": ["4", "1", "5", "-3", "nan", ""],
     "fc_width": ["0", "-1", "3", "5", "1000000000000", "x"],
     "input_side": ["7", "0", "8", "100000", "x", "16.0"],
     "param_count": ["0", "-5", "704", "706", "x", ""],
+}
+# header edits that a re-signed file would load with: left unsigned, the
+# checksum must refuse them
+UNSIGNED_HEADER_VALUES = {
+    "class_names": ["disk,crescent"],
+    "epoch": ["99"],
+    "seed": ["7"],
+    "preset": ["base_i"],
 }
 # values that no PPM header field accepts for a 32x32 image
 PPM_VALUES = {
@@ -72,7 +80,7 @@ CONFIG_VALUES = {
     ("arch", "blocks"): ["0x8", "abc", "1x", "", "1x100000"],
     ("arch", "kernel_size"): ["4", "1", "x", "-3"],
     ("arch", "fc_width"): ["0", "-2", "x"],
-    ("arch", "input_side"): ["4", "0", "x", "100000"],
+    ("arch", "input_side"): ["4", "8", "0", "x", "100000"],
     ("arch", "preset"): ["huge", ""],
     ("train", "lr"): ["nan", "inf", "-1", "x", "1e30"],
     ("train", "epochs"): ["0", "-1", "x", "1.5"],
@@ -81,7 +89,7 @@ CONFIG_VALUES = {
     ("train", "folds"): ["1", "0", "-2", "x", "1000"],
     ("train", "augment"): ["maybe", "2"],
     ("train", "seed"): ["x", "1.5", "-1"],
-    ("pfm", "side"): ["4", "x"],
+    ("pfm", "side"): ["4", "8", "x"],
     ("interpret", "layer"): ["0", "x"],
     ("interpret", "bins"): ["1", "x"],
 }
@@ -92,12 +100,14 @@ LAYOUTS = [
 ]
 
 
-def _mutate_header(blob, field, value):
+def _mutate_header(blob, field, value, signed=True):
     head, sep, payload = blob.partition(b"\n\n")
     lines = head.split(b"\n")
     n = next(i for i, ln in enumerate(lines) if ln.startswith(field.encode() + b" = "))
+    assert lines[n] != field.encode() + b" = " + value.encode()
     lines[n] = field.encode() + b" = " + value.encode()
-    return b"\n".join(lines) + sep + payload
+    edited = b"\n".join(lines) + sep + payload
+    return resign(edited) if signed else edited
 
 
 def _mutate_ppm(blob, field, value):
@@ -195,7 +205,7 @@ def _cases(tmp_path, ds, model):
     # the cases first probed by hand
     cases = [
         ("probed header huge model", explain(written(".epu", _mutate_header(ckpt, "blocks", "2x8,2x16,3x3000000")))),
-        ("probed header not utf-8", explain(written(".epu", ckpt.replace(b"format = 1", b"format = \xff1", 1)))),
+        ("probed header not utf-8", explain(written(".epu", ckpt.replace(b"format = 2", b"format = \xff2", 1)))),
         ("probed train input_side", train(extra=["--input-side", "100000"])),
         ("probed train blocks", train(extra=["--blocks", "1x100000"])),
         ("probed explain bins", explain(extra=["--bins", "100000000000"])),
@@ -223,6 +233,11 @@ def _cases(tmp_path, ds, model):
             edited = written(".epu", _mutate_header(ckpt, field, value))
             argv = rng.choice((explain, global_explain))(model=edited)
             mutated.append((f"header {argv[0]} {field} = {value!r}", argv))
+    for field, values in sorted(UNSIGNED_HEADER_VALUES.items()):
+        for value in values:
+            edited = written(".epu", _mutate_header(ckpt, field, value, signed=False))
+            argv = rng.choice((explain, global_explain))(model=edited)
+            mutated.append((f"unsigned header {argv[0]} {field} = {value!r}", argv))
     for field, values in sorted(PPM_VALUES.items()):
         for value in values:
             bad = written(".ppm", _mutate_ppm(ppm, field, value))
@@ -271,3 +286,8 @@ def test_mutated_inputs_exit_with_one_line(tmp_path, base):
         assert r["rc"] == 0, r
     bad = [r for r in results[len(controls):] if r["rc"] not in (2, 3, 4) or len(r["stderr"].splitlines()) != 1]
     assert bad == []
+    # a broken checkpoint is a parse failure, whichever header field broke
+    headers = [r for r in results[len(controls):] if "header" in r["name"].split()[:2]]
+    pools = list(HEADER_VALUES.values()) + list(UNSIGNED_HEADER_VALUES.values())
+    assert len(headers) == 2 + sum(map(len, pools))
+    assert [r for r in headers if r["rc"] != 3] == []

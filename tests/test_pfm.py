@@ -185,6 +185,17 @@ def test_build_pfm_stack_deterministic():
     assert np.array_equal(s1.maps, s2.maps)
 
 
+def test_light_dark_map_varies_from_the_smallest_side():
+    # at side 8 the third-level approximation is 1x1, so the map is all zeros
+    rng = np.random.default_rng(12)
+    img = pfm.RgbImage(rng.integers(0, 256, size=(20, 20, 3), dtype=np.uint8))
+    assert np.all(pfm.build_pfm_stack(img, 8).maps[0] == 0.0)
+    assert pfm.MIN_SIDE == 9
+    for side in (pfm.MIN_SIDE, 12, 16):
+        light_dark = pfm.build_pfm_stack(img, side).maps[0]
+        assert light_dark.min() == -1.0 and light_dark.max() == 1.0
+
+
 def test_constant_image_gives_zero_wavelet_maps():
     stack = pfm.build_pfm_stack(solid((120, 120, 120), 16, 16), 16)
     assert np.all(stack.maps[0] == 0.0)

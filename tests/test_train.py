@@ -1,17 +1,18 @@
 """Loss, epoch loop, augmentation, k-fold, and checkpoint tests."""
 
-import dataclasses
 import math
 import os
 import re
 import threading
 import tracemalloc
 import weakref
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from conftest import format1, resign
 from epu import tensor as T
 from epu import train as train_module
 from epu.errors import (
@@ -42,10 +43,10 @@ from epu.train import (
     train_epoch,
 )
 
-TINY = ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8)
+TINY = ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=9)
 
 
-def _separable_images(rng, per_class=8, side=8):
+def _separable_images(rng, per_class=8, side=9):
     """(images, labels): class 0 images are noisy blue, class 1 noisy yellow."""
     images, labels = [], []
     for label, color in ((0, (60, 60, 200)), (1, (200, 200, 60))):
@@ -176,12 +177,11 @@ def test_train_epoch_loss_decreases_on_separable_data():
 
 
 def test_train_epoch_updates_bias_and_every_subnet():
-    # at 8 px the light-dark map, a third-level approximation, is constant
-    arch = dataclasses.replace(TINY, input_side=16)
-    model = build_model(arch, seed=4)
+    # every feature map varies at the smallest side, the light-dark one too
+    model = build_model(TINY, seed=4)
     beta_before = model.beta.data.copy()
     subnet_before = [sn.parameters()[0].data.copy() for sn in model.subnets]
-    images, labels = _separable_images(np.random.default_rng(1), per_class=4, side=16)
+    images, labels = _separable_images(np.random.default_rng(1), per_class=4)
     train_epoch(model, images, labels, TrainConfig(batch_size=8, lr=0.05, epochs=1), np.random.default_rng(0))
     assert not np.array_equal(beta_before, model.beta.data)
     for prev, sn in zip(subnet_before, model.subnets):
@@ -190,7 +190,7 @@ def test_train_epoch_updates_bias_and_every_subnet():
 
 def test_train_epoch_rejects_bad_labels():
     model = build_model(TINY, seed=0)
-    images = [RgbImage(np.zeros((8, 8, 3), np.uint8))] * 3
+    images = [RgbImage(np.zeros((9, 9, 3), np.uint8))] * 3
     for bad in (2, -1):
         with pytest.raises(ContractError, match=f"labels must be 0 or 1, got {bad}"):
             train_epoch(model, images, np.array([0, bad, 1]), TrainConfig(epochs=1))
@@ -302,7 +302,7 @@ def test_pool_workers_run_in_the_callers_grad_mode():
 
 def test_sample_rejects_negative_label():
     with pytest.raises(ContractError):
-        Sample(stack=PfmStack(maps=np.zeros((4, 8, 8), np.float32)), label=-1)
+        Sample(stack=PfmStack(maps=np.zeros((4, 9, 9), np.float32)), label=-1)
 
 
 def test_loss_matches_bce_of_score_sum():
@@ -310,7 +310,7 @@ def test_loss_matches_bce_of_score_sum():
     from epu.model import predict
 
     model = build_model(TINY, seed=9)
-    stacks, labels = _old_path_stacks(*_separable_images(np.random.default_rng(3), per_class=3), 8)
+    stacks, labels = _old_path_stacks(*_separable_images(np.random.default_rng(3), per_class=3), TINY.input_side)
     _, scores = model.forward_batch(stacks, training=False)
     direct = float(T.bce_with_logits(model.logits(scores), labels).data)
     rebuilt = []
@@ -440,15 +440,6 @@ def test_kfold_too_many_folds():
         kfold_split([0, 1, 0], folds=1, seed=0)
 
 
-def test_kfold_accepts_samples():
-    samples = [
-        Sample(stack=PfmStack(maps=np.zeros((4, 8, 8), np.float32)), label=i % 2)
-        for i in range(6)
-    ]
-    splits = kfold_split(samples, folds=3, seed=0)
-    assert len(splits) == 3
-
-
 def test_kfold_seed_determinism():
     labels = [0] * 8 + [1] * 8
     a = kfold_split(labels, folds=4, seed=5)
@@ -533,10 +524,12 @@ def test_checkpoint_version_mismatch(tmp_path):
     model = _trained_tiny()
     path = str(tmp_path / "m.epu")
     save_checkpoint(model, path)
-    blob = open(path, "rb").read().replace(b"format = 1", b"format = 2", 1)
-    open(path, "wb").write(blob)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    blob = open(path, "rb").read()
+    for version, edited in (("1", format1(blob)), ("3", resign(blob.replace(b"format = 2", b"format = 3", 1)))):
+        target = str(tmp_path / f"format{version}.epu")
+        open(target, "wb").write(edited)
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint format '{version}'; this version reads 2"):
+            load_checkpoint(target)
 
 
 def test_checkpoint_header_size_mismatch(tmp_path):
@@ -547,7 +540,7 @@ def test_checkpoint_header_size_mismatch(tmp_path):
     blob = open(path, "rb").read()
     for width in (b"3", b"5"):
         edited = str(tmp_path / f"fc{width.decode()}.epu")
-        open(edited, "wb").write(blob.replace(b"fc_width = 4\n", b"fc_width = " + width + b"\n", 1))
+        open(edited, "wb").write(resign(blob.replace(b"fc_width = 4\n", b"fc_width = " + width + b"\n", 1)))
         with pytest.raises(CheckpointError, match=r"header describes a model of \d+ floats, param_count says \d+"):
             load_checkpoint(edited)
 
@@ -560,7 +553,7 @@ def test_checkpoint_header_sizes_model_before_allocating(tmp_path, monkeypatch):
     save_checkpoint(model, path)
     blob = open(path, "rb").read()
     huge = blob.replace(b"blocks = 1x2,1x3\n", b"blocks = 1x2,1x3000000\n", 1)
-    size = state_size(ArchConfig(blocks=((1, 2), (1, 3000000)), kernel_size=3, fc_width=4, input_side=8), 4)
+    size = state_size(ArchConfig(blocks=((1, 2), (1, 3000000)), kernel_size=3, fc_width=4, input_side=9))
     edits = {
         "huge": (huge, r"header describes a model of \d+ floats, param_count says \d+"),
         "huge_count": (
@@ -571,7 +564,7 @@ def test_checkpoint_header_sizes_model_before_allocating(tmp_path, monkeypatch):
     monkeypatch.setattr(train_module, "build_model", lambda *a, **k: pytest.fail("model built"))
     for name, (edited, message) in edits.items():
         target = str(tmp_path / f"{name}.epu")
-        open(target, "wb").write(edited)
+        open(target, "wb").write(resign(edited))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(target)
 
@@ -585,37 +578,40 @@ def test_checkpoint_header_out_of_range(tmp_path):
     edits = (
         (b"kernel_size = 3\n", b"kernel_size = 4\n"),
         (b"fc_width = 4\n", b"fc_width = 0\n"),
-        (b"mode = binary\n", b"mode = other\n"),
-        (b"mode = binary\n", b"mode = multiclass\n"),
-        (b"n_pfms = 4\n", b"n_pfms = 0\n"),
+        (b"input_side = 9\n", b"input_side = 8\n"),
+        (b"class_names = crescent,disk\n", b"class_names = crescent\n"),
+        (b"class_names = crescent,disk\n", b"class_names = crescent,disk,moon\n"),
     )
     for n, (old, new) in enumerate(edits):
         assert old in blob
         edited = str(tmp_path / f"edit{n}.epu")
-        open(edited, "wb").write(blob.replace(old, new, 1))
+        open(edited, "wb").write(resign(blob.replace(old, new, 1)))
         with pytest.raises(CheckpointError, match="bad header field"):
             load_checkpoint(edited)
 
 
 def test_checkpoint_byte_mutation_fuzz(tmp_path):
-    # a corrupt checkpoint either loads or raises CheckpointError, never anything else;
-    # mutations go to the header, because the payload CRC catches the rest
+    # the checksum covers the header, so every edit of the magic, the header
+    # or its blank line raises CheckpointError: first each byte changed alone
+    # in three ways, then 1500 seeded edits of 1-3 distinct bytes
     path = str(tmp_path / "m.epu")
     save_checkpoint(_trained_tiny(), path)
     blob = open(path, "rb").read()
     header_end = blob.index(b"\n\n") + 2
     rng = np.random.default_rng(2024)
     mutant = str(tmp_path / "mutant.epu")
+    edits = [[(pos, delta)] for pos in range(header_end) for delta in (1, 0x20, 0x80)]
     for _ in range(1500):
+        positions = rng.choice(header_end, size=rng.integers(1, 4), replace=False)
+        edits.append([(pos, rng.integers(1, 256)) for pos in positions])
+    for edit in edits:
         data = bytearray(blob)
-        for pos in rng.integers(0, header_end, size=rng.integers(1, 4)):
-            data[pos] = rng.integers(0, 256)
+        for pos, delta in edit:
+            data[pos] = (data[pos] + delta) % 256
         with open(mutant, "wb") as fh:
             fh.write(data)
-        try:
+        with pytest.raises(CheckpointError):
             load_checkpoint(mutant)
-        except CheckpointError:
-            pass
 
 
 def test_checkpoint_save_replaces_whole(tmp_path):
@@ -641,13 +637,20 @@ def test_checkpoint_header_contents(tmp_path):
     lines = blob[len(b"EPU1\n") : blob.index(b"\n\n")].decode("utf-8").splitlines()
     header = dict(line.split(" = ", 1) for line in lines)
     assert blob.startswith(b"EPU1\n")
-    assert header["mode"] == "binary"
-    assert header["n_pfms"] == "4"
-    assert header["blocks"] == "2x8,2x16,3x32"
-    assert header["input_side"] == "64"
-    assert header["epoch"] == "7"
-    assert header["seed"] == "42"
-    assert header["class_names"] == "a,b"
+    assert header == {
+        "format": "2",
+        "blocks": "2x8,2x16,3x32",
+        "kernel_size": "3",
+        "fc_width": "32",
+        "input_side": "64",
+        "preset": "desk",
+        "epoch": "7",
+        "seed": "42",
+        "param_count": str(state_size(PRESETS["desk"])),
+        "class_names": "a,b",
+    }
+    # the trailer is the crc32 of everything before it
+    assert blob[-4:] == zlib.crc32(blob[:-4]).to_bytes(4, "little")
 
 
 def test_checkpoint_header_is_readable_text(tmp_path):
@@ -657,7 +660,7 @@ def test_checkpoint_header_is_readable_text(tmp_path):
     blob = open(path, "rb").read()
     head = blob[: blob.index(b"\n\n")].decode("utf-8")
     assert head.startswith("EPU1")
-    assert "mode = binary" in head
+    assert "format = 2" in head
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +731,7 @@ def _old_path_fit(images, labels, arch, config):
     """(model, history) of `fit` as it ran when each epoch's stacks were all
     extracted up front by `make_samples` and each batch was copied out of
     them by `np.stack`."""
-    model = build_model(arch, n_pfms=4, seed=config.seed)
+    model = build_model(arch, seed=config.seed)
     params, history = model.parameters(), []
     with ThreadPoolExecutor(max_workers=2) as pool:
         for epoch in range(config.epochs):
@@ -779,7 +782,7 @@ def test_cross_validate_fold_matches_the_old_path_bitwise(tmp_path):
     probs, rss = [], []
     for start in range(0, len(va), train_module.EVAL_CHUNK):
         chunk = slice(start, start + train_module.EVAL_CHUNK)
-        prob, scores = predict(model, _old_path_stacks(val_images[chunk], labels[va][chunk], 8)[0])
+        prob, scores = predict(model, _old_path_stacks(val_images[chunk], labels[va][chunk], TINY.input_side)[0])
         probs += [np.float64(p).tobytes() for p in prob]
         rss += [row.tobytes() for row in scores]
     assert [np.float64(r.probability).tobytes() for r in report.records] == probs
@@ -905,7 +908,7 @@ from epu.model import ArchConfig, build_model
 from epu.pfm import RgbImage
 
 assert train._eval_workers(10) == 1
-model = build_model(ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8), seed=5)
+model = build_model(ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=9), seed=5)
 rng = np.random.default_rng(9)
 images = [RgbImage(rng.integers(0, 256, size=(10, 12, 3), dtype=np.uint8)) for _ in range(9)]
 report = train.evaluate(model, images, np.arange(9) % 2)
@@ -929,7 +932,7 @@ def test_evaluate_pinned_to_one_core_matches_forked_workers(monkeypatch):
     )
     assert proc.returncode == 0, proc.stderr
     monkeypatch.setattr(train_module, "_usable_cores", lambda: 3)
-    model = build_model(ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=8), seed=5)
+    model = build_model(ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=9), seed=5)
     rng = np.random.default_rng(9)
     images = [RgbImage(rng.integers(0, 256, size=(10, 12, 3), dtype=np.uint8)) for _ in range(9)]
     report = evaluate(model, images, np.arange(9) % 2)
