@@ -38,11 +38,11 @@ from .config import SCHEMA, load_config_file, resolve_settings  # noqa: E402
 from .data import (  # noqa: E402
     MANIFEST_NAME,
     SynthConfig,
-    decode_ppm,
     encode_pgm,
     encode_ppm,
     load_dataset,
     load_images,
+    read_image,
     synth_generate,
 )
 from .errors import (  # noqa: E402
@@ -62,7 +62,7 @@ from .interpret import (  # noqa: E402
     render_local_chart,
     rss_sidecar,
 )
-from .model import RssVector, predict  # noqa: E402
+from .model import predict  # noqa: E402
 from .pfm import PFM_LABELS, PFM_SLUGS, build_pfm_stack, resize_rgb  # noqa: E402
 from .train import (  # noqa: E402
     check_val_splits,
@@ -74,20 +74,6 @@ from .train import (  # noqa: E402
     save_checkpoint,
     summarize_folds,
 )
-
-
-def _read_rgb(path: str):
-    """Read and decode one PPM; a decode error names the file.
-
-    A missing or unreadable file stays an `OSError` (exit 3), where a dataset
-    read through `data.read_image` is an ingestion error (exit 2).
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return decode_ppm(blob)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _write_bytes(path: str, blob: bytes) -> None:
@@ -136,7 +122,7 @@ def cmd_synth(args) -> int:
 
 def cmd_pfm(args) -> int:
     settings = _settings(args)
-    image = _read_rgb(args.image)
+    image = read_image(args.image)
     stack = build_pfm_stack(image, settings.pfm_side)
     out_dir = settings.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -162,7 +148,6 @@ def cmd_train(args) -> int:
         raise ConfigError("no output directory; pass --out or set [output] dir")
     manifest = load_dataset(args.data)
     images, labels = load_images(manifest)
-    paths = [rel for rel, _ in manifest.entries]
 
     if settings.use_folds:
         reports = cross_validate(
@@ -171,7 +156,6 @@ def cmd_train(args) -> int:
             settings.arch,
             settings.train,
             class_names=manifest.class_names,
-            paths=paths,
             log=lambda fold, rep: print(
                 f"fold {fold}: auc={rep.auc:.4f} accuracy={rep.accuracy:.4f}"
                 f" a_int={rep.interp_accuracy:.4f}"
@@ -207,9 +191,7 @@ def cmd_train(args) -> int:
         print(f"training diverged at epoch {exc.epoch}; last finite epoch: {last}", file=sys.stderr)
         return 4
 
-    report = evaluate(
-        result.model, [images[i] for i in val_idx], labels[val_idx], [paths[i] for i in val_idx]
-    )
+    report = evaluate(result.model, [images[i] for i in val_idx], labels[val_idx])
     val_line = (
         f"val auc={report.auc!r} accuracy={report.accuracy!r}"
         f" a_int={report.interp_accuracy!r}"
@@ -245,7 +227,7 @@ def cmd_explain(args) -> int:
     side = model.arch.input_side
     if args.expect_side is not None and args.expect_side != side:
         raise ConfigError(f"input side {args.expect_side} does not match checkpoint side {side}")
-    resized = resize_rgb(_read_rgb(args.image), side, side)
+    resized = resize_rgb(read_image(args.image), side, side)
     stack = build_pfm_stack(resized, side)
     prob, scores, acts = predict(model, stack, layer=settings.layer)
     p = float(prob[0])
@@ -253,15 +235,14 @@ def cmd_explain(args) -> int:
         raise MetricError(
             f"the model's output is not finite (probability={p!r}); its weights overflow the forward pass"
         )
-    rss = RssVector(scores[0], PFM_LABELS)
     names = model.class_names or ("class0", "class1")
     stem = _stem(args.image)
     # every artifact is built before the first is written, so a failure leaves none
-    files = [(f"{stem}.chart.svg", render_local_chart(rss, names).encode("utf-8"))]
+    files = [(f"{stem}.chart.svg", render_local_chart(scores[0], names).encode("utf-8"))]
     for slug, maps in zip(PFM_SLUGS, acts):
         prm = build_prm(maps[0], side, side, bins=settings.bins)
         files.append((f"{stem}.prm-{slug}.ppm", encode_ppm(overlay_prm(resized, prm))))
-    files.append((f"{stem}.rss.jsonl", rss_sidecar(rss).encode("utf-8")))
+    files.append((f"{stem}.rss.jsonl", rss_sidecar(scores[0]).encode("utf-8")))
     print(
         f"predicted={names[int(p >= 0.5)]}"
         f" probability={p!r} beta={float(model.beta.tensor.data[0])!r}"
@@ -285,17 +266,16 @@ def cmd_global_explain(args) -> int:
             f" classes {manifest.class_names}"
         )
     images, labels = load_images(manifest)
-    report = evaluate(model, images, labels, [rel for rel, _ in manifest.entries])
+    report = evaluate(model, images, labels)
     rss_rows = np.stack([r.rss for r in report.records])
-    rec_labels = np.array([r.label for r in report.records], dtype=np.int64)
     names = model.class_names or manifest.class_names
-    stats = global_rss_stats(rss_rows, rec_labels, names, PFM_LABELS)
+    stats = global_rss_stats(rss_rows, labels, names)
 
     out_dir = settings.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for c, cls in enumerate(stats.class_names):
-        for p, pfm in enumerate(stats.pfm_labels):
+        for p, pfm in enumerate(PFM_LABELS):
             lines.append(
                 f"class={cls} pfm={pfm}"
                 f" mean={float(stats.means[c, p])!r} std={float(stats.stds[c, p])!r}"

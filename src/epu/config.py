@@ -11,7 +11,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import PRESETS, ArchConfig
+from .model import PRESETS, ArchConfig, parse_blocks
 from .pfm import MIN_SIDE
 from .train import TrainConfig
 
@@ -32,17 +32,6 @@ def parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def parse_blocks(text: str) -> tuple:
-    """'2x8,2x16,3x32' -> ((2, 8), (2, 16), (3, 32))."""
-    blocks = []
-    for part in text.split(","):
-        bits = part.strip().split("x")
-        if len(bits) != 2:
-            raise ValueError(f"block spec {part.strip()!r} is not COUNTxDEPTH")
-        blocks.append((int(bits[0]), int(bits[1])))
-    return tuple(blocks)
 
 
 # every setting, by section; its command-line flag is named after its key,

@@ -156,12 +156,11 @@ def load_dataset(root: str) -> DatasetManifest:
 
 
 def read_image(path: str) -> RgbImage:
-    """Read and decode one PPM file; a decode error names the file."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    """Read and decode one PPM file; a decode error names the file.
+
+    A file that cannot be read raises its `OSError`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
         return decode_ppm(blob)
     except ParseError as exc:
@@ -169,11 +168,17 @@ def read_image(path: str) -> RgbImage:
 
 
 def load_images(manifest: DatasetManifest):
-    """Materialize every manifest entry; returns (images, labels)."""
+    """Materialize every manifest entry; returns (images, labels).
+
+    A file that cannot be read is an `IngestionError` naming it."""
     images = []
     labels = np.empty(len(manifest.entries), dtype=np.int64)
     for i, (rel, cls) in enumerate(manifest.entries):
-        images.append(read_image(os.path.join(manifest.root, rel)))
+        path = os.path.join(manifest.root, rel)
+        try:
+            images.append(read_image(path))
+        except OSError as exc:
+            raise IngestionError(f"cannot read {path}: {exc}") from exc
         labels[i] = cls
     return images, labels
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, DimensionError
-from .model import RssVector
-from .pfm import RgbImage, upsample
+from .pfm import PFM_LABELS, RgbImage, upsample
 
 GREEN = "#2e8b57"
 RED = "#c0392b"
@@ -231,12 +230,23 @@ def _axis(y0: int, y1: int) -> str:
     )
 
 
-def render_local_chart(rss: RssVector, class_names) -> str:
-    """Horizontal bar chart of one prediction's per-PFM scores."""
+def _score_row(scores) -> np.ndarray:
+    """One prediction's scores as float64, one per entry of `PFM_LABELS`,
+    else `DimensionError`."""
+    row = np.asarray(scores, dtype=np.float64)
+    if row.shape != (len(PFM_LABELS),):
+        raise DimensionError(f"need one score per feature map, shape ({len(PFM_LABELS)},), got {row.shape}")
+    return row
+
+
+def render_local_chart(scores, class_names) -> str:
+    """Horizontal bar chart of one prediction's per-PFM scores, one bar per
+    entry of `PFM_LABELS`, in that order."""
+    scores = _score_row(scores)
     class_names = tuple(class_names)
     if len(class_names) != 2:
         raise ContractError("local chart needs exactly two class names")
-    n = len(rss.values)
+    n = len(scores)
     top, height = 56, 56 + n * _ROW_H + 36
     parts = _svg_header(_PLOT_X1 + 50, height, "per-feature evidence")
     parts.append(
@@ -245,7 +255,7 @@ def render_local_chart(rss: RssVector, class_names) -> str:
     parts.append(
         f'<text x="{_PLOT_X1}" y="42" text-anchor="end" fill="{GREEN}">{html.escape(class_names[1])} &#8594;</text>'
     )
-    for i, (label, value) in enumerate(zip(rss.pfm_labels, rss.values)):
+    for i, (label, value) in enumerate(zip(PFM_LABELS, scores)):
         y = top + i * _ROW_H
         parts.append(
             f'<text x="{_PLOT_X0 - 12}" y="{y + 15}" text-anchor="end">{html.escape(str(label))}</text>'
@@ -264,10 +274,9 @@ def render_local_chart(rss: RssVector, class_names) -> str:
 
 @dataclass
 class GlobalRssStats:
-    """Per-class mean and standard deviation of scores, per feature map."""
+    """Per-class mean and standard deviation of scores, per entry of `PFM_LABELS`."""
 
     class_names: tuple
-    pfm_labels: tuple
     means: np.ndarray
     stds: np.ndarray
     counts: np.ndarray
@@ -276,13 +285,14 @@ class GlobalRssStats:
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        want = (len(self.class_names), len(self.pfm_labels))
+        want = (len(self.class_names), len(PFM_LABELS))
         if self.means.shape != want or self.stds.shape != want:
             raise ContractError(f"stats shape {self.means.shape} does not match {want}")
 
 
-def global_rss_stats(rss_rows, labels, class_names, pfm_labels) -> GlobalRssStats:
-    """Aggregate per-sample score rows into per-class means and stds."""
+def global_rss_stats(rss_rows, labels, class_names) -> GlobalRssStats:
+    """Aggregate per-sample score rows, one score per entry of `PFM_LABELS`,
+    into per-class means and stds."""
     rows = np.atleast_2d(np.asarray(rss_rows, dtype=np.float64))
     labels = np.asarray(labels)
     if rows.shape[0] == 0:
@@ -299,14 +309,14 @@ def global_rss_stats(rss_rows, labels, class_names, pfm_labels) -> GlobalRssStat
         if sel.shape[0]:
             means[c] = sel.mean(axis=0)
             stds[c] = sel.std(axis=0)
-    return GlobalRssStats(tuple(class_names), tuple(pfm_labels), means, stds, counts)
+    return GlobalRssStats(tuple(class_names), means, stds, counts)
 
 
 def render_global_chart(stats: GlobalRssStats) -> str:
     """Grouped bar chart of per-class mean scores with +-1 std whiskers."""
     if stats.counts.sum() == 0:
         raise ContractError("global chart needs statistics over at least one sample")
-    rows = len(stats.class_names) * len(stats.pfm_labels)
+    rows = len(stats.class_names) * len(PFM_LABELS)
     top = 56
     group_gap = 18
     height = top + rows * _ROW_H + group_gap * len(stats.class_names) + 36
@@ -318,7 +328,7 @@ def render_global_chart(stats: GlobalRssStats) -> str:
             f'font-weight="bold">{html.escape(str(cname))} (n={int(stats.counts[c])})</text>'
         )
         y += 10
-        for i, label in enumerate(stats.pfm_labels):
+        for i, label in enumerate(PFM_LABELS):
             mean, std = float(stats.means[c, i]), float(stats.stds[c, i])
             parts.append(
                 f'<text x="{_PLOT_X0 - 12}" y="{y + 15}" text-anchor="end">{html.escape(str(label))}</text>'
@@ -361,10 +371,11 @@ def overlay_prm(image: RgbImage, prm: Prm) -> RgbImage:
     return RgbImage(np.clip(np.rint(out), 0, 255).astype(np.uint8))
 
 
-def rss_sidecar(rss: RssVector) -> str:
-    """One JSON object per line: {"pfm": label, "value": score}."""
+def rss_sidecar(scores) -> str:
+    """One JSON object per line, {"pfm": label, "value": score}, one line per
+    entry of `PFM_LABELS`, in that order."""
     lines = [
         json.dumps({"pfm": str(label), "value": float(value)})
-        for label, value in zip(rss.pfm_labels, rss.values)
+        for label, value in zip(PFM_LABELS, _score_row(scores))
     ]
     return "\n".join(lines) + "\n"

@@ -1,9 +1,17 @@
 """Classification and interpretability scoring.
 
 AUC uses the Mann-Whitney rank-sum formulation with midranks for ties.
-Interpretability accuracy compares the sign pattern of per-feature scores
-against the class-determined target pattern via a Jaccard index over
+Interpretability accuracy (a_int) compares the sign pattern of per-feature
+scores against the class-determined target pattern via a Jaccard index over
 (position, sign) tokens, averaged across samples.
+
+The target pattern assumes that every feature map votes for the true class:
+all +1 for class 1, all -1 for class 0. That holds on data where every
+feature differs between the classes, as on the synthetic set. On data where
+only some features differ, a model that attributes correctly, and leaves the
+uninformative features near 0 or on either side, still scores low: a_int
+measures agreement with that assumption, not whether the right feature
+carries the decision.
 """
 from __future__ import annotations
 
@@ -89,9 +97,9 @@ def ground_truth_interp(y: int, n: int) -> InterpLabel:
     return InterpLabel(np.full(n, 1 if y == 1 else -1, dtype=np.int8))
 
 
-def predicted_interp(rss) -> InterpLabel:
-    """Elementwise sign of the scores; an exact zero counts as +1."""
-    values = np.asarray(getattr(rss, "values", rss), dtype=np.float64)
+def predicted_interp(scores) -> InterpLabel:
+    """Elementwise sign of one prediction's scores; an exact zero counts as +1."""
+    values = np.asarray(scores, dtype=np.float64)
     signs = np.where(values >= 0.0, 1, -1).astype(np.int8)
     return InterpLabel(signs)
 

@@ -71,6 +71,17 @@ class ArchConfig:
         return sum(count for count, _ in self.blocks)
 
 
+def parse_blocks(text: str) -> tuple:
+    """'2x8,2x16,3x32' -> ((2, 8), (2, 16), (3, 32)), for `ArchConfig.blocks`."""
+    blocks = []
+    for part in text.split(","):
+        bits = part.strip().split("x")
+        if len(bits) != 2:
+            raise ValueError(f"block spec {part.strip()!r} is not COUNTxDEPTH")
+        blocks.append((int(bits[0]), int(bits[1])))
+    return tuple(blocks)
+
+
 PRESETS = {
     "desk": ArchConfig(
         blocks=((2, 8), (2, 16), (3, 32)), kernel_size=3, fc_width=32, input_side=64, preset="desk"
@@ -83,19 +94,6 @@ PRESETS = {
         preset="base_i",
     ),
 }
-
-
-@dataclass
-class RssVector:
-    """Per-feature similarity scores, one per perceptual map."""
-
-    values: np.ndarray
-    pfm_labels: tuple
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or len(self.values) != len(self.pfm_labels):
-            raise DimensionError("RssVector needs one value per label")
 
 
 class _BnState:

@@ -45,7 +45,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .metrics import ScoredSet, accuracy, auc, interpretability_accuracy
-from .model import ArchConfig, EpuModel, build_model, predict, state_size
+from .model import ArchConfig, EpuModel, build_model, parse_blocks, predict, state_size
 from .pfm import PFM_LABELS, PfmStack, RgbImage, build_pfm_stack
 from .tensor import Tensor
 
@@ -364,12 +364,8 @@ def load_checkpoint(path: str) -> EpuModel:
     payload = signed[body_start:]
     try:
         count = int(header["param_count"])
-        blocks = tuple(
-            (int(r), int(c))
-            for r, c in (part.split("x") for part in header["blocks"].split(","))
-        )
         arch = ArchConfig(
-            blocks=blocks,
+            blocks=parse_blocks(header["blocks"]),
             kernel_size=int(header["kernel_size"]),
             fc_width=int(header["fc_width"]),
             input_side=int(header["input_side"]),
@@ -452,7 +448,6 @@ def fit(
 
 @dataclass
 class EvalRecord:
-    source_path: str
     label: int
     probability: float
     predicted: int
@@ -465,15 +460,6 @@ class EvalReport:
     auc: float
     accuracy: float
     interp_accuracy: float
-
-
-def _paths_for(images, paths) -> list:
-    """One source path per image: `paths` itself, or empty strings without it."""
-    if paths is None:
-        return [""] * len(images)
-    if len(paths) != len(images):
-        raise ContractError(f"need one path per image, got {len(paths)} paths for {len(images)} images")
-    return paths
 
 
 def _eval_workers(chunks: int) -> int:
@@ -579,8 +565,10 @@ def _fork_map(fn, args) -> list:
     return results
 
 
-def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
+def evaluate(model: EpuModel, images, labels) -> EvalReport:
     """Score held-out images; reports AUC, accuracy, and sign agreement.
+
+    `records` holds one `EvalRecord` per image, in image order.
 
     Images are turned into feature-map stacks and scored `EVAL_CHUNK` at a
     time, so the whole set's stacks are never held at once. A forward pass
@@ -596,7 +584,6 @@ def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
     if len(images) == 0:
         raise ContractError("cannot evaluate an empty image set")
     labels = _binary_labels(labels, len(images))
-    paths = _paths_for(images, paths)
     side = model.arch.input_side
 
     def score_run(starts):
@@ -615,8 +602,8 @@ def evaluate(model: EpuModel, images, labels, paths=None) -> EvalReport:
     rss_rows = np.concatenate([scores for _, scores in parts])
     preds = (probs >= 0.5).astype(np.int64)
     records = [
-        EvalRecord(source_path=path, label=int(y), probability=float(p), predicted=int(c), rss=rss)
-        for path, y, p, c, rss in zip(paths, labels, probs, preds, rss_rows)
+        EvalRecord(label=int(y), probability=float(p), predicted=int(c), rss=rss)
+        for y, p, c, rss in zip(labels, probs, preds, rss_rows)
     ]
     return EvalReport(
         records=records,
@@ -632,12 +619,10 @@ def cross_validate(
     arch: ArchConfig,
     config: TrainConfig,
     class_names=None,
-    paths=None,
     log=None,
 ):
     """k-fold protocol: fresh seed-derived init per fold, report per fold."""
     labels = np.asarray(labels, dtype=np.int64)
-    paths = _paths_for(images, paths)
     splits = kfold_split(labels, config.folds, config.seed)
     check_val_splits(labels, splits, class_names)
     reports = []
@@ -650,7 +635,7 @@ def cross_validate(
             fold_config,
             class_names=class_names,
         )
-        report = evaluate(result.model, [images[i] for i in va], labels[va], [paths[i] for i in va])
+        report = evaluate(result.model, [images[i] for i in va], labels[va])
         reports.append(report)
         if log is not None:
             log(fold, report)

@@ -142,6 +142,16 @@ def test_pfm_decode_error_exit3(tmp_path):
         assert str(bad) in _one_error_line(proc)
 
 
+def test_pfm_missing_image_exit3(tmp_path, capsys):
+    from epu import cli
+
+    missing = tmp_path / "absent.ppm"
+    assert cli.main(["pfm", "--image", str(missing), "--out", str(tmp_path / "q")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(missing) in lines[0]
+    assert not (tmp_path / "q").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -604,6 +614,36 @@ def test_dataset_layout_exit_codes(tmp_path, ds_root, trained, command, case):
     if bad:
         assert str(bad) in line
     assert "epoch" not in proc.stdout
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "global-explain"])
+def test_dataset_file_that_cannot_be_read_exit2(tmp_path, ds_root, trained, command, capsys, monkeypatch):
+    # a file listed by the scan but gone when read is a dataset problem (exit
+    # 2), where an `--image` that cannot be read is an I/O error (exit 3)
+    from epu import cli
+
+    root = tmp_path / "data"
+    for cls in ("crescent", "disk"):
+        (root / cls).mkdir(parents=True)
+        (root / cls / "0.ppm").write_bytes((ds_root / cls / "00000.ppm").read_bytes())
+    gone = root / "disk" / "0.ppm"
+
+    def load_dataset(path):
+        manifest = real_load_dataset(path)
+        gone.unlink()
+        return manifest
+
+    real_load_dataset = cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset", load_dataset)
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["train", "--data", str(root), "--out", str(out), *TINY_FLAGS, "--epochs", "1"]
+    else:
+        args = ["global-explain", "--model", str(trained / "checkpoint.epu"), "--data", str(root), "--out", str(out)]
+    assert cli.main(args) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {gone}: "), lines
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from epu.data import (
     encode_pgm,
     encode_ppm,
     load_dataset,
+    load_images,
     read_image,
     synth_generate,
     write_manifest,
@@ -217,8 +218,18 @@ def test_load_dataset_single_class_rejected(tmp_path):
 
 
 def test_read_image_missing_file(tmp_path):
-    with pytest.raises(IngestionError):
+    # the file's own error: `epu explain --image` exits 3 on it
+    with pytest.raises(FileNotFoundError):
         read_image(str(tmp_path / "absent.ppm"))
+
+
+def test_load_images_unreadable_file_is_ingestion_error(tmp_path):
+    # a dataset file that cannot be read is a dataset problem: exit 2
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "0.ppm").write_bytes(encode_ppm(_img(np.zeros((2, 2, 3)))))
+    manifest = DatasetManifest(root=str(tmp_path), class_names=("a", "b"), entries=(("a/0.ppm", 0), ("b/0.ppm", 1)))
+    with pytest.raises(IngestionError, match="cannot read .*b/0.ppm"):
+        load_images(manifest)
 
 
 def test_write_manifest_format(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 
 from epu import interpret as I
 from epu.errors import ConfigError, ContractError, DegenerateInputError, DimensionError
-from epu.model import ArchConfig, RssVector, build_model, predict
-from epu.pfm import RgbImage
+from epu.model import ArchConfig, build_model, predict
+from epu.pfm import PFM_LABELS, RgbImage
 
 
 def brute_yen_index(counts):
@@ -367,13 +367,13 @@ def test_prm_mask_monotone_in_threshold():
 
 
 def local_chart_bars(values):
-    rss = RssVector(np.asarray(values, dtype=float), tuple(f"pfm{i}" for i in range(len(values))))
-    svg = I.render_local_chart(rss, ("neg-class", "pos-class"))
+    svg = I.render_local_chart(np.asarray(values, dtype=float), ("neg-class", "pos-class"))
     return svg, [r for r in svg_elems(svg, "rect") if r.get("class") == "bar"]
 
 
 def test_local_chart_geometry():
-    svg, bars = local_chart_bars([0.0, 1.0, -0.5])
+    svg, bars = local_chart_bars([0.0, 1.0, -0.5, 0.25])
+    assert [b.get("data-label") for b in bars] == list(PFM_LABELS)
     scale = I._SCALE
     assert float(bars[0].get("width")) == 0.0
     assert float(bars[1].get("width")) == pytest.approx(scale)
@@ -386,55 +386,70 @@ def test_local_chart_geometry():
 
 
 def test_local_chart_length_linear_in_value():
-    _, bars = local_chart_bars([0.2, 0.4, 0.8])
+    _, bars = local_chart_bars([0.2, 0.4, 0.8, 0.1])
     widths = [float(b.get("width")) for b in bars]
     assert widths[1] == pytest.approx(2 * widths[0], abs=1e-3)
     assert widths[2] == pytest.approx(4 * widths[0], abs=1e-3)
+    assert widths[3] == pytest.approx(0.5 * widths[0], abs=1e-3)
 
 
 def test_local_chart_data_attributes_roundtrip():
-    _, bars = local_chart_bars([0.123456789, -0.987654321])
-    assert float(bars[0].get("data-value")) == pytest.approx(0.123456789)
-    assert float(bars[1].get("data-value")) == pytest.approx(-0.987654321)
+    values = [0.123456789, -0.987654321, 0.5, -0.25]
+    _, bars = local_chart_bars(values)
+    assert [float(b.get("data-value")) for b in bars] == pytest.approx(values)
 
 
 def test_local_chart_class_name_arity():
-    rss = RssVector(np.zeros(2), ("a", "b"))
     with pytest.raises(ContractError):
-        I.render_local_chart(rss, ("only-one",))
+        I.render_local_chart(np.zeros(4), ("only-one",))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (1, 4)])
+def test_local_chart_and_sidecar_need_one_score_per_feature_map(shape):
+    # a row of another length would otherwise be cut short by `zip`, or
+    # label its extra scores with nothing
+    for render in (lambda row: I.render_local_chart(row, ("a", "b")), I.rss_sidecar):
+        with pytest.raises(DimensionError):
+            render(np.zeros(shape))
 
 
 def test_global_stats_and_chart():
-    rows = np.array([[0.4, 0.1], [-0.4, 0.3], [0.6, -0.2]])
+    rows = np.array([[0.4, 0.1, 0.0, -0.5], [-0.4, 0.3, 0.2, -0.5], [0.6, -0.2, 0.9, 1.0]])
     labels = np.array([0, 0, 1])
-    stats = I.global_rss_stats(rows, labels, ("c0", "c1"), ("p0", "p1"))
-    assert stats.means[0] == pytest.approx([0.0, 0.2])
-    assert stats.stds[0] == pytest.approx([0.4, 0.1])
+    stats = I.global_rss_stats(rows, labels, ("c0", "c1"))
+    assert stats.means[0] == pytest.approx([0.0, 0.2, 0.1, -0.5])
+    assert stats.stds[0] == pytest.approx([0.4, 0.1, 0.1, 0.0])
     assert stats.counts.tolist() == [2, 1]
 
     svg = I.render_global_chart(stats)
     bars = [r for r in svg_elems(svg, "rect") if r.get("class") == "bar"]
     whiskers = [l for l in svg_elems(svg, "line") if l.get("class") == "whisker"]
-    assert len(bars) == 4 and len(whiskers) == 4
+    assert len(bars) == 8 and len(whiskers) == 8
     # zero mean with nonzero whisker for class 0 / pfm0
     assert float(bars[0].get("width")) == 0.0
     assert float(whiskers[0].get("data-std")) == pytest.approx(0.4)
     w0 = abs(float(whiskers[0].get("x2")) - float(whiskers[0].get("x1")))
     assert w0 == pytest.approx(2 * 0.4 * I._SCALE, abs=1e-3)
     # single sample in class 1: zero-length whisker
-    assert float(whiskers[2].get("x1")) == pytest.approx(float(whiskers[2].get("x2")))
-    # attributes match recomputation
+    assert float(whiskers[4].get("x1")) == pytest.approx(float(whiskers[4].get("x2")))
+    # attributes match recomputation, labels in `PFM_LABELS` order
     for c, cls in enumerate(("c0", "c1")):
-        for i in range(2):
-            bar = bars[c * 2 + i]
-            assert bar.get("data-class") == cls
+        for i, label in enumerate(PFM_LABELS):
+            bar = bars[c * 4 + i]
+            assert (bar.get("data-class"), bar.get("data-label")) == (cls, label)
             sel = rows[labels == c][:, i]
             assert float(bar.get("data-mean")) == pytest.approx(sel.mean())
 
 
+@pytest.mark.parametrize("width", [3, 5])
+def test_global_stats_need_one_score_per_feature_map(width):
+    with pytest.raises(ContractError):
+        I.global_rss_stats(np.zeros((2, width)), np.array([0, 1]), ("a", "b"))
+
+
 def test_global_chart_empty_rejected():
     with pytest.raises(ContractError):
-        I.global_rss_stats(np.empty((0, 2)), np.array([]), ("a", "b"), ("x", "y"))
+        I.global_rss_stats(np.empty((0, 4)), np.array([]), ("a", "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +493,11 @@ def test_overlay_dimension_mismatch():
 
 
 def test_rss_sidecar_roundtrip():
-    rss = RssVector(np.array([0.25, -0.75]), ("light-dark", "coarse-fine"))
-    lines = I.rss_sidecar(rss).strip().split("\n")
+    lines = I.rss_sidecar(np.array([0.25, -0.75, 0.5, 0.0])).strip().split("\n")
     parsed = [json.loads(line) for line in lines]
     assert parsed == [
         {"pfm": "light-dark", "value": 0.25},
         {"pfm": "coarse-fine", "value": -0.75},
+        {"pfm": "blue-yellow", "value": 0.5},
+        {"pfm": "green-red", "value": 0.0},
     ]

@@ -1,4 +1,3 @@
-import ast
 import gc
 import itertools
 import threading
@@ -9,7 +8,6 @@ import pytest
 
 from epu import tensor as T
 from epu.errors import ContractError, DimensionError
-from conftest import SRC_DIR, TESTS_DIR
 from gradcheck import coord_check, dot, leaf
 
 
@@ -1129,50 +1127,3 @@ def test_conv_grad_w_bitwise_saved_padded_copy():
         up = rng.standard_normal(out.data.shape).astype(np.float32)
         T.backward(out, up)
         assert _same_bits(kt.grad, _conv_grad_w_saved(x, k, up)), (cin, ksize, x_grad)
-
-
-# ---------------------------------------------------------------------------
-# what the engine exports
-
-
-def _tensor_module_uses(tree):
-    """Names that a module takes from `epu.tensor`: imported from it, or read
-    as attributes of a name the module binds to it."""
-    used, aliases = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.module in ("tensor", "epu.tensor"):
-                used.update(a.name for a in node.names)
-            elif node.module in (None, "epu"):
-                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
-            used.add(node.attr)
-    return used
-
-
-def test_every_public_tensor_name_has_a_caller_outside_the_tests():
-    # a caller is another top-level statement of tensor.py, the rest of the
-    # package or the benchmark; a name that only tests reach should go
-    source = SRC_DIR / "epu" / "tensor.py"
-    body = ast.parse(source.read_text()).body
-    public = {}
-    for n, node in enumerate(body):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        public.update((name, n) for name in names if not name.startswith("_"))
-    used = set()
-    for n, node in enumerate(body):
-        used.update(
-            v.id for v in ast.walk(node) if isinstance(v, ast.Name) and public.get(v.id, n) != n
-        )
-    others = [p for p in (SRC_DIR / "epu").glob("*.py") if p != source]
-    others += (TESTS_DIR.parent / "perfbench").glob("*.py")
-    for path in others:
-        used |= _tensor_module_uses(ast.parse(path.read_text()))
-    assert len(public) > 20
-    assert sorted(set(public) - used) == []

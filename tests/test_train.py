@@ -829,24 +829,6 @@ def test_evaluate_rejects_labels_other_than_0_and_1_before_scoring(monkeypatch):
         assert str(info.value) == f"labels must be 0 or 1, got {bad}"
 
 
-def test_evaluate_paths_length_mismatch_rejected(tmp_path):
-    # a short path list once dropped records silently while AUC covered every image
-    images, labels = _tiny_dataset(tmp_path, count=2)
-    model = build_model(TINY, seed=0)
-    for paths in (["a.ppm"], ["a.ppm"] * (len(images) + 1)):
-        with pytest.raises(ContractError, match="one path per image"):
-            evaluate(model, images, labels, paths)
-    report = evaluate(model, images, labels, [f"{i}.ppm" for i in range(len(images))])
-    assert [r.source_path for r in report.records] == [f"{i}.ppm" for i in range(len(images))]
-
-
-def test_cross_validate_paths_length_mismatch_rejected(tmp_path):
-    images, labels = _tiny_dataset(tmp_path, count=2)
-    config = TrainConfig(batch_size=4, lr=0.01, epochs=1, seed=0, folds=2, augment=False)
-    with pytest.raises(ContractError, match="one path per image"):
-        cross_validate(images, labels, TINY, config, paths=["a.ppm"])
-
-
 def test_cross_validate_shapes(tmp_path):
     images, labels = _tiny_dataset(tmp_path, count=4)
     config = TrainConfig(batch_size=4, lr=0.01, epochs=1, seed=0, folds=2, augment=False)
@@ -864,7 +846,7 @@ def test_cross_validate_shapes(tmp_path):
 
 def _record_bytes(report):
     return [
-        (r.source_path, r.label, r.predicted, np.float64(r.probability).tobytes(), r.rss.tobytes())
+        (r.label, r.predicted, np.float64(r.probability).tobytes(), r.rss.tobytes())
         for r in report.records
     ]
 
@@ -875,7 +857,6 @@ def test_evaluate_records_do_not_depend_on_worker_count(monkeypatch, count):
     model = _trained_tiny()
     images = [RgbImage(rng.integers(0, 256, size=(10, 12, 3), dtype=np.uint8)) for _ in range(count)]
     labels = np.arange(count) % 2
-    paths = [f"img{i}" for i in range(count)]
     forked = []
 
     def fork_map(fn, args):
@@ -889,7 +870,7 @@ def test_evaluate_records_do_not_depend_on_worker_count(monkeypatch, count):
     reports = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(train_module, "_usable_cores", lambda: workers)
-        reports[workers] = evaluate(model, images, labels, paths)
+        reports[workers] = evaluate(model, images, labels)
     chunks = math.ceil(count / train_module.EVAL_CHUNK)
     assert forked == [min(w, chunks) - 1 for w in (1, 2, 3)]
     for workers in (2, 3):
