@@ -1,10 +1,10 @@
 """Command-line entry point: synth, pfm, train, explain, global-explain.
 
-Exit codes are stable API: 0 ok, 2 config/usage problems (an allocation
-that fails is one: the settings asked for more memory than there is), 3 I/O
-or parse failures, including an evaluation worker process that died, 4
-training divergence.  No output carries timestamps, so reruns
-with the same inputs and seed produce byte-identical artifacts.
+Exit codes are stable API: 0 ok, 2 config/usage problems (a failed allocation
+or a training thread the OS refuses is one: the settings asked for more than
+there is), 3 I/O or parse failures, including an evaluation worker process
+that died, 4 training divergence. No output carries timestamps, so reruns with
+the same inputs and seed produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def cmd_explain(args) -> int:
     files.append((f"{stem}.rss.jsonl", rss_sidecar(scores[0]).encode("utf-8")))
     print(
         f"predicted={names[int(p >= 0.5)]}"
-        f" probability={p!r} beta={float(model.beta.tensor.data[0])!r}"
+        f" probability={p!r} beta={float(model.beta.data[0])!r}"
     )
     out_dir = settings.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)

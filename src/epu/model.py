@@ -8,24 +8,29 @@ in evaluation mode without a graph. Neither keeps any state on the model: the
 activations that relevance maps read are returned by the call that asks for
 them.
 
+A model is its tensors. Each sub-network keeps one record per conv block (its
+kernels, batchnorm gamma and beta, and the two running-statistics arrays) and
+its dense head's weights and biases. `EpuModel.parameters()` lists every
+requires-grad leaf in checkpoint order; `state_arrays()` is the checkpoint
+payload: those leaves' arrays, then the running statistics.
+
 A conv block runs conv, ReLU, ..., conv, max-pool, ReLU, then batchnorm: the
-block's last ReLU comes after the pool. ReLU is monotone, so this equals
-pooling the ReLU output bitwise, and every gradient that passes reaches the
-same element with the same bits. A sub-network runs each block as one
-`T.conv_block` op and one `T.batchnorm2d` op on the whole batch, then the
-dense head. Both ops work through the batch in parts of `T.MICRO_BATCH`
-samples, so their temporaries are sized for one part; batchnorm's statistics
-are still those of the whole batch. In training, the graph keeps of a block
-only its input, the pool's one-byte winner index and its pooled output,
-which is also batchnorm's input. A block fed by batchnorm keeps not its
-input but batchnorm's rebuild of it, so each block boundary keeps one array,
-the pre-batchnorm output, and the block rebuilds its input part by part in
-backward. The dense head does the same with the last block's batchnorm
-output, which it rebuilds for its weight gradient, so the head keeps no
-activation of the blocks: only its own small ReLU and tanh outputs. Backward then recomputes the block's inner ReLU outputs from its
-input, running every conv's forward again except the last one's. Training
-thus keeps no full-resolution activation: a desk sub-network's graph is about
-a third of what it is with the inner ReLU outputs kept, and each inner conv's
+block's last ReLU comes after the pool, which `SubNetwork.forward` shows is
+exact. A sub-network runs each block as one `T.conv_block` op and one
+`T.batchnorm2d` op on the whole batch, then the dense head. Both ops work
+through the batch in parts of `T.MICRO_BATCH` samples, so their temporaries
+are sized for one part; batchnorm's statistics are still those of the whole
+batch. In training, the graph keeps of a block only its input, the pool's
+one-byte winner index and its pooled output, which is also batchnorm's input.
+A block fed by batchnorm keeps not its input but batchnorm's rebuild of it, so
+each block boundary keeps one array, the pre-batchnorm output, and the block
+rebuilds its input part by part in backward. The dense head does the same with
+the last block's batchnorm output, which it rebuilds for its weight gradient,
+so the head keeps no activation of the blocks: only its own small ReLU and
+tanh outputs. Backward recomputes each block's inner ReLU outputs from its
+input, running every conv's forward again except the last one's. Training thus
+keeps no full-resolution activation: a desk sub-network's graph is about a
+third of what it is with the inner ReLU outputs kept, and each inner conv's
 forward runs twice per step. The backward sweep frees each vertex's saved
 arrays as it passes it, so a sub-network's graph shrinks from the head down
 while it is swept, and a swept graph cannot be swept again.
@@ -40,7 +45,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .pfm import MIN_SIDE, PFM_LABELS, PfmStack
-from .tensor import Param, Tensor
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -96,22 +101,21 @@ PRESETS = {
 }
 
 
-class _BnState:
-    """Scale/shift params plus running stats for one batchnorm layer."""
+class _Block:
+    """One conv block: its kernels, batchnorm gamma and beta, and running statistics."""
 
-    def __init__(self, prefix: str, channels: int):
-        self.gamma = Param(f"{prefix}.gamma", Tensor(np.ones(channels, np.float32), requires_grad=True))
-        self.beta = Param(f"{prefix}.beta", Tensor(np.zeros(channels, np.float32), requires_grad=True))
+    def __init__(self, kernels: list[Tensor], channels: int):
+        self.kernels = kernels
+        self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         self.running_mean = np.zeros(channels, np.float32)
         self.running_var = np.ones(channels, np.float32)
-        self.prefix = prefix
 
 
-def _init_weights(shape, fan_in: int, rng: np.random.Generator | None) -> np.ndarray:
-    """Kaiming-uniform weights drawn from `rng`, or zeros when there is no rng."""
-    if rng is None:
-        return np.zeros(shape, np.float32)
-    return T.kaiming_uniform(shape, fan_in=fan_in, rng=rng)
+def _init_weights(shape, fan_in: int, rng: np.random.Generator | None) -> Tensor:
+    """A leaf of Kaiming-uniform weights drawn from `rng`, or of zeros without one."""
+    data = np.zeros(shape, np.float32) if rng is None else T.kaiming_uniform(shape, fan_in=fan_in, rng=rng)
+    return Tensor(data, requires_grad=True)
 
 
 class SubNetwork:
@@ -121,49 +125,27 @@ class SubNetwork:
     that overwrites every one of them.
     """
 
-    def __init__(self, arch: ArchConfig, index: int, rng: np.random.Generator | None):
+    def __init__(self, arch: ArchConfig, rng: np.random.Generator | None):
         self.arch = arch
-        self.index = index
         k = arch.kernel_size
-        name = f"subnet{index}"
-
-        self.conv_kernels: list[Param] = []
-        self.bn: list[_BnState] = []
+        self.blocks: list[_Block] = []
         cin, side = 1, arch.input_side
-        for b, (count, depth) in enumerate(arch.blocks):
-            for c in range(count):
-                kernels = _init_weights((depth, cin, k, k), cin * k * k, rng)
-                self.conv_kernels.append(
-                    Param(f"{name}.block{b}.conv{c}.kernels", Tensor(kernels, requires_grad=True))
-                )
-                cin = depth
-            side = math.ceil(side / T.POOL_WINDOW)
-            self.bn.append(_BnState(f"{name}.block{b}.bn", depth))
-        self.flat_dim = cin * side * side
-
-        fc_w = _init_weights((self.flat_dim, arch.fc_width), self.flat_dim, rng)
-        self.fc_weight = Param(f"{name}.fc.weight", Tensor(fc_w, requires_grad=True))
-        self.fc_bias = Param(f"{name}.fc.bias", Tensor(np.zeros(arch.fc_width, np.float32), requires_grad=True))
-        head_w = _init_weights((arch.fc_width, 1), arch.fc_width, rng)
-        self.head_weight = Param(f"{name}.head.weight", Tensor(head_w, requires_grad=True))
-        self.head_bias = Param(f"{name}.head.bias", Tensor(np.zeros(1, np.float32), requires_grad=True))
-
-    def parameters(self) -> list[Param]:
-        out: list[Param] = []
-        conv_iter = iter(self.conv_kernels)
-        for (count, _), bn in zip(self.arch.blocks, self.bn):
+        for count, depth in arch.blocks:
+            kernels = []
             for _ in range(count):
-                out.append(next(conv_iter))
-            out.extend([bn.gamma, bn.beta])
-        out.extend([self.fc_weight, self.fc_bias, self.head_weight, self.head_bias])
-        return out
+                kernels.append(_init_weights((depth, cin, k, k), cin * k * k, rng))
+                cin = depth
+            self.blocks.append(_Block(kernels, depth))
+            side = math.ceil(side / T.POOL_WINDOW)
+        flat_dim = cin * side * side
+        self.fc_weight = _init_weights((flat_dim, arch.fc_width), flat_dim, rng)
+        self.fc_bias = Tensor(np.zeros(arch.fc_width, np.float32), requires_grad=True)
+        self.head_weight = _init_weights((arch.fc_width, 1), arch.fc_width, rng)
+        self.head_bias = Tensor(np.zeros(1, np.float32), requires_grad=True)
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for bn in self.bn:
-            out.append((f"{bn.prefix}.running_mean", bn.running_mean))
-            out.append((f"{bn.prefix}.running_var", bn.running_var))
-        return out
+    def parameters(self) -> list[Tensor]:
+        convs = [t for block in self.blocks for t in (*block.kernels, block.gamma, block.beta)]
+        return convs + [self.fc_weight, self.fc_bias, self.head_weight, self.head_bias]
 
     def forward(self, x: Tensor, training: bool, layer: int | None = None):
         """Map (B, 1, S, S) input to (B, 1) tanh scores.
@@ -193,17 +175,15 @@ class SubNetwork:
             raise ContractError("subnet input must not require grad")
         if layer is not None and not 1 <= layer <= self.arch.conv_layer_count:
             raise ConfigError(f"layer {layer} outside the conv layers 1..{self.arch.conv_layer_count}")
-        h, act = x, None
-        first = 0
-        for (count, _), bn in zip(self.arch.blocks, self.bn):
-            kernels = self.conv_kernels[first : first + count]
-            # the 0-based conv of this block whose activations were asked for
-            tap = layer - 1 - first if layer is not None and first < layer <= first + count else None
-            first += count
-            h = T.conv_block(h, kernels, tap)
+        # `want` is the asked-for conv's 0-based index within the current block
+        h, act, want = x, None, -1 if layer is None else layer - 1
+        for block in self.blocks:
+            tap = want if 0 <= want < len(block.kernels) else None
+            want -= len(block.kernels)
+            h = T.conv_block(h, block.kernels, tap)
             if tap is not None:
                 h, act = h
-            h = T.batchnorm2d(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, training)
+            h = T.batchnorm2d(h, block.gamma, block.beta, block.running_mean, block.running_var, training)
         h = T.relu(T.dense(T.flatten_batch(h), self.fc_weight, self.fc_bias))
         out = T.tanh(T.dense(h, self.head_weight, self.head_bias))
         return out if layer is None else (out, act)
@@ -213,7 +193,7 @@ class EpuModel:
     """One sub-network per entry of `PFM_LABELS`, in that order, plus a
     learnable intercept. `class_names`, when given, names the two classes."""
 
-    def __init__(self, arch, subnets, beta: Param, class_names=None):
+    def __init__(self, arch, subnets, beta: Tensor, class_names=None):
         if class_names is not None and len(class_names) != 2:
             raise ConfigError(f"need two class names, got {len(class_names)}: {tuple(class_names)}")
         self.arch = arch
@@ -225,25 +205,16 @@ class EpuModel:
     def n_pfms(self) -> int:
         return len(self.subnets)
 
-    def parameters(self) -> list[Param]:
-        out: list[Param] = []
-        for sn in self.subnets:
-            out.extend(sn.parameters())
-        out.append(self.beta)
-        names = [p.name for p in out]
-        if len(set(names)) != len(names):
-            raise ContractError("duplicate parameter names in model")
-        return out
+    def parameters(self) -> list[Tensor]:
+        """Every leaf tensor the optimizer steps, in checkpoint order: each
+        sub-network's, then the intercept."""
+        return [p for sn in self.subnets for p in sn.parameters()] + [self.beta]
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for sn in self.subnets:
-            out.extend(sn.buffers())
-        return out
-
-    def state_entries(self) -> list[tuple[str, np.ndarray]]:
-        """Checkpoint payload order: all params, then all running buffers."""
-        return [(p.name, p.tensor.data) for p in self.parameters()] + self.buffers()
+    def state_arrays(self) -> list[np.ndarray]:
+        """The checkpoint payload in order: every parameter's array, then each
+        block's batchnorm running mean and variance."""
+        buffers = [a for sn in self.subnets for b in sn.blocks for a in (b.running_mean, b.running_var)]
+        return [p.data for p in self.parameters()] + buffers
 
     def forward_batch(self, stacks, training: bool, layer: int | None = None):
         """Run all sub-networks on (B, N, S, S) stacks.
@@ -278,13 +249,13 @@ class EpuModel:
         total = scores[0]
         for s in scores[1:]:
             total = T.add(total, s)
-        logits = T.add(total, self.beta.tensor)
+        logits = T.add(total, self.beta)
         return T.reshape(logits, (logits.data.shape[0],))
 
 
 def state_size(arch: ArchConfig) -> int:
     """Floats in the parameters and buffers of a model, by arithmetic alone:
-    what `build_model(arch)` would allocate, as `state_entries` lists it."""
+    what `build_model(arch)` would allocate, as `state_arrays` lists it."""
     k = arch.kernel_size
     per_subnet, cin, side = 0, 1, arch.input_side
     for count, depth in arch.blocks:
@@ -306,10 +277,10 @@ def build_model(arch: ArchConfig, seed: int | None = 0, class_names=None) -> Epu
     restores every parameter afterwards (as `load_checkpoint` does).
     """
     subnets = [
-        SubNetwork(arch, i, None if seed is None else np.random.default_rng([seed, i]))
+        SubNetwork(arch, None if seed is None else np.random.default_rng([seed, i]))
         for i in range(len(PFM_LABELS))
     ]
-    beta = Param("beta", Tensor(np.zeros(1, np.float32), requires_grad=True))
+    beta = Tensor(np.zeros(1, np.float32), requires_grad=True)
     return EpuModel(arch, subnets, beta, class_names)
 
 

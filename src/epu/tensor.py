@@ -41,7 +41,6 @@ from __future__ import annotations
 import contextvars
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,27 +104,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-@dataclass(eq=False)
-class Param:
-    """A named leaf tensor tracked by the optimizer."""
-
-    name: str
-    tensor: Tensor
-
-    @property
-    def data(self) -> Array:
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-
 def _astensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    if isinstance(x, Param):
-        return x.tensor
     if isinstance(x, (int, float)):
         # scalar constants stay f32 so they never widen an f32 graph
         return Tensor(np.asarray(x, dtype=np.float32))
@@ -843,15 +824,13 @@ def kaiming_uniform(shape, fan_in: int, rng: np.random.Generator) -> Array:
 
 
 def sgd_step(params, lr: float) -> None:
-    """In-place w -= lr * grad for every param with a gradient, then zero."""
-    for p in params:
-        t = p.tensor if isinstance(p, Param) else p
+    """In-place w -= lr * grad for every leaf tensor with a gradient, then zero."""
+    for t in params:
         if t.grad is not None:
             t.data -= (lr * t.grad).astype(t.data.dtype, copy=False)
             t.grad = None
 
 
 def zero_grads(params) -> None:
-    for p in params:
-        t = p.tensor if isinstance(p, Param) else p
+    for t in params:
         t.grad = None

@@ -133,8 +133,17 @@ def _usable_cores() -> int:
 
 def _pool_map(pool, fn, *iterables) -> list:
     """`pool.map` with each call in a copy of the caller's context, so
-    context-local settings such as `np.errstate` reach the workers."""
-    futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in zip(*iterables)]
+    context-local settings such as `np.errstate` reach the workers.
+
+    A thread the OS refuses in `submit` ends the step with `MemoryError`, one
+    line and exit 2 in the CLI like other resource limits; a fallback to the
+    calling thread would be a second code path. A started thread may still run
+    an item queued before the refusal, but `train_epoch`'s `with` exit waits
+    for it: nothing runs after `train_epoch` raises."""
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in zip(*iterables)]
+    except RuntimeError as exc:
+        raise MemoryError(f"cannot start a training thread: {exc}") from exc
     return [f.result() for f in futures]
 
 
@@ -165,7 +174,7 @@ def _train_step(model: EpuModel, pool, stacks, labels, params, lr: float):
         _pool_map(pool, lambda s, c: T.backward(s, c.grad), scores, cuts)
         T.sgd_step(params, lr)
         prob = T.sigmoid(Tensor(logits.data)).data
-    if not all(np.isfinite(a).all() for _, a in model.state_entries()):
+    if not all(np.isfinite(a).all() for a in model.state_arrays()):
         raise TrainingDivergedError("non-finite weights or batchnorm buffers")
     return value, prob
 
@@ -306,10 +315,8 @@ def _header_blob(model: EpuModel, epoch: int, seed: int, count: int) -> bytes:
 def save_checkpoint(model: EpuModel, path: str, epoch: int = 0, seed: int = 0) -> None:
     """Magic, `key = value` header, blank line, <f4 payload, then the crc32 of
     all of those bytes."""
-    entries = model.state_entries()
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in entries)
-    count = sum(a.size for _, a in entries)
-    blob = CHECKPOINT_MAGIC + _header_blob(model, epoch, seed, count) + b"\n" + payload
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in model.state_arrays())
+    blob = CHECKPOINT_MAGIC + _header_blob(model, epoch, seed, len(payload) // 4) + b"\n" + payload
     blob += zlib.crc32(blob).to_bytes(4, "little")
     # a crash mid-write leaves the temporary file, never a truncated checkpoint
     tmp = path + ".tmp"
@@ -388,7 +395,7 @@ def load_checkpoint(path: str) -> EpuModel:
         raise CheckpointError(f"bad header field: {exc}") from exc
     flat = np.frombuffer(payload, dtype="<f4")
     offset = 0
-    for _, arr in model.state_entries():
+    for arr in model.state_arrays():
         arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
         offset += arr.size
     return model

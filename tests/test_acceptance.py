@@ -185,7 +185,7 @@ def test_c01_gradient_correctness():
         for seed in range(10):
             rng = np.random.default_rng([12, seed])
             model = build_model(PRESETS["desk"], seed=seed)
-            params = [p.tensor for p in model.parameters()]
+            params = model.parameters()
             for t in params:
                 t.data = t.data.astype(np.float64)
             stack = rng.uniform(-1.0, 1.0, size=(1, 4, 64, 64))
@@ -236,7 +236,7 @@ def test_c02_additive_identity():
         model = build_model(TINY, seed=seed)
         stack = PfmStack(maps=rng.uniform(-1, 1, size=(4, 9, 9)).astype(np.float32))
         prob, scores = predict(model, stack)
-        logit = float(model.beta.tensor.data[0]) + float(scores[0].sum())
+        logit = float(model.beta.data[0]) + float(scores[0].sum())
         rebuilt = 1.0 / (1.0 + math.exp(-logit))
         worst = max(worst, abs(rebuilt - prob[0]))
     assert worst <= 1e-6, f"worst deviation {worst}"

@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import types
 import xml.etree.ElementTree as ET
 
@@ -245,6 +246,36 @@ def test_train_non_finite_lr_exit2(tmp_path, ds_root, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: lr must be finite and >= 0, got {case.split('_')[1]}"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("allowed", [0, 1])
+def test_train_refused_thread_exit2(tmp_path, ds_root, capsys, monkeypatch, allowed):
+    # the OS refuses every training thread, or all but the first: one line
+    # and exit 2, as for any allocation that fails, and no checkpoint
+    from epu import cli
+    from epu import train as train_module
+
+    real_start = threading.Thread.start
+    started = []
+
+    def start(self):
+        if len(started) >= allowed:
+            raise RuntimeError("can't start new thread")
+        started.append(self)
+        real_start(self)
+
+    # room for one thread per sub-network on any machine
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(ds_root), "--out", str(out), *TINY_FLAGS, "--epochs", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: train needs more memory than there is: cannot start a training thread: can't start new thread"
+    ]
+    assert not (out / "checkpoint.epu").exists()
+    # the thread that did start was joined before `main` returned
+    assert len(started) == allowed and not any(t.is_alive() for t in started)
 
 
 def test_train_config_file_unknown_key_line(tmp_path, ds_root):

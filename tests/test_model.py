@@ -23,8 +23,8 @@ def rand_stack(rng, n=4, side=9):
 
 def zero_heads(m):
     for sn in m.subnets:
-        sn.head_weight.tensor.data[:] = 0.0
-        sn.head_bias.tensor.data[:] = 0.0
+        sn.head_weight.data[:] = 0.0
+        sn.head_bias.data[:] = 0.0
 
 
 def test_presets_match_published_shapes():
@@ -49,16 +49,16 @@ def test_build_desk_model_structure():
     m = M.build_model(M.PRESETS["desk"], seed=1)
     assert len(m.subnets) == 4
     for sn in m.subnets:
-        assert len(sn.conv_kernels) == 7
-        assert sn.head_weight.tensor.data.shape == (32, 1)
-    assert m.beta.tensor.data.shape == (1,)
-    assert float(m.beta.tensor.data[0]) == 0.0
+        assert [len(block.kernels) for block in sn.blocks] == [2, 2, 3]
+        assert sn.head_weight.data.shape == (32, 1)
+    assert m.beta.data.shape == (1,)
+    assert float(m.beta.data[0]) == 0.0
 
 
 def test_desk_parameter_count_frozen():
     m = M.build_model(M.PRESETS["desk"], seed=0)
-    n_params = sum(p.tensor.data.size for p in m.parameters())
-    n_buffers = sum(b.size for _, b in m.buffers())
+    n_params = sum(p.data.size for p in m.parameters())
+    n_buffers = sum(b.running_mean.size + b.running_var.size for sn in m.subnets for b in sn.blocks)
     assert n_params == 371429  # 4 x 92857 subnet weights + scalar intercept
     assert n_buffers == 448
 
@@ -66,12 +66,13 @@ def test_desk_parameter_count_frozen():
 def test_same_seed_is_bitwise_identical():
     a = M.build_model(M.PRESETS["desk"], seed=7)
     b = M.build_model(M.PRESETS["desk"], seed=7)
+    assert len(a.parameters()) == len(b.parameters())
     for pa, pb in zip(a.parameters(), b.parameters()):
-        assert pa.name == pb.name
-        assert np.array_equal(pa.tensor.data, pb.tensor.data)
+        assert pa.data.shape == pb.data.shape
+        assert np.array_equal(pa.data, pb.data)
     c = M.build_model(M.PRESETS["desk"], seed=8)
-    assert not np.array_equal(a.subnets[0].conv_kernels[0].tensor.data,
-                              c.subnets[0].conv_kernels[0].tensor.data)
+    assert not np.array_equal(a.subnets[0].blocks[0].kernels[0].data,
+                              c.subnets[0].blocks[0].kernels[0].data)
 
 
 def test_build_model_weights_follow_seeded_draws():
@@ -80,7 +81,8 @@ def test_build_model_weights_follow_seeded_draws():
     m = M.build_model(M.PRESETS["desk"], seed=5)
     for i, sn in enumerate(m.subnets):
         rng = np.random.default_rng([5, i])
-        weights = [p.tensor.data for p in sn.conv_kernels] + [sn.fc_weight.tensor.data, sn.head_weight.tensor.data]
+        kernels = [k.data for block in sn.blocks for k in block.kernels]
+        weights = kernels + [sn.fc_weight.data, sn.head_weight.data]
         for w in weights:
             fan_in = int(np.prod(w.shape[1:])) if w.ndim == 4 else w.shape[0]
             bound = np.sqrt(6.0 / fan_in)
@@ -90,15 +92,21 @@ def test_build_model_weights_follow_seeded_draws():
 
 def test_subnets_initialized_independently():
     m = tiny_model(seed=3)
-    k0 = m.subnets[0].conv_kernels[0].tensor.data
-    k1 = m.subnets[1].conv_kernels[0].tensor.data
+    k0 = m.subnets[0].blocks[0].kernels[0].data
+    k1 = m.subnets[1].blocks[0].kernels[0].data
     assert not np.array_equal(k0, k1)
 
 
-def test_param_names_unique():
+def test_parameters_are_distinct_arrays_covering_the_state():
+    # a tensor listed twice, or two sharing memory, would be stepped twice
     m = tiny_model()
-    names = [p.name for p in m.parameters()]
-    assert len(names) == len(set(names))
+    params = m.parameters()
+    assert len({id(p) for p in params}) == len(params)
+    assert all(p.requires_grad and p.grad is None for p in params)
+    for i, a in enumerate(params):
+        for b in params[i + 1 :]:
+            assert not np.shares_memory(a.data, b.data)
+    assert sum(a.size for a in m.state_arrays()) == M.state_size(TINY)
 
 
 def test_rss_always_in_tanh_range():
@@ -139,13 +147,13 @@ def test_cached_activation_count_and_shapes():
 def _forward_relu_then_pool(sn, x, layer):
     """Evaluation-mode sub-network forward with every ReLU before its block's
     max-pool; returns (scores, post-ReLU activations of conv `layer`)."""
-    acts, kernels, n = None, iter(sn.conv_kernels), 0
+    acts, n = None, 0
     with T.no_grad():
         h = M.Tensor(x)
-        for (count, _), bn in zip(sn.arch.blocks, sn.bn):
-            for _ in range(count):
+        for bn in sn.blocks:
+            for kernel in bn.kernels:
                 n += 1
-                h = T.relu(T.conv2d(h, next(kernels), padding=sn.arch.kernel_size // 2))
+                h = T.relu(T.conv2d(h, kernel, padding=sn.arch.kernel_size // 2))
                 if n == layer:
                     acts = h.data
             h = T.batchnorm2d(T.maxpool2d(h, 2), bn.gamma, bn.beta, bn.running_mean, bn.running_var, False)
@@ -157,7 +165,7 @@ def test_predict_activations_match_relu_before_pool_reference():
     m = M.build_model(M.PRESETS["desk"], seed=4)
     rng = np.random.default_rng(5)
     for sn in m.subnets:
-        for bn in sn.bn:
+        for bn in sn.blocks:
             bn.running_mean[:] = rng.standard_normal(bn.running_mean.shape)
             bn.running_var[:] = rng.uniform(0.5, 2.0, bn.running_var.shape)
     stacks = rng.uniform(-1, 1, size=(T.MICRO_BATCH + 3, 4, 64, 64)).astype(np.float32)
@@ -175,7 +183,7 @@ def test_predict_leaves_no_state_on_the_model():
 
     def snapshot():
         objs = [m] + m.subnets
-        return [dict(vars(o)) for o in objs], [a.copy() for _, a in m.state_entries()]
+        return [dict(vars(o)) for o in objs], [a.copy() for a in m.state_arrays()]
 
     attrs, arrays = snapshot()
     M.predict(m, stacks)
@@ -198,7 +206,7 @@ def test_evaluate_equals_one_forward_batch_per_sample():
 
     rng = np.random.default_rng(13)
     m = tiny_model(seed=7)
-    m.beta.tensor.data[:] = 0.3
+    m.beta.data[:] = 0.3
     # 9 images: two full chunks and a chunk of one
     images = rand_images(rng, 9)
     labels = np.arange(9) % 2
@@ -250,7 +258,7 @@ def test_forced_rss_values_hit_sigma4():
     m = tiny_model(seed=1)
     zero_heads(m)
     for sn in m.subnets:
-        sn.head_bias.tensor.data[:] = 20.0  # tanh(20) rounds to exactly 1.0
+        sn.head_bias.data[:] = 20.0  # tanh(20) rounds to exactly 1.0
     prob, scores = M.predict(m, rand_stack(np.random.default_rng(7)))
     assert np.allclose(scores, 1.0)
     assert prob[0] == pytest.approx(1.0 / (1.0 + np.exp(-4.0)), abs=1e-6)
@@ -261,7 +269,7 @@ def test_cancelling_rss_gives_half():
     m = tiny_model(seed=1)
     zero_heads(m)
     for i, sn in enumerate(m.subnets):
-        sn.head_bias.tensor.data[:] = 20.0 if i % 2 == 0 else -20.0
+        sn.head_bias.data[:] = 20.0 if i % 2 == 0 else -20.0
     prob, _ = M.predict(m, rand_stack(np.random.default_rng(8)))
     assert prob[0] == pytest.approx(0.5, abs=1e-7)
 
@@ -270,10 +278,10 @@ def test_cancelling_rss_gives_half():
 def test_additive_identity_random_models(seed):
     rng = np.random.default_rng(200 + seed)
     m = tiny_model(seed=seed)
-    m.beta.tensor.data[:] = rng.normal()
+    m.beta.data[:] = rng.normal()
     stack = rand_stack(rng)
     prob, scores = M.predict(m, stack)
-    recomputed = 1.0 / (1.0 + np.exp(-(float(m.beta.tensor.data[0]) + scores[0].sum())))
+    recomputed = 1.0 / (1.0 + np.exp(-(float(m.beta.data[0]) + scores[0].sum())))
     assert abs(prob[0] - recomputed) <= 1e-6
 
 
@@ -295,12 +303,12 @@ def test_ablation_consistency():
     m = tiny_model(seed=6)
     stack = rand_stack(rng)
     _, scores = M.predict(m, stack)
-    logit = float(m.beta.tensor.data[0]) + scores[0].sum()
+    logit = float(m.beta.data[0]) + scores[0].sum()
     for p in m.subnets[1].parameters():
-        p.tensor.data[:] = 0.0
+        p.data[:] = 0.0
     _, ablated = M.predict(m, stack)
     assert ablated[0, 1] == 0.0
-    new_logit = float(m.beta.tensor.data[0]) + ablated[0].sum()
+    new_logit = float(m.beta.data[0]) + ablated[0].sum()
     assert new_logit == pytest.approx(logit - scores[0, 1], abs=1e-6)
 
 
@@ -351,9 +359,9 @@ def test_micro_batched_training_forward_uses_whole_batch_statistics():
     batch = 2 * T.MICRO_BATCH + 3
     rng = np.random.default_rng(7)
     x = rng.standard_normal((batch, 1, 16, 16)).astype(np.float32)
-    nets = [M.SubNetwork(arch, 0, np.random.default_rng(8)) for _ in range(2)]
+    nets = [M.SubNetwork(arch, np.random.default_rng(8)) for _ in range(2)]
     for sn in nets:
-        for bn, seed in zip(sn.bn, (9, 10)):
+        for bn, seed in zip(sn.blocks, (9, 10)):
             draw = np.random.default_rng(seed)
             bn.gamma.data[:] = draw.uniform(0.5, 1.5, bn.gamma.data.shape)
             bn.beta.data[:] = draw.standard_normal(bn.beta.data.shape)
@@ -364,22 +372,22 @@ def test_micro_batched_training_forward_uses_whole_batch_statistics():
     # the reference runs every layer on the unsplit batch
     with T.no_grad():
         h = M.Tensor(x)
-        kernels = iter(ref.conv_kernels)
-        for (count, _), bn in zip(arch.blocks, ref.bn):
-            for _ in range(count):
-                h = T.relu(T.conv2d(h, next(kernels), padding=ref.arch.kernel_size // 2))
+        for bn in ref.blocks:
+            for kernel in bn.kernels:
+                h = T.relu(T.conv2d(h, kernel, padding=ref.arch.kernel_size // 2))
             h = M.Tensor(_bn_reference(T.maxpool2d(h, 2).data, bn))
         h = T.relu(T.dense(T.flatten_batch(h), ref.fc_weight, ref.fc_bias))
         want = T.tanh(T.dense(h, ref.head_weight, ref.head_bias)).data
     assert out.data.shape == (batch, 1)
     assert out.data.tobytes() == want.tobytes()
-    for (_, got), (_, buf) in zip(model_net.buffers(), ref.buffers()):
-        assert got.tobytes() == buf.tobytes()
+    for got, want in zip(model_net.blocks, ref.blocks):
+        assert got.running_mean.tobytes() == want.running_mean.tobytes()
+        assert got.running_var.tobytes() == want.running_var.tobytes()
 
 
 def test_training_forward_retains_only_what_backward_reads():
     arch = M.PRESETS["desk"]
-    subnet = M.SubNetwork(arch, 0, np.random.default_rng(0))
+    subnet = M.SubNetwork(arch, np.random.default_rng(0))
     # one part, and three parts with a ragged tail: batchnorm keeps no copy
     # of the batch
     for batch in (T.MICRO_BATCH, 2 * T.MICRO_BATCH + 3):
@@ -422,7 +430,7 @@ def test_training_forward_retains_only_what_backward_reads():
 def test_state_size_counts_what_build_model_allocates(arch):
     # zero weights: no draws, and the pages of a large model are never touched
     model = M.build_model(arch, seed=None)
-    assert M.state_size(arch) == sum(a.size for _, a in model.state_entries())
+    assert M.state_size(arch) == sum(a.size for a in model.state_arrays())
 
 
 def test_training_forward_keeps_no_batchnorm_output(monkeypatch):
@@ -438,7 +446,7 @@ def test_training_forward_keeps_no_batchnorm_output(monkeypatch):
 
     monkeypatch.setattr(T, "batchnorm2d", batchnorm2d)
     arch = M.PRESETS["desk"]
-    subnet = M.SubNetwork(arch, 0, np.random.default_rng(0))
+    subnet = M.SubNetwork(arch, np.random.default_rng(0))
     x = np.random.default_rng(2).standard_normal((2 * T.MICRO_BATCH + 3, 1, 64, 64)).astype(np.float32)
     out = subnet.forward(M.Tensor(x), training=True)
     assert len(refs) == len(arch.blocks)

@@ -712,12 +712,11 @@ def test_composed_network_gradcheck():
 
 def test_sgd_step_formula():
     t = T.Tensor(np.array([1.0]), requires_grad=True)
-    p = T.Param("w", t)
     t.grad = np.array([2.0])
-    T.sgd_step([p], lr=0.1)
+    T.sgd_step([t], lr=0.1)
     assert t.data[0] == pytest.approx(0.8)
     assert t.grad is None
-    T.sgd_step([p], lr=0.0)
+    T.sgd_step([t], lr=0.0)
     assert t.data[0] == pytest.approx(0.8)
 
 

@@ -220,14 +220,14 @@ def test_train_epoch_matches_whole_graph_step():
             T.sgd_step(params, config.lr)
 
         assert len(images) > 2 * config.batch_size
-        for (name, got), (_, want) in zip(model.state_entries(), ref.state_entries()):
-            assert np.array_equal(got, want), (batch_size, name)
+        for i, (got, want) in enumerate(zip(model.state_arrays(), ref.state_arrays())):
+            assert np.array_equal(got, want), (batch_size, i)
 
 
 def test_train_step_rejects_non_finite_buffers():
     # the loss stays finite: training-mode batchnorm does not read its buffers
     model = build_model(TINY, seed=0)
-    model.subnets[1].bn[0].running_var[0] = np.inf
+    model.subnets[1].blocks[0].running_var[0] = np.inf
     images, labels = _separable_images(np.random.default_rng(0), per_class=2)
     with pytest.raises(TrainingDivergedError, match="non-finite weights or batchnorm buffers"):
         train_epoch(model, images, labels, TrainConfig(batch_size=4, lr=0.01, epochs=1))
@@ -316,7 +316,7 @@ def test_loss_matches_bce_of_score_sum():
     rebuilt = []
     for maps in stacks:
         _, scores = predict(model, PfmStack(maps))
-        rebuilt.append(model.beta.tensor.data[0] + scores[0].sum())
+        rebuilt.append(model.beta.data[0] + scores[0].sum())
     recomputed = float(T.bce_with_logits(np.array(rebuilt), labels).data)
     assert math.isclose(direct, recomputed, rel_tol=1e-5)
 
@@ -466,11 +466,11 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path = str(tmp_path / "m.epu")
     save_checkpoint(model, path, epoch=1, seed=0)
     loaded = load_checkpoint(path)
-    src = dict(model.state_entries())
-    dst = dict(loaded.state_entries())
-    assert src.keys() == dst.keys()
-    for name in src:
-        assert np.array_equal(src[name], dst[name]), name
+    src = model.state_arrays()
+    dst = loaded.state_arrays()
+    assert [a.shape for a in src] == [a.shape for a in dst]
+    for i, (want, got) in enumerate(zip(src, dst)):
+        assert np.array_equal(want, got), i
     assert loaded.class_names == ("crescent", "disk")
     assert loaded.arch == model.arch
 
@@ -485,8 +485,8 @@ def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
 
     monkeypatch.setattr(T, "kaiming_uniform", no_draws)
     loaded = load_checkpoint(str(path))
-    for (name, want), (_, got) in zip(model.state_entries(), loaded.state_entries()):
-        assert np.array_equal(want.view(np.int32), got.view(np.int32)), name
+    for i, (want, got) in enumerate(zip(model.state_arrays(), loaded.state_arrays())):
+        assert np.array_equal(want.view(np.int32), got.view(np.int32)), i
     again = tmp_path / "again.epu"
     save_checkpoint(loaded, str(again), epoch=1, seed=0)
     assert again.read_bytes() == path.read_bytes()
@@ -754,7 +754,7 @@ def _old_path_fit(images, labels, arch, config):
 
 
 def _state_bytes(model):
-    return [(name, a.tobytes()) for name, a in model.state_entries()]
+    return [a.tobytes() for a in model.state_arrays()]
 
 
 @pytest.mark.parametrize("batch_size", [64, 19])
