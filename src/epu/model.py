@@ -21,19 +21,20 @@ exact. A sub-network runs each block as one `T.conv_block` op and one
 through the batch in parts of `T.MICRO_BATCH` samples, so their temporaries
 are sized for one part; batchnorm's statistics are still those of the whole
 batch. In training, the graph keeps of a block only its input, the pool's
-one-byte winner index and its pooled output, which is also batchnorm's input.
-A block fed by batchnorm keeps not its input but batchnorm's rebuild of it, so
-each block boundary keeps one array, the pre-batchnorm output, and the block
-rebuilds its input part by part in backward. The dense head does the same with
-the last block's batchnorm output, which it rebuilds for its weight gradient,
-so the head keeps no activation of the blocks: only its own small ReLU and
-tanh outputs. Backward recomputes each block's inner ReLU outputs from its
-input, running every conv's forward again except the last one's. Training thus
-keeps no full-resolution activation: a desk sub-network's graph is about a
-third of what it is with the inner ReLU outputs kept, and each inner conv's
-forward runs twice per step. The backward sweep frees each vertex's saved
-arrays as it passes it, so a sub-network's graph shrinks from the head down
-while it is swept, and a swept graph cannot be swept again.
+winner index at 2 bits per pooled element and its pooled output, which is also
+batchnorm's input. A block fed by batchnorm keeps not its input but
+batchnorm's rebuild of it, so each block boundary keeps one array, the
+pre-batchnorm output, and the block rebuilds its input part by part in
+backward. The dense head does the same with the last block's batchnorm output,
+which it rebuilds for its weight gradient, so the head keeps no activation of
+the blocks: only its own small ReLU and tanh outputs. Backward recomputes each
+block's inner ReLU outputs from its input, running every conv's forward again
+except the last one's. Training thus keeps no full-resolution activation: a
+desk sub-network's graph is about a third of what it is with the inner ReLU
+outputs kept, and each inner conv's forward runs twice per step. The backward
+sweep frees each vertex's saved arrays as it passes it, so a sub-network's
+graph shrinks from the head down while it is swept, and a swept graph cannot
+be swept again.
 """
 from __future__ import annotations
 

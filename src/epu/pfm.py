@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 
 PFM_LABELS = ("light-dark", "coarse-fine", "blue-yellow", "green-red")
 PFM_SLUGS = ("lightdark", "coarsefine", "blueyellow", "greenred")
@@ -53,7 +53,11 @@ _SRGB_DECODE = _srgb_decode_table()
 
 @dataclass
 class RgbImage:
-    """8-bit RGB raster, pixels shaped (height, width, 3)."""
+    """8-bit RGB raster, pixels shaped (height, width, 3).
+
+    Pixels of another numeric dtype are converted when every value is a
+    finite integer in [0, 255]; any other value raises `ContractError`.
+    """
 
     pixels: np.ndarray
 
@@ -62,6 +66,16 @@ class RgbImage:
         if px.ndim != 3 or px.shape[2] != 3:
             raise DimensionError(f"RgbImage expects (H, W, 3) pixels, got shape {px.shape}")
         if px.dtype != np.uint8:
+            if px.dtype.kind not in "biuf":
+                raise ContractError(f"RgbImage expects numeric pixels, got dtype {px.dtype}")
+            # a NaN fails every comparison, and an infinity is out of range
+            bad = ~((px >= 0) & (px <= 255) & (np.floor(px) == px))
+            if bad.any():
+                at = np.unravel_index(np.flatnonzero(bad)[0], px.shape)
+                value = px[at].item()
+                raise ContractError(
+                    f"RgbImage pixels must be integers in [0, 255], got {value} at {tuple(map(int, at))}"
+                )
             px = px.astype(np.uint8)
         self.pixels = px
 

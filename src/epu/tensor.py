@@ -504,11 +504,42 @@ POOL_WINDOW = 2
 _POOL_OFFSETS = [divmod(n, POOL_WINDOW) for n in range(POOL_WINDOW * POOL_WINDOW)]
 
 
+def _pack_index(full: Array) -> Array:
+    """(..., 4q) uint8 winner offsets, each 0-3, as (..., q) bytes of four
+    2-bit fields: column 4m + t goes to bits 2t and 2t + 1 of byte m."""
+    # As little-endian uint32, column 4m + t is bits 8t up of word m; shifting
+    # the word right by 6t brings it to bit 2t. A field is below 4, so no
+    # shift brings any other set bit into byte 0, the byte that astype keeps.
+    u = full.view("<u4")
+    p = u >> 6
+    p |= u
+    t = u >> 12
+    p |= t
+    np.right_shift(u, 18, out=t)
+    p |= t
+    return p.astype(np.uint8)
+
+
+def _unpack_index(packed: Array, wo: int) -> Array:
+    """The (..., wo) uint8 winner offsets that `_pack_index` packed into `packed`."""
+    # the inverse shifts: 6 puts field 1 at bit 8 and field 3 at bit 12, then
+    # 12 puts field 2 at bit 16 and field 3 at bit 24; the mask keeps those
+    u = packed.astype("<u4")
+    t = u << 6
+    u |= t
+    np.left_shift(u, 12, out=t)
+    u |= t
+    u &= 0x03030303
+    return u.view(np.uint8)[..., :wo]
+
+
 def _pool_max(xd: Array, record: bool):
     """Max-pool output of `xd` and, when `record`, its winner index (else None).
 
     Every max-pool of the package runs here. See `maxpool2d` for the order of
-    ties and NaNs that the output and the index follow.
+    ties and NaNs that the output and the index follow. The index of a (B, C,
+    ho, wo) output is (B, C, ho, ceil(wo / 4)) uint8, packed by `_pack_index`;
+    a ragged row's last byte is zero-padded.
     """
     k = POOL_WINDOW
     batch, ch, h, w = xd.shape
@@ -521,7 +552,9 @@ def _pool_max(xd: Array, record: bool):
     out = xp[:, :, ::k, ::k].copy()
     win = None
     if record:
-        win = np.zeros(out.shape, dtype=np.uint8)
+        # the offsets go in a row padded to whole bytes of the packed index
+        full = np.zeros((batch, ch, ho, -(-wo // 4) * 4), dtype=np.uint8)
+        win = full[..., :wo]
         gt, cand = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=np.uint8)
     for n, (i, j) in enumerate(_POOL_OFFSETS[1:], 1):
         v = xp[:, :, i::k, j::k]
@@ -539,17 +572,19 @@ def _pool_max(xd: Array, record: bool):
             # a NaN never compares greater; its window goes to its first NaN
             for n, (i, j) in reversed(list(enumerate(_POOL_OFFSETS))):
                 np.copyto(win, np.uint8(n), where=nan & np.isnan(xp[:, :, i::k, j::k]))
+        win = _pack_index(full)
     return out, win
 
 
-def _pool_scatter(up: Array, win: Array, h: int, w: int) -> Array:
+def _pool_scatter(up: Array, packed: Array, h: int, w: int) -> Array:
     """Gradient of a max-pool's (B, C, h, w) input: each window's upstream
-    value at its winner, +0.0 elsewhere."""
+    value at its winner, +0.0 elsewhere. `packed` is `_pool_max`'s index."""
     # Multiplying up's bit pattern by the 0/1 mask writes up's exact bits
     # where the gradient goes and +0.0 elsewhere (a masked float copy is
     # several times slower on strided views). The views tile g, so every
     # element is written once and g needs no zero fill.
     k = POOL_WINDOW
+    win = _unpack_index(packed, up.shape[3])
     batch, ch, ho, wo = win.shape
     bits = np.dtype(f"u{up.dtype.itemsize}")
     g = np.empty((batch, ch, ho * k, wo * k), dtype=up.dtype)
@@ -568,7 +603,7 @@ def maxpool2d(x, window: int) -> Tensor:
     (i, j). A NaN in a window makes its output NaN. Ties keep the first
     maximum's value, and the gradient goes to the first maximum in row-major
     order, or to the first NaN. When a graph is recorded, the forward max
-    loop also notes that winner's offset in the window, one byte per output
+    loop also notes that winner's offset in the window, 2 bits per output
     element; backward reads only that index, so the graph keeps neither the
     input nor the output. Without a graph no index is computed.
     """
@@ -629,8 +664,9 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
     it may differ in the low bits.
 
     A recorded vertex keeps the input, the kernels, the pool's winner index
-    and the output, whose sign masks the last ReLU's gradient; it keeps no
-    full-resolution activation. An input whose vertex can rebuild it (a
+    at 2 bits per pooled element (one packed batch array, filled part by
+    part) and the output, whose sign masks the last ReLU's gradient; it keeps
+    no full-resolution activation. An input whose vertex can rebuild it (a
     `batchnorm2d` output) is not kept: backward rebuilds each part of it,
     bitwise, from batchnorm's saved input. Backward, part by part, recomputes
     the inner ReLU outputs from the input, then runs the convs' backward in

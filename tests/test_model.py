@@ -394,16 +394,17 @@ def test_training_forward_retains_only_what_backward_reads():
         base = np.random.default_rng(1).standard_normal((batch, 1, arch.input_side, arch.input_side))
         base = base.astype(np.float32)
         # the arrays backward reads: the input; each block's max-pool winner
-        # index (one byte) and pooled ReLU output, which is batchnorm's input;
-        # and the dense head's ReLU and tanh outputs. Batchnorm outputs are
-        # rebuilt by their consumers, and a block's inner ReLU outputs are
-        # recomputed in backward, so no full-resolution activation is kept.
-        # Measured: 1.020 and 1.007 of this at 8 and 19 samples, 1.113 and
-        # 1.099 when the dense head keeps the last batchnorm output.
+        # index (2 bits per pooled element) and pooled ReLU output, which is
+        # batchnorm's input; and the dense head's ReLU and tanh outputs.
+        # Batchnorm outputs are rebuilt by their consumers, and a block's inner
+        # ReLU outputs are recomputed in backward, so no full-resolution
+        # activation is kept. Measured: 1.024 and 1.007 of this at 8 and 19
+        # samples, 1.129 and 1.113 when the dense head keeps the last batchnorm
+        # output.
         side, needed = arch.input_side, base.nbytes
         for _, depth in arch.blocks:
             side = math.ceil(side / 2)
-            needed += batch * depth * side * side * (1 + 4)
+            needed += batch * depth * side * side * (0.25 + 4)
         needed += batch * (arch.fc_width + 1) * 4
 
         tracemalloc.start()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epu import pfm
-from epu.errors import DimensionError
+from epu.errors import ContractError, DimensionError
 
 # frozen from an independent scalar reference-formula computation (D65)
 LAB_ORACLE = {
@@ -15,6 +15,20 @@ LAB_ORACLE = {
 
 def solid(rgb, h=4, w=4):
     return pfm.RgbImage(np.tile(np.array(rgb, np.uint8), (h, w, 1)))
+
+
+def test_rgb_image_accepts_only_byte_values():
+    # integer values of another dtype convert exactly; anything else raises
+    # instead of wrapping (300 to 44, -1 to 255) or truncating (0.5 to 0)
+    twin = np.random.default_rng(5).integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
+    img = pfm.RgbImage(twin.astype(np.float64))
+    assert img.pixels.dtype == np.uint8 and img.pixels.tobytes() == twin.tobytes()
+    for bad, shown in ((300, "300.0"), (-1, "-1.0"), (0.5, "0.5"), (np.nan, "nan")):
+        px = twin.astype(np.float64)
+        px[2, 1, 0] = bad
+        with pytest.raises(ContractError) as info:
+            pfm.RgbImage(px)
+        assert str(info.value) == f"RgbImage pixels must be integers in [0, 255], got {shown} at (2, 1, 0)"
 
 
 def test_lab_white_and_black():

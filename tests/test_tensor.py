@@ -197,7 +197,9 @@ def test_maxpool_matches_references():
     # window, and ragged sides pool over -inf padding
     rng = np.random.default_rng(17)
     kinds = ("plain", "ties", "nans")
-    grid = itertools.product(((6, 6), (5, 7)), (1, 3), (np.float32, np.float64), kinds)
+    # pooled widths 3, 4, 1, 2 and 5 put every wo % 4 through the packed index
+    sides = ((6, 6), (5, 7), (4, 1), (3, 3), (6, 9))
+    grid = itertools.product(sides, (1, 3), (np.float32, np.float64), kinds)
     window = T.POOL_WINDOW
     for (h, w), batch, dtype, kind in grid:
         x = rng.standard_normal((batch, 2, h, w))
@@ -269,8 +271,10 @@ def test_recorded_maxpool_keeps_only_its_winner_index():
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         # the input leaf is held as its vertex only, not for its data
         assert [a for a in held if isinstance(a, T.Tensor)] == [x]
-        # one byte per pooled element, nothing of the input's or the output's size
-        assert [(a.dtype, a.shape) for a in arrays] == [(np.uint8, out.data.shape)]
+        # 2 bits per pooled element, a pooled row in ceil(wo / 4) bytes:
+        # nothing of the input's or the output's size
+        *lead, wo = out.data.shape
+        assert [(a.dtype, a.shape) for a in arrays] == [(np.uint8, (*lead, -(-wo // 4)))]
 
 
 def test_maxpool_gradcheck():
@@ -409,11 +413,13 @@ def test_recorded_conv_block_keeps_input_kernels_index_and_output():
         held.extend(v if isinstance(v, list) else [v])
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     # the leaves are held as their vertices; of arrays, the input, the kernels,
-    # the output and a one-byte winner index: no full-resolution activation
+    # the output and a winner index at 2 bits per pooled element, a pooled row
+    # in ceil(wo / 4) bytes: no full-resolution activation
     assert sorted(id(t) for t in held if isinstance(t, T.Tensor)) == sorted(map(id, (x, *kts)))
     want = (x.data, *(k.data for k in kts), out.data)
     assert sorted(id(a) for a in arrays if a.dtype != np.uint8) == sorted(map(id, want))
-    assert [a.shape for a in arrays if a.dtype == np.uint8] == [out.data.shape]
+    *lead, wo = out.data.shape
+    assert [a.shape for a in arrays if a.dtype == np.uint8] == [(*lead, -(-wo // 4))]
 
 
 def test_conv_block_bad_arguments():

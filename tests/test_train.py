@@ -257,10 +257,11 @@ def test_train_step_frees_each_graph_as_its_sweep_passes(monkeypatch):
 
 def test_train_step_peak_memory():
     # one desk step at batch 64 on one worker, where the traced peak repeats
-    # exactly: 24.67 MB when the dense head rebuilds the last batchnorm output
-    # too, 26.24 MB when it keeps it, 37.52 MB when blocks fed by batchnorm
-    # keep its output as well, 42.16 MB when every vertex's arrays stay until
-    # the step returns (numpy 2.4.6)
+    # exactly: 22.02 MB with the max-pool winner index at 2 bits per pooled
+    # element, 24.67 MB at one byte, 26.24 MB when the dense head also keeps
+    # the last batchnorm output, 37.52 MB when blocks fed by batchnorm keep its
+    # output as well, 42.16 MB when every vertex's arrays stay until the step
+    # returns (numpy 2.4.6)
     model = build_model(PRESETS["desk"], seed=0)
     stacks = np.random.default_rng(0).uniform(-1, 1, size=(64, 4, 64, 64)).astype(np.float32)
     labels = (np.arange(64) % 2).astype(np.float32)
@@ -271,7 +272,7 @@ def test_train_step_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 27.2e6, peak
+    assert peak < 22.3e6, peak
 
 
 def test_train_epoch_worker_error_reaches_caller():
