@@ -177,20 +177,14 @@ def cmd_train(args) -> int:
         epoch_lines.append(line)
         print(line)
 
-    try:
-        result = fit(
-            [images[i] for i in train_idx],
-            labels[train_idx],
-            settings.arch,
-            settings.train,
-            class_names=manifest.class_names,
-            log=log,
-        )
-    except TrainingDivergedError as exc:
-        last = "none" if not exc.epoch else str(exc.epoch - 1)
-        print(f"training diverged at epoch {exc.epoch}; last finite epoch: {last}", file=sys.stderr)
-        return 4
-
+    result = fit(
+        [images[i] for i in train_idx],
+        labels[train_idx],
+        settings.arch,
+        settings.train,
+        class_names=manifest.class_names,
+        log=log,
+    )
     report = evaluate(result.model, [images[i] for i in val_idx], labels[val_idx])
     val_line = (
         f"val auc={report.auc!r} accuracy={report.accuracy!r}"
@@ -225,8 +219,6 @@ def cmd_explain(args) -> int:
     settings = _settings(args)
     model = load_checkpoint(args.model)
     side = model.arch.input_side
-    if args.expect_side is not None and args.expect_side != side:
-        raise ConfigError(f"input side {args.expect_side} does not match checkpoint side {side}")
     resized = resize_rgb(read_image(args.image), side, side)
     stack = build_pfm_stack(resized, side)
     prob, scores, acts = predict(model, stack, layer=settings.layer)
@@ -240,7 +232,7 @@ def cmd_explain(args) -> int:
     # every artifact is built before the first is written, so a failure leaves none
     files = [(f"{stem}.chart.svg", render_local_chart(scores[0], names).encode("utf-8"))]
     for slug, maps in zip(PFM_SLUGS, acts):
-        prm = build_prm(maps[0], side, side, bins=settings.bins)
+        prm = build_prm(maps[0], side, side)
         files.append((f"{stem}.prm-{slug}.ppm", encode_ppm(overlay_prm(resized, prm))))
     files.append((f"{stem}.rss.jsonl", rss_sidecar(scores[0]).encode("utf-8")))
     print(
@@ -340,15 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("explain", help="per-image prediction, score chart, relevance overlays")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--image", required=True, help="input PPM image")
-    p.add_argument(
-        "--side",
-        dest="expect_side",
-        metavar="SIDE",
-        type=int,
-        help="must match the checkpoint input side if given",
-    )
     _add_setting(p, "interpret", "layer", "1-based conv layer for relevance maps")
-    _add_setting(p, "interpret", "bins")
     _add_config_flags(p)
 
     p = subs.add_parser("global-explain", help="dataset-wide per-class score statistics")

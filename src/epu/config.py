@@ -17,11 +17,6 @@ from .train import TrainConfig
 
 DEFAULT_PRESET = "desk"
 DEFAULT_LAYER = 5
-DEFAULT_BINS = 256
-# Most histogram bins: the entropy ranking counts all maps of a layer at once
-# in a (maps, bins + 1) int64 array (`interpret._bin_counts`), which grows
-# with the count without limit, and bins beyond a map's pixel count stay empty.
-MAX_BINS = 2**16
 DEFAULT_HOLDOUT = 0.2
 
 
@@ -58,7 +53,6 @@ SCHEMA = {
     },
     "interpret": {
         "layer": int,
-        "bins": int,
     },
     "output": {
         "dir": str,
@@ -115,7 +109,6 @@ class RunSettings:
     use_folds: bool
     pfm_side: int
     layer: int
-    bins: int
     out_dir: str | None
 
 
@@ -152,9 +145,6 @@ def resolve_settings(file_values: dict | None = None, overrides: dict | None = N
     layer = merged["interpret"].get("layer", DEFAULT_LAYER)
     if layer < 1:
         raise ConfigError(f"interpret layer must be >= 1, got {layer}")
-    bins = merged["interpret"].get("bins", DEFAULT_BINS)
-    if not 2 <= bins <= MAX_BINS:
-        raise ConfigError(f"bins must lie in [2, {MAX_BINS}], got {bins}")
     return RunSettings(
         arch=arch,
         train=train,
@@ -162,6 +152,5 @@ def resolve_settings(file_values: dict | None = None, overrides: dict | None = N
         use_folds=use_folds,
         pfm_side=pfm_side,
         layer=layer,
-        bins=bins,
         out_dir=merged["output"].get("dir"),
     )

@@ -1,8 +1,10 @@
 """Dataset ingestion, binary PPM/PGM codecs, and a synthetic two-class generator.
 
 The on-disk layout is one sub-directory per class under a dataset root,
-holding binary PPM images.  A manifest lists ``path<TAB>class`` pairs with
-pure lexicographic ordering so runs are reproducible across platforms.
+holding binary PPM images. `load_dataset` scans that layout in pure
+lexicographic order, so runs are reproducible across platforms. The
+generator also writes a ``manifest.tsv`` of ``path<TAB>class`` lines, which
+loading never reads.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ class DatasetManifest:
     root: str
     class_names: tuple
     entries: tuple
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,3 @@ class DegenerateInputError(EpuError):
 
 class TrainingDivergedError(EpuError):
     """Optimization produced a non-finite loss."""
-
-    def __init__(self, message: str, epoch: int | None = None):
-        super().__init__(message)
-        self.epoch = epoch

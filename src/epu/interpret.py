@@ -3,11 +3,12 @@
 A relevance map condenses one sub-network's activations at the chosen conv
 layer, as `model.predict` returns them: rank the layer's maps by Shannon
 entropy, keep the most informative half, average them, upsample to input
-size, then cut at the threshold maximizing Yen's entropic correlation. All
-maps of a layer are binned and counted in one pass (with `np.histogram`'s
-bin rule), and Yen's criterion is evaluated for every split at once, taking
-the first maximum. Charts are emitted as self-contained SVG strings whose bar
-geometry and data-* attributes are machine-checkable.
+size, then cut at the threshold maximizing Yen's entropic correlation. Both
+steps use histograms of `BINS` bins. All maps of a layer are binned and
+counted in one pass (with `np.histogram`'s bin rule), and Yen's criterion is
+evaluated for every split at once, taking the first maximum. Charts are
+emitted as self-contained SVG strings whose bar geometry and data-*
+attributes are machine-checkable.
 """
 from __future__ import annotations
 
@@ -19,6 +20,10 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, DimensionError
 from .pfm import PFM_LABELS, RgbImage, upsample
+
+# Histogram bins of the entropy ranking and of Yen's threshold: one per
+# level of an 8-bit range, as in Yen, Chang & Chang (IEEE TIP 1995).
+BINS = 256
 
 GREEN = "#2e8b57"
 RED = "#c0392b"
@@ -93,8 +98,6 @@ def _bin_counts(rows: np.ndarray, bins: int) -> np.ndarray:
 
 def _entropies(rows: np.ndarray, bins: int) -> np.ndarray:
     """Entropy in bits of each row's histogram after min-max normalizing the row."""
-    if bins < 2:
-        raise ContractError(f"bins must be >= 2, got {bins}")
     lo = rows.min(axis=1, keepdims=True)
     hi = rows.max(axis=1, keepdims=True)
     flat = (hi == lo)[:, 0]
@@ -114,17 +117,17 @@ def _entropies(rows: np.ndarray, bins: int) -> np.ndarray:
     return out
 
 
-def shannon_entropy(plane: np.ndarray, bins: int = 256) -> float:
+def shannon_entropy(plane: np.ndarray) -> float:
     """Entropy in bits of the histogram of the min-max normalized plane.
 
     A constant plane has entropy 0.0. This is the one-map case of the
     counting that `select_informative` does for a whole stack.
     """
     plane = np.asarray(plane, dtype=np.float64)
-    return float(_entropies(plane.reshape(1, -1), bins)[0])
+    return float(_entropies(plane.reshape(1, -1), BINS)[0])
 
 
-def select_informative(stack: FeatureMapStack, bins: int = 256) -> np.ndarray:
+def select_informative(stack: FeatureMapStack) -> np.ndarray:
     """Keep the ceil(n/2) highest-entropy maps; ties go to the lower index.
 
     All n maps are normalized and binned together and counted in one pass;
@@ -133,7 +136,7 @@ def select_informative(stack: FeatureMapStack, bins: int = 256) -> np.ndarray:
     """
     n = stack.count
     keep = -(-n // 2)
-    entropies = _entropies(stack.maps.reshape(n, -1), bins)
+    entropies = _entropies(stack.maps.reshape(n, -1), BINS)
     # stable sort on negated entropy: equal entropies keep index order
     ranked = np.argsort(-entropies, kind="mergesort")[:keep]
     chosen = np.sort(ranked)
@@ -175,27 +178,25 @@ def yen_index(hist: np.ndarray) -> int:
     return int(np.argmax(np.where(valid, tc, -np.inf)))
 
 
-def yen_threshold(plane: np.ndarray, bins: int = 256) -> float:
+def yen_threshold(plane: np.ndarray) -> float:
     """Upper edge of the argmax bin, in normalized [0,1] units."""
-    if bins < 2:
-        raise ContractError(f"bins must be >= 2, got {bins}")
     plane = np.asarray(plane, dtype=np.float64)
     if plane.max() == plane.min():
         raise DegenerateInputError("constant plane has no threshold")
-    t = yen_index(_bin_counts(plane.reshape(1, -1), bins)[0])
-    return (t + 1) / bins
+    t = yen_index(_bin_counts(plane.reshape(1, -1), BINS)[0])
+    return (t + 1) / BINS
 
 
-def build_prm(maps, out_h: int, out_w: int, bins: int = 256) -> Prm:
+def build_prm(maps, out_h: int, out_w: int) -> Prm:
     """Compose the relevance-map pipeline from one layer's (C, H, W) activations.
 
     A constant aggregate (e.g. all-zero activations) yields threshold None
     and an empty mask.
     """
-    selected = select_informative(FeatureMapStack(maps=maps), bins)
+    selected = select_informative(FeatureMapStack(maps=maps))
     plane = upsample(aggregate(selected), out_h, out_w)
     try:
-        threshold = yen_threshold(plane, bins)
+        threshold = yen_threshold(plane)
     except DegenerateInputError:
         return Prm(plane=plane, threshold=None, mask=np.zeros(plane.shape, dtype=bool))
     return Prm(plane=plane, threshold=threshold, mask=plane >= threshold)

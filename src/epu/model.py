@@ -3,10 +3,11 @@
 Each perceptual feature map feeds its own small CNN whose tanh head emits a
 relative similarity score in [-1, 1]. The binary prediction is
 sigmoid(beta + sum of scores), so every sub-network's contribution is directly
-readable. `EpuModel.forward_batch` is the one forward path; `predict` runs it
-in evaluation mode without a graph. Neither keeps any state on the model: the
-activations that relevance maps read are returned by the call that asks for
-them.
+readable. Every forward pass runs `SubNetwork.forward` on each sub-network:
+training calls it on its worker pool, and `EpuModel.forward_batch` calls it
+in turn, which `predict` runs in evaluation mode without a graph. None keeps
+any state on the model: the activations that relevance maps read are
+returned by the call that asks for them.
 
 A model is its tensors. Each sub-network keeps one record per conv block (its
 kernels, batchnorm gamma and beta, and the two running-statistics arrays) and
@@ -233,8 +234,8 @@ class EpuModel:
     def subnet_inputs(self, stacks) -> list[Tensor]:
         """Split (B, N, S, S) stacks, or one PfmStack, into N (B, 1, S, S) inputs.
 
-        Each input is a view of its channel, not a copy: conv2d copies it into
-        its padded buffer anyway.
+        Each input is a view of its channel, not a copy: `T.conv_block` copies
+        it into its padded buffer anyway.
         """
         data = stacks.maps[None] if isinstance(stacks, PfmStack) else np.asarray(stacks)
         if data.ndim != 4 or data.shape[1] != self.n_pfms:

@@ -1,12 +1,13 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Implements exactly the layer set the perceptual ensembles need: conv2d
-("same" padding at stride 1), maxpool2d (2x2 windows), batchnorm2d, dense,
-relu, tanh, sigmoid, add, tsum, reshape, `conv_block` (a whole conv block as
-one op that recomputes its inner activations in backward), and
-`bce_with_logits`, the training loss as one op. Every op is a module-level
-function (`add`, `relu`, `tsum`, `backward`, ...); a `Tensor` has no
-operator overloads.
+Implements exactly the layer set the perceptual ensembles need:
+`conv_block` (a whole conv block, "same" convs at stride 1 with ReLU and a
+2x2 max-pool, as one op that recomputes its inner activations in backward),
+batchnorm2d, dense, relu, tanh, sigmoid, add, tsum, reshape, and
+`bce_with_logits`, the training loss as one op. `conv2d` and `maxpool2d` are
+the single-layer ops that `conv_block` is tested against bitwise, and the
+rows of the benchmark's op table. Every op is a module-level function (`add`,
+`relu`, `tsum`, `backward`, ...); a `Tensor` has no operator overloads.
 `conv_block` and `batchnorm2d` take a whole batch and work through it in
 parts of `MICRO_BATCH` samples, so their temporaries are sized for one part;
 each records one vertex per call.

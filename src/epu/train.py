@@ -446,7 +446,7 @@ def fit(
         try:
             stats = train_epoch(model, images, labels, config, srng, ops)
         except TrainingDivergedError as exc:
-            raise TrainingDivergedError(f"{exc} at epoch {epoch}", epoch=epoch) from exc
+            raise TrainingDivergedError(f"{exc} at epoch {epoch}") from exc
         history.append(stats)
         if log is not None:
             log(epoch, stats)

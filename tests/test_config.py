@@ -1,10 +1,13 @@
 """Run-configuration parsing and precedence tests."""
 
+import re
+
 import pytest
 
+from conftest import TESTS_DIR
 from epu.cli import _overrides_from_args, build_parser
 from epu.config import (
-    MAX_BINS,
+    SCHEMA,
     parse_blocks,
     parse_bool,
     parse_config_text,
@@ -103,7 +106,6 @@ def test_resolve_defaults():
     assert s.use_folds is False
     assert s.pfm_side == 64
     assert s.layer == 5
-    assert s.bins == 256
     assert s.out_dir is None
 
 
@@ -157,11 +159,6 @@ def test_bad_ranges():
         resolve_settings({"pfm": {"side": 4}})
     with pytest.raises(ConfigError):
         resolve_settings({"interpret": {"layer": 0}})
-    with pytest.raises(ConfigError):
-        resolve_settings({"interpret": {"bins": 1}})
-    assert resolve_settings({"interpret": {"bins": MAX_BINS}}).bins == MAX_BINS
-    with pytest.raises(ConfigError, match=r"^bins must lie in \[2, 65536\], got 65537$"):
-        resolve_settings({"interpret": {"bins": MAX_BINS + 1}})
 
 
 def test_output_dir_resolution():
@@ -190,10 +187,22 @@ def test_each_flag_lands_in_its_setting():
         (train + ["--out", "o"], lambda s: s.out_dir, "o"),
         (["pfm", "--image", "i", "--side", "16"], lambda s: s.pfm_side, 16),
         (["explain", "--model", "m", "--image", "i", "--layer", "2"], lambda s: s.layer, 2),
-        (["explain", "--model", "m", "--image", "i", "--bins", "16"], lambda s: s.bins, 16),
-        # explain's --side is checked against the checkpoint, not a setting
-        (["explain", "--model", "m", "--image", "i", "--side", "4"], lambda s: s, resolve_settings()),
     ]
     for argv, field, want in cases:
         assert field(resolve_settings(None, _overrides_from_args(parser.parse_args(argv)))) == want, argv
-    assert parser.parse_args(["explain", "--model", "m", "--image", "i", "--side", "4"]).expect_side == 4
+
+
+def test_every_setting_is_set_or_documented_outside_the_tests():
+    # the settings counterpart of test_public_names.py: a setting that no
+    # user-facing file sets or names is a knob that only tests turn
+    root = TESTS_DIR.parent
+    paths = [root / "README.md", root / ".github" / "workflows" / "tests.yml"]
+    paths += sorted((root / "perfbench").glob("*.py"))
+    text = "\n".join(p.read_text(encoding="utf-8") for p in paths)
+    unseen = []
+    for section, keys in SCHEMA.items():
+        for key in keys:
+            flag = "--out" if section == "output" else "--" + key.replace("_", "-")
+            if not re.search(rf"{re.escape(flag)}(?![\w-])|^\s*{key}\s*=", text, re.M):
+                unseen.append(f"{section}.{key}")
+    assert unseen == []

@@ -267,7 +267,7 @@ def test_synth_config_validation():
 def test_synth_counts_and_manifest(tmp_path):
     man = synth_generate(SynthConfig(count=5, side=16, seed=3), str(tmp_path))
     assert man.class_names == CLASS_NAMES
-    assert len(man) == 10
+    assert len(man.entries) == 10
     for name in CLASS_NAMES:
         files = os.listdir(tmp_path / name)
         assert len(files) == 5
@@ -308,7 +308,7 @@ def test_synth_loadable_by_dataset_scanner(tmp_path):
     man = load_dataset(str(tmp_path))
     # scanning must skip the manifest file at the root and match the classes
     assert man.class_names == CLASS_NAMES
-    assert len(man) == 4
+    assert len(man.entries) == 4
 
 
 def _class_mean_b(manifest):

@@ -44,7 +44,7 @@ def test_entropy_constant_is_zero():
 
 def test_entropy_uniform_fills_all_bins():
     vals = np.tile(np.linspace(0.0, 1.0, 256), 4).reshape(32, 32)
-    assert I.shannon_entropy(vals, bins=256) == pytest.approx(8.0)
+    assert I.shannon_entropy(vals) == pytest.approx(8.0)
 
 
 def test_entropy_two_equal_bins_is_one_bit():
@@ -137,10 +137,12 @@ def test_batched_entropies_bitwise_match_histogram_per_map():
         got = I._entropies(maps.reshape(len(maps), -1), bins)
         want = np.array([_histogram_entropy(m, bins) for m in maps])
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), case
-        assert [I.shannon_entropy(m, bins) for m in maps] == want.tolist()
+        # the public functions count over `I.BINS` bins
+        want = np.array([_histogram_entropy(m, I.BINS) for m in maps])
+        assert [I.shannon_entropy(m) for m in maps] == want.tolist()
         keep = -(-len(maps) // 2)
         order = sorted(range(len(maps)), key=lambda i: (-want[i], i))[:keep]
-        assert np.array_equal(I.select_informative(stack_of(maps), bins), maps[sorted(order)])
+        assert np.array_equal(I.select_informative(stack_of(maps)), maps[sorted(order)])
 
 
 def test_batched_entropies_nonfinite_maps_match_histogram_per_map():
@@ -197,7 +199,7 @@ def test_aggregate_empty_rejected():
 
 def test_yen_two_spike_plane():
     vals = np.array([0.05] * 50 + [0.8] * 50).reshape(10, 10)
-    th = I.yen_threshold(vals, bins=256)
+    th = I.yen_threshold(vals)
     assert 0.05 < th < 0.8
 
 
@@ -286,11 +288,10 @@ def test_yen_threshold_matches_numpy_histogram():
         plane = rng.uniform(size=(side, side)) ** rng.uniform(0.3, 4.0)
         if case % 3 == 0:
             plane = np.round(plane * 8.0) / 8.0
-        bins = (2, 16, 256)[case % 3]
-        counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0))
+        counts, _ = np.histogram(plane, bins=I.BINS, range=(0.0, 1.0))
         want = _yen_or_error(_scalar_loop_yen_index, counts)
-        got = _yen_or_error(lambda p: I.yen_threshold(p, bins), plane)
-        assert got == (want if want == "degenerate" else (want + 1) / bins)
+        got = _yen_or_error(I.yen_threshold, plane)
+        assert got == (want if want == "degenerate" else (want + 1) / I.BINS)
 
 
 def test_yen_degenerate_inputs():
@@ -322,7 +323,7 @@ def test_build_prm_shape_and_stage_composition():
     from epu.pfm import upsample
 
     plane = upsample(I.aggregate(sel), 32, 32)
-    th = I.yen_threshold(plane, 256)
+    th = I.yen_threshold(plane)
     assert np.allclose(prm.plane, plane)
     assert prm.threshold == pytest.approx(th)
     assert np.array_equal(prm.mask, plane >= th)

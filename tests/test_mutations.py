@@ -91,7 +91,6 @@ CONFIG_VALUES = {
     ("train", "seed"): ["x", "1.5", "-1"],
     ("pfm", "side"): ["4", "8", "x"],
     ("interpret", "layer"): ["0", "x"],
-    ("interpret", "bins"): ["1", "x"],
 }
 CONFIG_LINES = ["[nosuch]", "[train]\nnosuch = 1", "lr = 0.1", "[train]\nlr 0.1"]
 LAYOUTS = [
@@ -163,9 +162,9 @@ def _cases(tmp_path, ds, model):
     def path(suffix):
         return tmp_path / f"{next(n)}{suffix}"
 
-    def explain(model=model, image=image, extra=()):
+    def explain(model=model, image=image):
         return ["explain", "--model", str(model), "--image", str(image), "--out", str(path(".out")),
-                "--layer", "1", *extra]
+                "--layer", "1"]
 
     def global_explain(model=model, data=ds):
         return ["global-explain", "--model", str(model), "--data", str(data), "--out", str(path(".out"))]
@@ -208,7 +207,6 @@ def _cases(tmp_path, ds, model):
         ("probed header not utf-8", explain(written(".epu", ckpt.replace(b"format = 2", b"format = \xff2", 1)))),
         ("probed train input_side", train(extra=["--input-side", "100000"])),
         ("probed train blocks", train(extra=["--blocks", "1x100000"])),
-        ("probed explain bins", explain(extra=["--bins", "100000000000"])),
         ("probed train lr 1e30", train(extra=["--lr", "1e30", "--epochs", "3", "--batch-size", "2"])),
         ("probed train lr nan", train(extra=["--lr", "nan"])),
         ("probed train lr inf", train(extra=["--lr", "inf"])),

@@ -696,9 +696,8 @@ def test_fit_without_augmentation_deterministic(tmp_path):
 def test_fit_divergence_reports_epoch(tmp_path):
     images, labels = _tiny_dataset(tmp_path)
     config = TrainConfig(batch_size=2, lr=1e30, epochs=3, seed=0)
-    with pytest.raises(TrainingDivergedError) as exc:
+    with pytest.raises(TrainingDivergedError, match=r"^non-finite loss nan at epoch 0$"):
         fit(images, labels, TINY, config)
-    assert exc.value.epoch == 0
 
 
 @pytest.mark.parametrize("augment", [True, False])
