@@ -169,7 +169,6 @@ def cmd_train(args) -> int:
 
     train_idx, val_idx = _holdout_split(labels, settings.holdout, settings.train.seed)
     check_val_splits(labels, [(train_idx, val_idx)], manifest.class_names)
-    os.makedirs(out_dir, exist_ok=True)
     epoch_lines: list = []
 
     def log(epoch, stats):
@@ -192,6 +191,8 @@ def cmd_train(args) -> int:
     )
     print(val_line)
 
+    # made only now, so a run that fails in training leaves no directory
+    os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.epu")
     save_checkpoint(result.model, ckpt_path, epoch=settings.train.epochs, seed=settings.train.seed)
     _write_text(os.path.join(out_dir, "metrics.txt"), "\n".join(epoch_lines + [val_line]) + "\n")
@@ -221,7 +222,7 @@ def cmd_explain(args) -> int:
     side = model.arch.input_side
     resized = resize_rgb(read_image(args.image), side, side)
     stack = build_pfm_stack(resized, side)
-    prob, scores, acts = predict(model, stack, layer=settings.layer)
+    prob, scores, acts = predict(model, stack.maps[None], layer=settings.layer)
     p = float(prob[0])
     if not (np.isfinite(p) and np.isfinite(scores).all()):
         raise MetricError(

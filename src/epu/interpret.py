@@ -37,25 +37,6 @@ _SCALE = (_PLOT_X1 - _PLOT_X0) / 2  # pixels per unit value
 
 
 @dataclass
-class FeatureMapStack:
-    """Conv activations of one layer of one sub-network, shaped (n, h, w)."""
-
-    maps: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.maps, dtype=np.float64)
-        if m.ndim != 3:
-            raise DimensionError(f"FeatureMapStack expects (n, h, w), got shape {m.shape}")
-        if m.shape[0] < 1:
-            raise ContractError("FeatureMapStack needs at least 1 map")
-        self.maps = m
-
-    @property
-    def count(self) -> int:
-        return self.maps.shape[0]
-
-
-@dataclass
 class Prm:
     """Relevance plane in [0,1] at input size, with its threshold and mask.
 
@@ -127,20 +108,26 @@ def shannon_entropy(plane: np.ndarray) -> float:
     return float(_entropies(plane.reshape(1, -1), BINS)[0])
 
 
-def select_informative(stack: FeatureMapStack) -> np.ndarray:
-    """Keep the ceil(n/2) highest-entropy maps; ties go to the lower index.
+def select_informative(maps) -> np.ndarray:
+    """Keep the ceil(n/2) highest-entropy of one layer's (n, h, w) maps, as
+    float64; ties go to the lower index.
 
     All n maps are normalized and binned together and counted in one pass;
     each entropy is bitwise what `shannon_entropy` gives for that map alone.
     Returns the selected maps in their original relative order.
     """
-    n = stack.count
+    maps = np.asarray(maps, dtype=np.float64)
+    if maps.ndim != 3:
+        raise DimensionError(f"select_informative expects (n, h, w) maps, got shape {maps.shape}")
+    n = maps.shape[0]
+    if n < 1:
+        raise ContractError("select_informative needs at least 1 map")
     keep = -(-n // 2)
-    entropies = _entropies(stack.maps.reshape(n, -1), BINS)
+    entropies = _entropies(maps.reshape(n, -1), BINS)
     # stable sort on negated entropy: equal entropies keep index order
     ranked = np.argsort(-entropies, kind="mergesort")[:keep]
     chosen = np.sort(ranked)
-    return stack.maps[chosen]
+    return maps[chosen]
 
 
 def aggregate(maps: np.ndarray) -> np.ndarray:
@@ -193,7 +180,7 @@ def build_prm(maps, out_h: int, out_w: int) -> Prm:
     A constant aggregate (e.g. all-zero activations) yields threshold None
     and an empty mask.
     """
-    selected = select_informative(FeatureMapStack(maps=maps))
+    selected = select_informative(maps)
     plane = upsample(aggregate(selected), out_h, out_w)
     try:
         threshold = yen_threshold(plane)

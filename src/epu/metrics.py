@@ -36,22 +36,6 @@ class InterpLabel:
         self.signs = s
 
 
-@dataclass
-class ScoredSet:
-    """Scores paired with binary labels by index."""
-
-    scores: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
-        if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
-            raise ContractError("scores and labels must be equal-length 1-D arrays")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ContractError("labels must be 0 or 1")
-
-
 def _midranks(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x, kind="mergesort")
     sx = x[order]
@@ -66,16 +50,23 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auc(scored: ScoredSet) -> float:
-    """Probability that a random positive outranks a random negative."""
-    pos = scored.labels == 1
+def auc(scores, labels) -> float:
+    """Probability that a random positive outranks a random negative, over
+    equal-length 1-D `scores` and 0/1 `labels` paired by index."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise ContractError("scores and labels must be equal-length 1-D arrays")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ContractError("labels must be 0 or 1")
+    pos = labels == 1
     n_pos = int(pos.sum())
-    n_neg = len(scored.labels) - n_pos
+    n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC needs at least one sample of each class")
-    if not np.isfinite(scored.scores).all():
+    if not np.isfinite(scores).all():
         raise MetricError("AUC needs finite scores")
-    ranks = _midranks(scored.scores)
+    ranks = _midranks(scores)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
-from .pfm import MIN_SIDE, PFM_LABELS, PfmStack
+from .pfm import MIN_SIDE, PFM_LABELS
 from .tensor import Tensor
 
 
@@ -219,7 +219,7 @@ class EpuModel:
         return [p.data for p in self.parameters()] + buffers
 
     def forward_batch(self, stacks, training: bool, layer: int | None = None):
-        """Run all sub-networks on (B, N, S, S) stacks.
+        """Run all sub-networks on a (B, N, S, S) array of stacked maps.
 
         Returns (probabilities (B,), per-subnet (B, 1) score tensors); with
         `layer`, a third item lists each sub-network's activations at that
@@ -232,12 +232,12 @@ class EpuModel:
         return T.sigmoid(self.logits(scores)), scores, acts
 
     def subnet_inputs(self, stacks) -> list[Tensor]:
-        """Split (B, N, S, S) stacks, or one PfmStack, into N (B, 1, S, S) inputs.
+        """Split a (B, N, S, S) array of stacked maps into N (B, 1, S, S) inputs.
 
         Each input is a view of its channel, not a copy: `T.conv_block` copies
         it into its padded buffer anyway.
         """
-        data = stacks.maps[None] if isinstance(stacks, PfmStack) else np.asarray(stacks)
+        data = np.asarray(stacks)
         if data.ndim != 4 or data.shape[1] != self.n_pfms:
             raise DimensionError(
                 f"expected stacks shaped (B, {self.n_pfms}, S, S), got {data.shape}"
@@ -289,11 +289,12 @@ def build_model(arch: ArchConfig, seed: int | None = 0, class_names=None) -> Epu
 def predict(model: EpuModel, stacks, layer: int | None = None):
     """Evaluation-mode `forward_batch` without a graph, as float64 arrays.
 
-    `stacks` is (B, N, S, S) or one PfmStack. Returns (probabilities (B,),
-    scores (B, N)); with `layer`, a third item lists each sub-network's
-    activations at that 1-based conv layer, (B, C, H, W) each. Every layer
-    treats samples independently in evaluation mode, so each sample's outputs
-    are bitwise those of predicting it alone.
+    `stacks` is a (B, N, S, S) array; one image's `PfmStack` is
+    `stack.maps[None]`. Returns (probabilities (B,), scores (B, N)); with
+    `layer`, a third item lists each sub-network's activations at that
+    1-based conv layer, (B, C, H, W) each. Every layer treats samples
+    independently in evaluation mode, so each sample's outputs are bitwise
+    those of predicting it alone.
 
     Runs with numpy's floating-point warnings off: weights that overflow show
     as non-finite outputs, which callers check.

@@ -89,19 +89,6 @@ class RgbImage:
 
 
 @dataclass
-class LabImage:
-    """CIE-Lab planes; L in [0, 100], a and b unbounded reals."""
-
-    L: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if not (self.L.shape == self.a.shape == self.b.shape):
-            raise DimensionError("LabImage planes must share one shape")
-
-
-@dataclass
 class PfmStack:
     """Stack of perceptual feature maps, shaped (count, H, W), values in [-1, 1]."""
 
@@ -118,14 +105,15 @@ class PfmStack:
 # color
 
 
-def srgb_to_lab(image: RgbImage) -> LabImage:
-    """Per-pixel sRGB -> linear RGB -> XYZ (D65) -> CIE-Lab."""
+def srgb_to_lab(image: RgbImage):
+    """Per-pixel sRGB -> linear RGB -> XYZ (D65) -> CIE-Lab: the (L, a, b)
+    planes, each (H, W); L in [0, 100], a and b unbounded reals."""
     lin = _SRGB_DECODE[image.pixels]
     xyz = lin @ _SRGB_TO_XYZ.T
     xyz /= _WHITE_D65
     f = np.where(xyz > _LAB_EPS, np.cbrt(xyz), (_LAB_KAPPA * xyz + 16.0) / 116.0)
     fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-    return LabImage(L=116.0 * fy - 16.0, a=500.0 * (fx - fy), b=200.0 * (fy - fz))
+    return 116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +248,11 @@ def _chroma_pm1(plane: np.ndarray) -> np.ndarray:
 
 
 def build_pfm_stack(image: RgbImage, side: int) -> PfmStack:
-    """Resize to side x side and compute the four opponent maps."""
-    resized = resize_rgb(image, side, side)
-    lab = srgb_to_lab(resized)
-    light_dark = _minmax_pm1(upsample(approximation_level3(lab.L), side, side))
-    coarse_fine = _minmax_pm1(upsample(detail_level1(lab.L), side, side))
-    blue_yellow = _chroma_pm1(lab.b)
-    green_red = _chroma_pm1(lab.a)
-    maps = np.stack([light_dark, coarse_fine, blue_yellow, green_red]).astype(np.float32)
+    """Resize to side x side, at least `MIN_SIDE`, and compute the four opponent maps."""
+    if side < MIN_SIDE:
+        raise DimensionError(f"feature maps need a side of at least {MIN_SIDE}, got {side}")
+    L, a, b = srgb_to_lab(resize_rgb(image, side, side))
+    light_dark = _minmax_pm1(upsample(approximation_level3(L), side, side))
+    coarse_fine = _minmax_pm1(upsample(detail_level1(L), side, side))
+    maps = np.stack([light_dark, coarse_fine, _chroma_pm1(b), _chroma_pm1(a)]).astype(np.float32)
     return PfmStack(maps=maps)

@@ -44,7 +44,7 @@ from .errors import (
     ContractError,
     TrainingDivergedError,
 )
-from .metrics import ScoredSet, accuracy, auc, interpretability_accuracy
+from .metrics import accuracy, auc, interpretability_accuracy
 from .model import ArchConfig, EpuModel, build_model, parse_blocks, predict, state_size
 from .pfm import PFM_LABELS, PfmStack, RgbImage, build_pfm_stack
 from .tensor import Tensor
@@ -614,7 +614,7 @@ def evaluate(model: EpuModel, images, labels) -> EvalReport:
     ]
     return EvalReport(
         records=records,
-        auc=auc(ScoredSet(scores=probs, labels=labels)),
+        auc=auc(probs, labels),
         accuracy=accuracy(preds, labels),
         interp_accuracy=interpretability_accuracy(rss_rows, labels),
     )

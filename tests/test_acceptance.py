@@ -18,14 +18,13 @@ from epu.data import SynthConfig, synth_generate
 from epu.interpret import build_prm, yen_index
 from epu.metrics import (
     InterpLabel,
-    ScoredSet,
     auc,
     ground_truth_interp,
     interpretability_accuracy,
     jaccard_signed,
 )
 from epu.model import ArchConfig, PRESETS, build_model, predict
-from epu.pfm import PfmStack, dwt2_level, idwt2_level, srgb_to_lab, upsample, RgbImage
+from epu.pfm import dwt2_level, idwt2_level, srgb_to_lab, upsample, RgbImage
 from epu.tensor import Tensor
 from conftest import run_cli
 from gradcheck import coord_check, dot, leaf
@@ -234,7 +233,7 @@ def test_c02_additive_identity():
     for seed in range(100):
         rng = np.random.default_rng([21, seed])
         model = build_model(TINY, seed=seed)
-        stack = PfmStack(maps=rng.uniform(-1, 1, size=(4, 9, 9)).astype(np.float32))
+        stack = rng.uniform(-1, 1, size=(1, 4, 9, 9)).astype(np.float32)
         prob, scores = predict(model, stack)
         logit = float(model.beta.data[0]) + float(scores[0].sum())
         rebuilt = 1.0 / (1.0 + math.exp(-logit))
@@ -274,8 +273,7 @@ LAB_REFERENCE = {
 
 def _lab_of(r, g, b):
     img = RgbImage(pixels=np.array([[[r, g, b]]], dtype=np.uint8))
-    lab = srgb_to_lab(img)
-    return float(lab.L[0, 0]), float(lab.a[0, 0]), float(lab.b[0, 0])
+    return tuple(float(plane[0, 0]) for plane in srgb_to_lab(img))
 
 
 def test_c04_color_correctness():
@@ -343,7 +341,7 @@ def _brute_auc(scores, labels):
 
 
 def test_c06_auc_oracle():
-    worked = auc(ScoredSet(scores=np.array([0.9, 0.8, 0.7, 0.1]), labels=np.array([1, 0, 1, 0])))
+    worked = auc(np.array([0.9, 0.8, 0.7, 0.1]), np.array([1, 0, 1, 0]))
     assert worked == 0.75
     rng = np.random.default_rng(61)
     for _ in range(100):
@@ -352,7 +350,7 @@ def test_c06_auc_oracle():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = np.round(rng.uniform(0, 1, size=n), 2)  # ties on purpose
-        got = auc(ScoredSet(scores=scores, labels=labels))
+        got = auc(scores, labels)
         assert abs(got - _brute_auc(scores, labels)) <= 1e-9
 
 

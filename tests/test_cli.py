@@ -221,7 +221,8 @@ def test_train_folds_without_out_writes_nothing(tmp_path, ds_root, capsys, monke
 def test_train_divergence_exit4(tmp_path, ds_root):
     # a huge finite rate makes the loss non-finite within the first epoch; the
     # step's finite check stops training with one line and no numpy warning,
-    # the same line for a holdout run and for cross-validation
+    # the same line for a holdout run and for cross-validation; neither run
+    # leaves the fresh output directory behind
     for split in ([], ["--folds", "2"]):
         proc = run_cli(
             ["train", "--data", str(ds_root), "--out", str(tmp_path / "dv"), *TINY_FLAGS,
@@ -230,7 +231,7 @@ def test_train_divergence_exit4(tmp_path, ds_root):
         )
         assert proc.returncode == 4, split
         assert proc.stderr.splitlines() == ["error: non-finite loss nan at epoch 0"], split
-        assert not (tmp_path / "dv" / "checkpoint.epu").exists()
+        assert not (tmp_path / "dv").exists(), split
 
 
 @pytest.mark.parametrize("case", ["flag_nan", "flag_inf", "config_nan"])

@@ -315,7 +315,7 @@ def _class_mean_b(manifest):
     """Mean Lab b per class over every pixel."""
     sums, counts = np.zeros(2), np.zeros(2)
     for rel, cls in manifest.entries:
-        b = srgb_to_lab(read_image(os.path.join(manifest.root, rel))).b
+        _, _, b = srgb_to_lab(read_image(os.path.join(manifest.root, rel)))
         sums[cls] += float(b.sum())
         counts[cls] += b.size
     return sums / counts

@@ -26,10 +26,6 @@ def brute_yen_index(counts):
     return best_t
 
 
-def stack_of(maps):
-    return I.FeatureMapStack(maps=np.asarray(maps, dtype=np.float64))
-
-
 def svg_elems(svg, tag):
     return ET.fromstring(svg).findall(f".//{{*}}{tag}")
 
@@ -68,7 +64,7 @@ def test_select_informative_keeps_top_half():
         np.full((6, 6), 2.0),          # 0 bits
         rng.uniform(size=(6, 6)),       # high entropy
     ]
-    sel = I.select_informative(stack_of(maps))
+    sel = I.select_informative(maps)
     assert len(sel) == 3  # ceil(5/2)
     picked = [any(np.array_equal(s, m) for s in sel) for m in maps]
     assert picked == [False, True, True, False, True]
@@ -77,7 +73,7 @@ def test_select_informative_keeps_top_half():
 def test_select_informative_tie_breaks_to_lower_index():
     base = np.random.default_rng(3).uniform(size=(5, 5))
     maps = np.stack([base + i for i in range(4)])  # identical normalized histograms
-    sel = I.select_informative(stack_of(maps))
+    sel = I.select_informative(maps)
     assert len(sel) == 2
     assert np.array_equal(sel[0], maps[0])
     assert np.array_equal(sel[1], maps[1])
@@ -88,12 +84,11 @@ def test_select_informative_matches_sort_oracle():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         maps = rng.uniform(size=(n, 7, 7)) ** rng.uniform(0.3, 4.0)
-        st = stack_of(maps)
         ents = [I.shannon_entropy(m) for m in maps]
         keep = -(-n // 2)
         oracle_idx = sorted(sorted(range(n)), key=lambda i: (-ents[i], i))[:keep]
         oracle_idx.sort()
-        sel = I.select_informative(st)
+        sel = I.select_informative(maps)
         assert len(sel) == keep
         for got, want in zip(sel, oracle_idx):
             assert np.array_equal(got, maps[want])
@@ -142,7 +137,7 @@ def test_batched_entropies_bitwise_match_histogram_per_map():
         assert [I.shannon_entropy(m) for m in maps] == want.tolist()
         keep = -(-len(maps) // 2)
         order = sorted(range(len(maps)), key=lambda i: (-want[i], i))[:keep]
-        assert np.array_equal(I.select_informative(stack_of(maps)), maps[sorted(order)])
+        assert np.array_equal(I.select_informative(maps), maps[sorted(order)])
 
 
 def test_batched_entropies_nonfinite_maps_match_histogram_per_map():
@@ -172,10 +167,12 @@ def test_bin_counts_match_numpy_histogram_at_edges():
 
 def test_feature_map_stack_needs_one_map():
     with pytest.raises(ContractError):
-        stack_of(np.ones((0, 4, 4)))
+        I.select_informative(np.ones((0, 4, 4)))
+    with pytest.raises(DimensionError):
+        I.select_informative(np.ones((4, 4)))
     # a layer of one channel keeps its map: ceil(1 / 2) = 1
     one = np.arange(16.0).reshape(1, 4, 4)
-    assert np.array_equal(I.select_informative(stack_of(one)), one)
+    assert np.array_equal(I.select_informative(one), one)
 
 
 def test_aggregate_single_and_cancelling():
@@ -318,8 +315,7 @@ def test_build_prm_shape_and_stage_composition():
     assert 0.0 <= prm.plane.min() and prm.plane.max() <= 1.0
 
     # independent stage composition
-    st = stack_of(acts[1])
-    sel = I.select_informative(st)
+    sel = I.select_informative(acts[1])
     from epu.pfm import upsample
 
     plane = upsample(I.aggregate(sel), 32, 32)

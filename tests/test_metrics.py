@@ -20,26 +20,34 @@ def brute_force_auc(scores, labels):
 
 
 def test_auc_worked_example():
-    assert MX.auc(MX.ScoredSet([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0])) == pytest.approx(0.75)
+    assert MX.auc([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0]) == pytest.approx(0.75)
 
 
 def test_auc_perfect_and_ties():
-    assert MX.auc(MX.ScoredSet([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])) == 1.0
-    assert MX.auc(MX.ScoredSet([0.5] * 6, [0, 1, 0, 1, 0, 1])) == 0.5
+    assert MX.auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
+    assert MX.auc([0.5] * 6, [0, 1, 0, 1, 0, 1]) == 0.5
 
 
 def test_auc_single_class_rejected():
     with pytest.raises(MetricError):
-        MX.auc(MX.ScoredSet([0.1, 0.2], [1, 1]))
+        MX.auc([0.1, 0.2], [1, 1])
+
+
+def test_auc_rejects_unpaired_or_non_binary_input():
+    for scores, labels in (([0.1, 0.2, 0.3], [0, 1]), ([[0.1, 0.2]], [[0, 1]])):
+        with pytest.raises(ContractError, match="equal-length 1-D arrays"):
+            MX.auc(scores, labels)
+    with pytest.raises(ContractError, match="labels must be 0 or 1"):
+        MX.auc([0.1, 0.2, 0.3], [0, 1, 2])
 
 
 def test_auc_non_finite_scores_rejected():
     # NaN ranks follow sample order alone: four NaNs labelled 0, 1, 0, 1 read 0.75
     for bad in (np.nan, np.inf):
         with pytest.raises(MetricError):
-            MX.auc(MX.ScoredSet([bad] * 4, [0, 1, 0, 1]))
+            MX.auc([bad] * 4, [0, 1, 0, 1])
     with pytest.raises(MetricError):
-        MX.auc(MX.ScoredSet([0.1, np.nan, 0.3], [0, 1, 1]))
+        MX.auc([0.1, np.nan, 0.3], [0, 1, 1])
 
 
 def test_auc_matches_brute_force_random_sets():
@@ -50,7 +58,7 @@ def test_auc_matches_brute_force_random_sets():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         scores = np.round(rng.uniform(0, 1, size=n), 2)  # rounding forces ties
-        got = MX.auc(MX.ScoredSet(scores, labels))
+        got = MX.auc(scores, labels)
         assert got == pytest.approx(brute_force_auc(scores, labels), abs=1e-9)
 
 
@@ -59,8 +67,8 @@ def test_auc_invariant_under_monotone_transform():
     scores = rng.uniform(size=30)
     labels = rng.integers(0, 2, size=30)
     labels[:2] = [0, 1]
-    base = MX.auc(MX.ScoredSet(scores, labels))
-    warped = MX.auc(MX.ScoredSet(np.exp(3 * scores) + 7, labels))
+    base = MX.auc(scores, labels)
+    warped = MX.auc(np.exp(3 * scores) + 7, labels)
     assert warped == pytest.approx(base, abs=1e-12)
 
 

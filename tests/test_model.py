@@ -18,7 +18,8 @@ def tiny_model(seed=0, **kw):
 
 
 def rand_stack(rng, n=4, side=9):
-    return PfmStack(maps=rng.uniform(-1, 1, size=(n, side, side)).astype(np.float32))
+    """One image's `n` stacked maps, shaped (1, n, side, side)."""
+    return rng.uniform(-1, 1, size=(1, n, side, side)).astype(np.float32)
 
 
 def zero_heads(m):
@@ -292,7 +293,7 @@ def test_permuted_subnets_same_probability():
     base = M.predict(m, stack)[0][0]
     perm = [2, 0, 3, 1]
     m2 = M.EpuModel(m.arch, [m.subnets[i] for i in perm], m.beta)
-    stack2 = PfmStack(maps=stack.maps[perm])
+    stack2 = stack[:, perm]
     assert abs(M.predict(m2, stack2)[0][0] - base) <= 1e-6
     # identical ordering is bitwise stable
     assert M.predict(m, stack)[0][0] == base
@@ -323,6 +324,15 @@ def test_wrong_plane_size_rejected():
     m = tiny_model()
     with pytest.raises(DimensionError):
         M.predict(m, rand_stack(np.random.default_rng(0), side=16))
+
+
+def test_bare_pfm_stack_rejected():
+    # the model takes stacked maps only: one image's stack is `maps[None]`
+    m = tiny_model()
+    stack = PfmStack(maps=rand_stack(np.random.default_rng(0))[0])
+    with pytest.raises(DimensionError):
+        M.predict(m, stack)
+    assert M.predict(m, stack.maps[None])[0].shape == (1,)
 
 
 def test_subnet_input_requiring_grad_rejected():

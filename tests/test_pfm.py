@@ -32,28 +32,24 @@ def test_rgb_image_accepts_only_byte_values():
 
 
 def test_lab_white_and_black():
-    lab = pfm.srgb_to_lab(solid((255, 255, 255)))
-    assert abs(lab.L[0, 0] - 100.0) < 0.01
-    assert abs(lab.a[0, 0]) < 0.01 and abs(lab.b[0, 0]) < 0.01
-    lab0 = pfm.srgb_to_lab(solid((0, 0, 0)))
-    assert lab0.L[0, 0] == pytest.approx(0.0, abs=1e-9)
-    assert lab0.a[0, 0] == pytest.approx(0.0, abs=1e-9)
-    assert lab0.b[0, 0] == pytest.approx(0.0, abs=1e-9)
+    L, a, b = pfm.srgb_to_lab(solid((255, 255, 255)))
+    assert abs(L[0, 0] - 100.0) < 0.01
+    assert abs(a[0, 0]) < 0.01 and abs(b[0, 0]) < 0.01
+    for plane in pfm.srgb_to_lab(solid((0, 0, 0))):
+        assert plane[0, 0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lab_primaries_match_oracle():
-    for rgb, (L, a, b) in LAB_ORACLE.items():
-        lab = pfm.srgb_to_lab(solid(rgb))
-        assert lab.L[0, 0] == pytest.approx(L, abs=1e-4)
-        assert lab.a[0, 0] == pytest.approx(a, abs=1e-4)
-        assert lab.b[0, 0] == pytest.approx(b, abs=1e-4)
+    for rgb, want in LAB_ORACLE.items():
+        for plane, value in zip(pfm.srgb_to_lab(solid(rgb)), want):
+            assert plane[0, 0] == pytest.approx(value, abs=1e-4)
 
 
 def test_lab_achromatic_axis():
     for v in (17, 64, 128, 200, 240):
-        lab = pfm.srgb_to_lab(solid((v, v, v)))
-        assert np.all(np.abs(lab.a) < 0.01)
-        assert np.all(np.abs(lab.b) < 0.01)
+        _, a, b = pfm.srgb_to_lab(solid((v, v, v)))
+        assert np.all(np.abs(a) < 0.01)
+        assert np.all(np.abs(b) < 0.01)
 
 
 def test_dwt_constant_plane():
@@ -200,11 +196,15 @@ def test_build_pfm_stack_deterministic():
 
 
 def test_light_dark_map_varies_from_the_smallest_side():
-    # at side 8 the third-level approximation is 1x1, so the map is all zeros
+    # at side 8 the third-level approximation is 1x1, so the map would be all
+    # zeros: sides below 9 are refused
     rng = np.random.default_rng(12)
     img = pfm.RgbImage(rng.integers(0, 256, size=(20, 20, 3), dtype=np.uint8))
-    assert np.all(pfm.build_pfm_stack(img, 8).maps[0] == 0.0)
+    assert pfm.approximation_level3(np.zeros((8, 8))).shape == (1, 1)
     assert pfm.MIN_SIDE == 9
+    for side in (4, 7, 8):
+        with pytest.raises(DimensionError, match="at least 9"):
+            pfm.build_pfm_stack(img, side)
     for side in (pfm.MIN_SIDE, 12, 16):
         light_dark = pfm.build_pfm_stack(img, side).maps[0]
         assert light_dark.min() == -1.0 and light_dark.max() == 1.0
@@ -291,20 +291,20 @@ def test_srgb_decode_table_matches_formula():
     v = np.arange(256, dtype=np.float64) / 255.0
     want = np.where(v > 0.04045, ((v + 0.055) / 1.055) ** 2.4, v / 12.92)
     assert pfm._SRGB_DECODE.tobytes() == want.tobytes()
-    lab = pfm.srgb_to_lab(codes)
-    for got, ref in zip((lab.L, lab.a, lab.b), ref_srgb_to_lab(codes)):
+    for got, ref in zip(pfm.srgb_to_lab(codes), ref_srgb_to_lab(codes)):
         assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name,image", list(_reference_images()))
 def test_pfm_matches_per_pixel_reference(name, image):
     lab = pfm.srgb_to_lab(image)
-    for got, ref in zip((lab.L, lab.a, lab.b), ref_srgb_to_lab(image)):
+    for got, ref in zip(lab, ref_srgb_to_lab(image)):
         assert got.tobytes() == ref.tobytes()
+    L = lab[0]
     if min(image.height, image.width) >= 2:
-        for got, ref in zip(pfm.dwt2_level(lab.L), ref_dwt2_level(lab.L)):
+        for got, ref in zip(pfm.dwt2_level(L), ref_dwt2_level(L)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
     for th, tw in ((1, 1), (8, 8), (16, 9), (64, 64)):
-        assert pfm.upsample(lab.L, th, tw).tobytes() == ref_upsample(lab.L, th, tw).tobytes()
-    for side in (8, 16, 64):
+        assert pfm.upsample(L, th, tw).tobytes() == ref_upsample(L, th, tw).tobytes()
+    for side in (pfm.MIN_SIDE, 16, 64):
         assert pfm.build_pfm_stack(image, side).maps.tobytes() == ref_build_pfm_stack(image, side).tobytes()

@@ -76,6 +76,17 @@ def _benchmark_spans(module):
     return spans
 
 
+@pytest.mark.parametrize("owner,name", sorted(TEST_REFERENCES))
+def test_every_test_reference_is_used_by_a_test(owner, name):
+    # an allow-list entry lasts only as long as a test that compares against it
+    users = [
+        path.name
+        for path in TESTS_DIR.glob("*.py")
+        if path.name != "test_public_names.py" and name in _names_taken_from(ast.parse(path.read_text()), owner)
+    ]
+    assert users, f"no test takes {owner}.{name}"
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_has_a_caller_outside_the_tests(module):
     # a caller is another top-level statement of the module, another module

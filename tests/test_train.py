@@ -316,7 +316,7 @@ def test_loss_matches_bce_of_score_sum():
     direct = float(T.bce_with_logits(model.logits(scores), labels).data)
     rebuilt = []
     for maps in stacks:
-        _, scores = predict(model, PfmStack(maps))
+        _, scores = predict(model, maps[None])
         rebuilt.append(model.beta.data[0] + scores[0].sum())
     recomputed = float(T.bce_with_logits(np.array(rebuilt), labels).data)
     assert math.isclose(direct, recomputed, rel_tol=1e-5)
@@ -866,7 +866,7 @@ def test_evaluate_records_do_not_depend_on_worker_count(monkeypatch, count):
     real_fork_map = train_module._fork_map
     monkeypatch.setattr(train_module, "_fork_map", fork_map)
     if count == 1:  # AUC needs both classes; the records are what is compared
-        monkeypatch.setattr(train_module, "auc", lambda scored: math.nan)
+        monkeypatch.setattr(train_module, "auc", lambda scores, labels: math.nan)
     reports = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(train_module, "_usable_cores", lambda: workers)
