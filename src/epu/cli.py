@@ -1,10 +1,11 @@
 """Command-line entry point: synth, pfm, train, explain, global-explain.
 
 Exit codes are stable API: 0 ok, 2 config/usage problems (a failed allocation
-or a training thread the OS refuses is one: the settings asked for more than
-there is), 3 I/O or parse failures, including an evaluation worker process
-that died, 4 training divergence. No output carries timestamps, so reruns with
-the same inputs and seed produce byte-identical artifacts.
+is one: the settings asked for more than there is), 3 I/O or parse failures,
+including an evaluation or training worker process that died and a worker
+process the OS refuses to fork, 4 training divergence. No output carries
+timestamps, so reruns with the same inputs and seed produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The CLI maps these onto process exit codes: configuration and contract
 violations exit 2, parse and I/O failures exit 3, numeric divergence exits 4.
 Two builtin errors are mapped too: `MemoryError`, settings that ask for more
-memory than there is or a training thread the OS refuses to start, exits 2,
-and `ChildProcessError`, an evaluation worker process that ended without a
-reply, is an `OSError` and exits 3.
+memory than there is, exits 2, and `OSError` exits 3. The latter covers
+`ChildProcessError`, an evaluation or training worker process that ended
+without a reply, and a worker process the OS refuses to fork.
 """
 
 

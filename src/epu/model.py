@@ -4,8 +4,9 @@ Each perceptual feature map feeds its own small CNN whose tanh head emits a
 relative similarity score in [-1, 1]. The binary prediction is
 sigmoid(beta + sum of scores), so every sub-network's contribution is directly
 readable. Every forward pass runs `SubNetwork.forward` on each sub-network:
-training calls it on its worker pool, and `EpuModel.forward_batch` calls it
-in turn, which `predict` runs in evaluation mode without a graph. None keeps
+training calls it in the worker process that trains that sub-network, and
+`EpuModel.forward_batch` calls it in turn, which `predict` runs in evaluation
+mode without a graph. None keeps
 any state on the model: the activations that relevance maps read are
 returned by the call that asks for them.
 

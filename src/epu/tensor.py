@@ -53,8 +53,7 @@ _FLOATS = (np.float32, np.float64)
 
 
 # Per context, not per process: `no_grad` on one thread leaves another
-# thread's graph alone, and a call run in a copy of the caller's context (as
-# the training pool runs its workers) sees the caller's mode.
+# thread's graph alone.
 _grad_enabled = contextvars.ContextVar("epu_grad_enabled", default=True)
 
 

@@ -4,13 +4,15 @@ Every batch takes one loss, swept backward in two stages cut at the
 per-sub-network scores: first from the loss to the scores and the intercept,
 then from each score through its own sub-network. Sub-network weights and the
 intercept therefore move together, never independently. The sub-networks
-share nothing but the loss gradient at their scores, so their forward passes
-and their backward sweeps run on a thread pool of up to one worker per core;
-each runs on one thread, and the results do not depend on the worker count.
-`evaluate` splits its chunks into contiguous runs and scores one run in the
-calling process and each other run in a child forked for the call, up to one
-process per core; every sample is scored as it would be alone, so records do
-not depend on the process count either.
+share nothing but the loss gradient at their scores, so each batch is split
+over up to one process per core, at most one per sub-network: each process
+extracts a contiguous share of the batch's feature maps into one shared
+buffer, then runs its sub-networks forward and back, while the calling
+process computes the loss. `evaluate` splits its chunks into contiguous runs
+and scores one run in the calling process and each other run in a child.
+Both fork their children for the call (`_fork_map`), and neither's results
+depend on the process count: each sub-network, and each evaluated sample,
+runs as it would in one process alone.
 
 Feature maps are extracted batch by batch: a training batch's maps, and an
 evaluation chunk's, are written into one array when the batch is formed and
@@ -24,15 +26,14 @@ payload.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import math
+import mmap
 import os
 import pickle
 import sys
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,12 +101,14 @@ class EpochStats:
 # epoch loop
 
 
-def _feature_maps(images, side: int, ops=None) -> np.ndarray:
+def _feature_maps(images, side: int, ops=None, out=None) -> np.ndarray:
     """(B, 4, side, side) float32 maps of `images`, each turned first by its
-    orientation op in `ops` when given. Each image's `build_pfm_stack` is
-    written into its row and dropped, so no per-image copy outlives the call.
+    orientation op in `ops` when given, written into `out` when given. Each
+    image's `build_pfm_stack` is written into its row and dropped, so no
+    per-image copy outlives the call.
     """
-    out = np.empty((len(images), len(PFM_LABELS), side, side), dtype=np.float32)
+    if out is None:
+        out = np.empty((len(images), len(PFM_LABELS), side, side), dtype=np.float32)
     for i, img in enumerate(images):
         if ops is not None:
             img = apply_orientation(img, ops[i])
@@ -124,56 +127,101 @@ def _binary_labels(labels, count: int) -> np.ndarray:
     return labels
 
 
-def _usable_cores() -> int:
+def _subnet_arrays(sn) -> list[np.ndarray]:
+    """One sub-network's parameter arrays, then its running statistics."""
+    return [p.data for p in sn.parameters()] + [a for b in sn.blocks for a in (b.running_mean, b.running_var)]
+
+
+# The last training batch's map buffer, with the pid of the process that made
+# it. The next batch in that process reuses it while it is large enough, since
+# a fresh mapping is page-faulted in again on every batch. A step holds it out
+# of this list while it runs, so two threads never share one, and a process
+# forked later makes its own.
+_SPARE_MAPPING: list = []
+
+
+def _shared_mapping(nbytes: int) -> mmap.mmap:
+    """An anonymous shared mapping of at least `nbytes`: children forked
+    after it is made write into the same memory as this process. A refused
+    mapping raises `MemoryError`, as a refused array does."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+        pid, mapping = _SPARE_MAPPING.pop()
+    except IndexError:
+        pid = None
+    if pid != os.getpid() or len(mapping) < nbytes:
+        try:
+            mapping = mmap.mmap(-1, nbytes)
+        except OSError as exc:
+            raise MemoryError(f"cannot map the batch's feature maps: {exc}") from exc
+    return mapping
 
 
-def _pool_map(pool, fn, *iterables) -> list:
-    """`pool.map` with each call in a copy of the caller's context, so
-    context-local settings such as `np.errstate` reach the workers.
-
-    A thread the OS refuses in `submit` ends the step with `MemoryError`, one
-    line and exit 2 in the CLI like other resource limits; a fallback to the
-    calling thread would be a second code path. A started thread may still run
-    an item queued before the refusal, but `train_epoch`'s `with` exit waits
-    for it: nothing runs after `train_epoch` raises."""
-    try:
-        futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in zip(*iterables)]
-    except RuntimeError as exc:
-        raise MemoryError(f"cannot start a training thread: {exc}") from exc
-    return [f.result() for f in futures]
-
-
-def _train_step(model: EpuModel, pool, stacks, labels, params, lr: float):
+def _train_step(model: EpuModel, fill, labels, lr: float):
     """Forward, backward and update on one batch; returns (loss, probabilities).
 
-    The graph lives only in this frame, so it is freed before the next batch.
-    The logit is taken from the scores' values wrapped in leaf tensors (the
-    cuts), so the first sweep stops there and leaves d(loss)/d(score) on each
-    cut. The probabilities are the logit's sigmoid, taken outside the graph.
+    `fill(out, lo, hi)` writes the maps of batch items lo..hi-1 into `out`.
+    The batch is split over `_workers(n_pfms)` processes (`_fork_map`): the
+    k-th writes the k-th contiguous share of the maps into one buffer, mapped
+    before the fork so that all of them share it, then, once every share is
+    written, runs sub-network i for each i = k mod the process count. This
+    process computes the logit from the scores' values wrapped in leaf
+    tensors (the cuts), the loss, and its sweep back to the cuts and the
+    intercept, and steps the intercept; each process then sweeps its
+    sub-networks from the gradients at their cuts and steps them, and the
+    children's state arrays are copied into the model. Each sub-network's
+    arithmetic is the same in any process, so the results do not depend on
+    the process count. The probabilities are the logit's sigmoid, taken
+    outside the graph.
 
     The step runs with numpy's floating-point warnings off. A non-finite loss,
     or any non-finite parameter or batchnorm buffer after the update, raises
     `TrainingDivergedError` instead.
     """
-    with np.errstate(all="ignore"):
-        scores = _pool_map(
-            pool, lambda sn, x: sn.forward(x, training=True), model.subnets, model.subnet_inputs(stacks)
-        )
-        cuts = [Tensor(s.data, requires_grad=True) for s in scores]
+    n, batch, side = model.n_pfms, len(labels), model.arch.input_side
+    procs, shape = _workers(n), (batch, n, side, side)
+    mapping = _shared_mapping(4 * math.prod(shape))
+    stacks = np.frombuffer(mapping, np.float32, math.prod(shape)).reshape(shape)
+    inputs = model.subnet_inputs(stacks)
+
+    def share(k):
+        lo, hi = k * batch // procs, (k + 1) * batch // procs
+        fill(stacks[lo:hi], lo, hi)
+        yield None  # every share of the maps is written
+        mine = range(k, n, procs)
+        scores = [model.subnets[i].forward(inputs[i], training=True) for i in mine]
+        grads = yield [s.data for s in scores]
+        params = [p for i in mine for p in model.subnets[i].parameters()]
+        T.zero_grads(params)
+        for s, g in zip(scores, grads):
+            T.backward(s, g)
+        T.sgd_step(params, lr)
+        return [_subnet_arrays(model.subnets[i]) for i in mine]
+
+    value = prob = None
+
+    def meet(values):
+        nonlocal value, prob
+        if values[0] is None:  # the maps are written: go on
+            return values
+        cuts = [Tensor(values[i % procs][i // procs], requires_grad=True) for i in range(n)]
         logits = model.logits(cuts)
         loss = T.bce_with_logits(logits, labels)
         value = float(loss.data)
         if not np.isfinite(value):
             raise TrainingDivergedError(f"non-finite loss {value}")
-        T.zero_grads(params)
+        T.zero_grads([model.beta])
         T.backward(loss)
-        _pool_map(pool, lambda s, c: T.backward(s, c.grad), scores, cuts)
-        T.sgd_step(params, lr)
+        T.sgd_step([model.beta], lr)
         prob = T.sigmoid(Tensor(logits.data)).data
+        return [[cuts[i].grad for i in range(k, n, procs)] for k in range(procs)]
+
+    with np.errstate(all="ignore"):
+        results = _fork_map("training worker", share, range(procs), meet)
+    for k in range(1, procs):
+        for i, arrays in zip(range(k, n, procs), results[k]):
+            for dst, src in zip(_subnet_arrays(model.subnets[i]), arrays):
+                dst[...] = src
+    _SPARE_MAPPING[:] = [(os.getpid(), mapping)]
     if not all(np.isfinite(a).all() for a in model.state_arrays()):
         raise TrainingDivergedError("non-finite weights or batchnorm buffers")
     return value, prob
@@ -194,18 +242,20 @@ def train_epoch(model: EpuModel, images, labels, config: TrainConfig, rng=None, 
         rng = np.random.default_rng([config.seed])
     order = rng.permutation(len(images))
     side = model.arch.input_side
-    params = model.parameters()
     loss_sum = 0.0
     correct = 0
-    with ThreadPoolExecutor(max_workers=min(model.n_pfms, _usable_cores())) as pool:
-        for start in range(0, len(images), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            targets = labels[idx].astype(np.float32)
-            stacks = _feature_maps([images[j] for j in idx], side, None if ops is None else ops[idx])
-            value, prob = _train_step(model, pool, stacks, targets, params, config.lr)
-            del stacks  # before the next batch's maps are extracted
-            loss_sum += value * len(idx)
-            correct += int(np.sum((prob >= 0.5).astype(np.int64) == targets.astype(np.int64)))
+    for start in range(0, len(images), config.batch_size):
+        idx = order[start : start + config.batch_size]
+        targets = labels[idx].astype(np.float32)
+        batch = [images[j] for j in idx]
+        batch_ops = None if ops is None else ops[idx]
+
+        def fill(out, lo, hi):
+            _feature_maps(batch[lo:hi], side, None if batch_ops is None else batch_ops[lo:hi], out)
+
+        value, prob = _train_step(model, fill, targets, config.lr)
+        loss_sum += value * len(idx)
+        correct += int(np.sum((prob >= 0.5).astype(np.int64) == targets.astype(np.int64)))
     n = len(images)
     return EpochStats(loss=loss_sum / n, accuracy=correct / n)
 
@@ -469,106 +519,154 @@ class EvalReport:
     interp_accuracy: float
 
 
-def _eval_workers(chunks: int) -> int:
-    """Processes for `evaluate`: one per usable core, at most one per chunk.
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _workers(items: int) -> int:
+    """Processes to split `items` work items over: one per usable core, at
+    most one per item.
 
     One where `os.fork` is missing, or where another Python thread runs: a
     forked child holds only the forking thread, so a lock that another thread
-    held at the fork would stay locked in the child.
+    held at the fork would stay locked in the child. Python 3.12 warns of this
+    with a `DeprecationWarning`, which the test suite turns into an error.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(_usable_cores(), chunks)
+    return min(_usable_cores(), items)
 
 
-def _read_to_eof(fd: int) -> bytes:
-    parts = []
-    while part := os.read(fd, 1 << 16):
-        parts.append(part)
-    return b"".join(parts)
+def _send(fd: int, message) -> None:
+    view = memoryview(pickle.dumps(message))
+    while view:
+        view = view[os.write(fd, view) :]
 
 
-def _unpickle_reply(pid: int, blob: bytes, status: int):
-    """A child's (ok, value) reply; `ChildProcessError` when it ended without
-    a whole one."""
+def _drive(gen, exchange):
+    """The return value of generator `gen`, each of whose yielded values is
+    answered with `exchange(value)`."""
     try:
-        return pickle.loads(blob)
-    except Exception:  # empty or cut short: the child died before it replied
-        pass
-    if os.WIFSIGNALED(status):
-        how = f"killed by signal {os.WTERMSIG(status)}"
-    else:
-        how = f"exit status {os.waitstatus_to_exitcode(status)}"
-    raise ChildProcessError(f"evaluation worker {pid} ended without a reply ({how})")
+        reply = exchange(next(gen))
+        while True:
+            reply = exchange(gen.send(reply))
+    except StopIteration as stop:
+        return stop.value
 
 
-def _run_child(fn, arg, fd: int) -> None:
-    """Body of a forked child: send `fn(arg)` or its exception down `fd`, then
-    leave through `os._exit`, which runs no atexit handler and flushes no
-    buffer inherited from the parent."""
+def _run_child(fn, arg, meet, up: int, down) -> None:
+    """Body of a forked child: send each message of `fn(arg)`'s conversation
+    (see `_fork_map`), then its result or exception, up the pipe `up`, and
+    read the replies from the pipe `down`; then leave through `os._exit`,
+    which runs no atexit handler and flushes no buffer inherited from the
+    parent."""
+
+    def exchange(message):
+        _send(up, (True, message))
+        return pickle.load(down)
+
     status = 1
     try:
         try:
-            blob = pickle.dumps((True, fn(arg)))
+            value = fn(arg)
+            if meet is not None:
+                value = _drive(value, exchange)
+            reply = (True, value)
         except BaseException as exc:  # raised again in the caller
-            blob = pickle.dumps((False, exc))
+            reply = (False, exc)
             try:
-                pickle.loads(blob)
+                pickle.loads(pickle.dumps(reply))
             except Exception:  # an exception the caller could not rebuild
-                blob = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        view = memoryview(blob)
-        while view:
-            view = view[os.write(fd, view) :]
+                reply = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        _send(up, reply)
         status = 0
     finally:
         os._exit(status)
 
 
-def _fork_map(fn, args) -> list:
+def _reply(worker: str, child: list):
+    """The next (ok, value) message of `child` (see `_fork_map`): its value,
+    or its exception raised here. A child that ends first is reaped and
+    raises `ChildProcessError`."""
+    try:
+        ok, value = pickle.load(child[1])
+    except Exception:  # empty or cut short: the child died before it replied
+        pid, child[0] = child[0], None
+        status = os.waitpid(pid, 0)[1]
+        if os.WIFSIGNALED(status):
+            how = f"killed by signal {os.WTERMSIG(status)}"
+        else:
+            how = f"exit status {os.waitstatus_to_exitcode(status)}"
+        raise ChildProcessError(f"{worker} {pid} ended without a reply ({how})")
+    if not ok:
+        raise value
+    return value
+
+
+def _fork_map(worker: str, fn, args, meet=None) -> list:
     """`[fn(a) for a in args]`: `fn(args[0])` in this process, each later item
     in a child forked for it.
 
+    With `meet`, each `fn(a)` is a generator, and all of them run in step: at
+    each round of yields, `meet` takes the yielded values in `args` order and
+    returns one reply per process, which its yield returns. The results are
+    then the generators' return values.
+
     Children see the caller's memory as it was at the fork, and only their
-    results come back, pickled through a pipe. A child's exception is raised
+    messages come back, pickled through pipes. A child's exception is raised
     here with its type and message; a child that ends without a reply raises
-    `ChildProcessError`. Every child is reaped before this returns or raises;
-    one whose reply was not read, because this process failed first, is
-    killed.
+    `ChildProcessError`, and a refused fork `OSError`, each naming a `worker`.
+    Every child is reaped before this returns or raises; one still running
+    when this process fails is killed first.
     """
     # a child must not write out the caller's buffered output a second time
     sys.stdout.flush()
     sys.stderr.flush()
-    children = []  # (pid, read end of its pipe)
-    blobs, statuses = [], []
+    children = []  # [pid, reader of its pipe up, write end of its pipe down]
+    done = False
     try:
         for arg in args[1:]:
-            read_fd, write_fd = os.pipe()
+            up, down = os.pipe(), os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            except OSError as exc:
+                for fd in (*up, *down):
+                    os.close(fd)
+                raise OSError(exc.errno, f"cannot fork a {worker}: {exc.strerror}") from exc
             if pid == 0:
-                os.close(read_fd)
-                _run_child(fn, arg, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        results = [fn(args[0])]
-        blobs = [_read_to_eof(fd) for _, fd in children]
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            if not blobs:
-                import signal  # only here: importing it costs every command about 1 ms
+                for fd in (up[0], down[1], *(fd for c in children for fd in (c[1].fileno(), c[2]))):
+                    os.close(fd)
+                _run_child(fn, arg, meet, up[1], open(down[0], "rb"))
+            os.close(up[1])
+            os.close(down[0])
+            children.append([pid, open(up[0], "rb"), down[1]])
 
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (pid, _), blob, status in zip(children, blobs, statuses):
-        ok, value = _unpickle_reply(pid, blob, status)
-        if not ok:
-            raise value
-        results.append(value)
+        def exchange(value):
+            replies = meet([value] + [_reply(worker, c) for c in children])
+            for c, reply in zip(children, replies[1:]):
+                try:
+                    _send(c[2], reply)
+                except BrokenPipeError:  # the child ended: say how
+                    _reply(worker, c)
+                    raise
+            return replies[0]
+
+        results = [fn(args[0]) if meet is None else _drive(fn(args[0]), exchange)]
+        results += [_reply(worker, c) for c in children]
+        done = True
+    finally:
+        for pid, reader, down in children:
+            reader.close()
+            os.close(down)
+            if pid is not None:
+                if not done:
+                    import signal  # only here: importing it costs every command about 1 ms
+
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return results
 
 
@@ -583,9 +681,9 @@ def evaluate(model: EpuModel, images, labels) -> EvalReport:
     not depend on the chunk size or on the order of the images.
 
     The chunks are split into contiguous runs, one per process (see
-    `_eval_workers`): this process scores the first run and a forked child
-    each other one, and the results are joined in order. The records are
-    therefore those of one process. A child's exception is raised here; a
+    `_workers`): this process scores the first run and a forked child each
+    other one (`_fork_map`), and the results are joined in order. The records
+    are therefore those of one process. A child's exception is raised here; a
     child that dies without replying raises `ChildProcessError`.
     """
     if len(images) == 0:
@@ -602,9 +700,9 @@ def evaluate(model: EpuModel, images, labels) -> EvalReport:
         return np.concatenate(prob_parts), np.concatenate(rss_parts)
 
     starts = range(0, len(images), EVAL_CHUNK)
-    n, workers = len(starts), _eval_workers(len(starts))
+    n, workers = len(starts), _workers(len(starts))
     runs = [starts[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
-    parts = _fork_map(score_run, runs)
+    parts = _fork_map("evaluation worker", score_run, runs)
     probs = np.concatenate([prob for prob, _ in parts])
     rss_rows = np.concatenate([scores for _, scores in parts])
     preds = (probs >= 0.5).astype(np.int64)

@@ -59,7 +59,7 @@ def format1(checkpoint: bytes) -> bytes:
 @pytest.fixture(scope="session", autouse=True)
 def no_stray_children():
     """Fail the run if the pytest process ends with a child it never reaped:
-    a worker that `evaluate` forked and left running, or a zombie."""
+    a worker that training or `evaluate` forked and left running, or a zombie."""
     yield
     if not hasattr(os, "WNOHANG"):
         return

@@ -1,5 +1,6 @@
 """End-to-end command-line tests via subprocess."""
 
+import errno
 import json
 import math
 import os
@@ -7,7 +8,6 @@ import platform
 import re
 import subprocess
 import sys
-import threading
 import types
 import xml.etree.ElementTree as ET
 
@@ -249,36 +249,6 @@ def test_train_non_finite_lr_exit2(tmp_path, ds_root, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: lr must be finite and >= 0, got {case.split('_')[1]}"]
     assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("allowed", [0, 1])
-def test_train_refused_thread_exit2(tmp_path, ds_root, capsys, monkeypatch, allowed):
-    # the OS refuses every training thread, or all but the first: one line
-    # and exit 2, as for any allocation that fails, and no checkpoint
-    from epu import cli
-    from epu import train as train_module
-
-    real_start = threading.Thread.start
-    started = []
-
-    def start(self):
-        if len(started) >= allowed:
-            raise RuntimeError("can't start new thread")
-        started.append(self)
-        real_start(self)
-
-    # room for one thread per sub-network on any machine
-    monkeypatch.setattr(train_module, "_usable_cores", lambda: 4)
-    monkeypatch.setattr(threading.Thread, "start", start)
-    out = tmp_path / "o"
-    argv = ["train", "--data", str(ds_root), "--out", str(out), *TINY_FLAGS, "--epochs", "1"]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: train needs more memory than there is: cannot start a training thread: can't start new thread"
-    ]
-    assert not (out / "checkpoint.epu").exists()
-    # the thread that did start was joined before `main` returned
-    assert len(started) == allowed and not any(t.is_alive() for t in started)
 
 
 def test_train_config_file_unknown_key_line(tmp_path, ds_root):
@@ -800,8 +770,8 @@ def test_allocator_setup_without_mallopt_does_nothing(monkeypatch):
 
 FAULTS_SCRIPT = """
 import contextlib, io, os, resource, sys
-# one core, so training runs one pool worker and the heap's high-water mark
-# does not depend on how two workers' allocations interleave
+# one core, so training and evaluation fork no worker, and the heap's pages
+# are not write-protected by a fork before the second run
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
 from epu import cli
 from epu.data import SynthConfig, synth_generate
@@ -955,6 +925,86 @@ train.predict = predict
 train._usable_cores = lambda: 2
 sys.exit(cli.main(sys.argv[1:]))
 """
+
+
+TRAINING_WORKER_SCRIPT = """
+import errno, os, signal, sys
+from epu import cli, model, train
+
+case, argv = sys.argv[1], sys.argv[2:]
+caller = os.getpid()
+real_forward, real_fork, forks = model.SubNetwork.forward, os.fork, []
+
+
+def forward(self, *args, **kwargs):
+    if os.getpid() != caller:
+        if case == "diverged":
+            raise train.TrainingDivergedError("non-finite score in a worker")
+        if case == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+    return real_forward(self, *args, **kwargs)
+
+
+def fork():
+    # case "refusedN": the OS refuses every fork after the first N
+    if case.startswith("refused") and len(forks) >= int(case[-1]):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    forks.append(None)
+    return real_fork()
+
+
+model.SubNetwork.forward = forward
+os.fork = fork
+# sub-networks 1, 2 and 3 each train in a child
+train._usable_cores = lambda: 4
+code = cli.main(argv)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+sys.exit(code)
+"""
+
+
+def _run_training_worker_case(tmp_path, ds_root, case):
+    env = dict(os.environ, EPU_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    argv = ["train", "--data", str(ds_root), "--out", str(tmp_path / "o"), *TINY_FLAGS, "--epochs", "1"]
+    # a hang fails through the timeout instead of stalling the suite
+    return subprocess.run(
+        [sys.executable, "-c", TRAINING_WORKER_SCRIPT, case, *argv],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120,
+    )
+
+
+def test_train_worker_divergence_exit4(tmp_path, ds_root):
+    proc = _run_training_worker_case(tmp_path, ds_root, "diverged")
+    assert proc.returncode == 4, proc.stderr
+    assert _one_error_line(proc) == "error: non-finite score in a worker at epoch 0"
+    assert proc.stdout == "no child left\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_dead_worker_exit3(tmp_path, ds_root):
+    proc = _run_training_worker_case(tmp_path, ds_root, "killed")
+    assert proc.returncode == 3, proc.stderr
+    assert re.fullmatch(
+        r"error: training worker \d+ ended without a reply \(killed by signal 9\)", _one_error_line(proc)
+    )
+    assert proc.stdout == "no child left\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("allowed", [0, 1])
+def test_train_refused_fork_exit3(tmp_path, ds_root, allowed):
+    # the OS refuses every worker, or all but the first, which is killed
+    proc = _run_training_worker_case(tmp_path, ds_root, f"refused{allowed}")
+    assert proc.returncode == 3, proc.stderr
+    assert _one_error_line(proc) == (
+        f"error: [Errno {errno.EAGAIN}] cannot fork a training worker: {os.strerror(errno.EAGAIN)}"
+    )
+    assert proc.stdout == "no child left\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_global_explain_dead_worker_exit3(tmp_path, trained, ds_root):

@@ -4,10 +4,10 @@ import math
 import os
 import re
 import threading
+import time
 import tracemalloc
 import weakref
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from epu.tensor import Tensor
 from epu.train import (
     Sample,
     TrainConfig,
-    _pool_map,
     apply_orientation,
     cross_validate,
     draw_orientations,
@@ -199,8 +198,9 @@ def test_train_epoch_rejects_bad_labels():
 
 
 def test_train_epoch_matches_whole_graph_step():
-    # the split, threaded step updates exactly as one sweep over the whole
-    # graph, with batches of one part and of three micro-batches
+    # the split step, in one process per usable core, updates exactly as one
+    # sweep over the whole graph, with batches of one part and of three
+    # micro-batches
     for batch_size, per_class in ((4, 5), (2 * T.MICRO_BATCH + 3, 20)):
         images, labels = _separable_images(np.random.default_rng(6), per_class=per_class)
         config = TrainConfig(batch_size=batch_size, lr=0.05, epochs=1)
@@ -248,6 +248,8 @@ def test_train_step_frees_each_graph_as_its_sweep_passes(monkeypatch):
         alive.append(sum(r() is not None for r in closures))
 
     monkeypatch.setattr(T, "backward", backward)
+    # every sweep in this process
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 1)
     model = build_model(TINY, seed=0)
     images, labels = _separable_images(np.random.default_rng(0), per_class=2)
     train_epoch(model, images, labels, TrainConfig(batch_size=4, epochs=1))
@@ -255,50 +257,50 @@ def test_train_step_frees_each_graph_as_its_sweep_passes(monkeypatch):
     assert alive == [0] * (1 + model.n_pfms)
 
 
-def test_train_step_peak_memory():
-    # one desk step at batch 64 on one worker, where the traced peak repeats
+def _copy_rows(stacks):
+    """A `_train_step` fill that copies rows of the (B, 4, S, S) `stacks`."""
+
+    def fill(out, lo, hi):
+        out[...] = stacks[lo:hi]
+
+    return fill
+
+
+def test_train_step_peak_memory(monkeypatch):
+    # one desk step at batch 64 in one process, where the traced peak repeats
     # exactly: 22.02 MB with the max-pool winner index at 2 bits per pooled
     # element, 24.67 MB at one byte, 26.24 MB when the dense head also keeps
     # the last batchnorm output, 37.52 MB when blocks fed by batchnorm keep its
     # output as well, 42.16 MB when every vertex's arrays stay until the step
     # returns (numpy 2.4.6)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 1)
     model = build_model(PRESETS["desk"], seed=0)
     stacks = np.random.default_rng(0).uniform(-1, 1, size=(64, 4, 64, 64)).astype(np.float32)
     labels = (np.arange(64) % 2).astype(np.float32)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        tracemalloc.start()
-        try:
-            train_module._train_step(model, pool, stacks, labels, model.parameters(), 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        train_module._train_step(model, _copy_rows(stacks), labels, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 22.3e6, peak
 
 
-def test_train_epoch_worker_error_reaches_caller():
-    # a sub-network forward runs on a pool worker; its error reaches the caller
+def test_train_epoch_worker_error_reaches_caller(monkeypatch):
+    # with four processes, sub-network 2 runs in a forked worker; its error
+    # reaches the caller with its type, and no worker is left behind
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 4)
     model = build_model(TINY, seed=0)
-    threads = []
 
     def forward(x, training, layer=None):
-        threads.append(threading.get_ident())
-        raise DimensionError("subnet rejected its input")
+        raise DimensionError(f"subnet rejected its input in {os.getpid()}")
 
     model.subnets[2].forward = forward
     images, labels = _separable_images(np.random.default_rng(0), per_class=2)
-    with pytest.raises(DimensionError, match="subnet rejected its input"):
+    with pytest.raises(DimensionError, match=r"subnet rejected its input in \d+") as info:
         train_epoch(model, images, labels, TrainConfig(batch_size=4, epochs=1))
-    assert threads and threading.get_ident() not in threads
-
-
-def test_pool_workers_run_in_the_callers_grad_mode():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        with T.no_grad():
-            quiet = _pool_map(pool, lambda k: T.add(x, float(k)), [1, 2])
-        recorded = _pool_map(pool, lambda k: T.add(x, float(k)), [1, 2])
-    assert all(t._op is None for t in quiet)
-    assert all(t._op is not None for t in recorded)
+    assert int(str(info.value).split()[-1]) != os.getpid()
+    _assert_no_child_left()
 
 
 def test_sample_rejects_negative_label():
@@ -704,7 +706,8 @@ def test_fit_divergence_reports_epoch(tmp_path):
 def test_fit_holds_one_batch_of_feature_maps_at_each_step(tmp_path, monkeypatch, augment):
     # each image's stack is dropped once written into its batch's array, and
     # each batch's array once its step returns, so a step sees no maps but
-    # its own batch's
+    # its own batch's; every map is extracted in this process
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 1)
     images, labels = _tiny_dataset(tmp_path)
     stacks_made, batches, seen = [], [], []
     real_build, real_step = train_module.build_pfm_stack, train_module._train_step
@@ -714,11 +717,15 @@ def test_fit_holds_one_batch_of_feature_maps_at_each_step(tmp_path, monkeypatch,
         stacks_made.append(weakref.ref(out.maps))
         return out
 
-    def step(model, pool, stacks, targets, params, lr):
+    def step(model, fill, targets, lr):
         alive = (sum(r() is not None for r in stacks_made), sum(r() is not None for r in batches))
-        seen.append((len(stacks), *alive))
-        batches.append(weakref.ref(stacks))
-        return real_step(model, pool, stacks, targets, params, lr)
+        seen.append((len(targets), *alive))
+
+        def keep(out, lo, hi):
+            batches.append(weakref.ref(out.base))
+            fill(out, lo, hi)
+
+        return real_step(model, keep, targets, lr)
 
     monkeypatch.setattr(train_module, "build_pfm_stack", build)
     monkeypatch.setattr(train_module, "_train_step", step)
@@ -732,24 +739,23 @@ def _old_path_fit(images, labels, arch, config):
     extracted up front by `make_samples` and each batch was copied out of
     them by `np.stack`."""
     model = build_model(arch, seed=config.seed)
-    params, history = model.parameters(), []
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for epoch in range(config.epochs):
-            epoch_images = images
-            if config.augment:
-                arng = np.random.default_rng([config.seed, epoch, 1])
-                epoch_images = [apply_orientation(img, int(arng.integers(6))) for img in images]
-            samples = make_samples(epoch_images, labels, arch.input_side)
-            order = np.random.default_rng([config.seed, epoch, 2]).permutation(len(samples))
-            loss_sum, correct = 0.0, 0
-            for start in range(0, len(samples), config.batch_size):
-                batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
-                stacks = np.stack([s.stack.maps for s in batch])
-                targets = np.array([s.label for s in batch], dtype=np.float32)
-                value, prob = train_module._train_step(model, pool, stacks, targets, params, config.lr)
-                loss_sum += value * len(batch)
-                correct += int(np.sum((prob >= 0.5).astype(np.int64) == targets.astype(np.int64)))
-            history.append((loss_sum / len(samples), correct / len(samples)))
+    history = []
+    for epoch in range(config.epochs):
+        epoch_images = images
+        if config.augment:
+            arng = np.random.default_rng([config.seed, epoch, 1])
+            epoch_images = [apply_orientation(img, int(arng.integers(6))) for img in images]
+        samples = make_samples(epoch_images, labels, arch.input_side)
+        order = np.random.default_rng([config.seed, epoch, 2]).permutation(len(samples))
+        loss_sum, correct = 0.0, 0
+        for start in range(0, len(samples), config.batch_size):
+            batch = [samples[int(j)] for j in order[start : start + config.batch_size]]
+            stacks = np.stack([s.stack.maps for s in batch])
+            targets = np.array([s.label for s in batch], dtype=np.float32)
+            value, prob = train_module._train_step(model, _copy_rows(stacks), targets, config.lr)
+            loss_sum += value * len(batch)
+            correct += int(np.sum((prob >= 0.5).astype(np.int64) == targets.astype(np.int64)))
+        history.append((loss_sum / len(samples), correct / len(samples)))
     return model, history
 
 
@@ -787,6 +793,66 @@ def test_cross_validate_fold_matches_the_old_path_bitwise(tmp_path):
         rss += [row.tobytes() for row in scores]
     assert [np.float64(r.probability).tobytes() for r in report.records] == probs
     assert [r.rss.tobytes() for r in report.records] == rss
+
+
+@pytest.mark.parametrize("batch_size", [19, 3])
+def test_fit_does_not_depend_on_the_process_count(tmp_path, monkeypatch, batch_size):
+    # 40 images: batch 19 leaves a ragged batch of 2, and batch 3 is smaller
+    # than four processes, so some processes extract no maps
+    images, labels = _tiny_dataset(tmp_path, count=20)
+    config = TrainConfig(batch_size=batch_size, lr=0.05, epochs=2, seed=4)
+    real_fork_map, forked, runs = train_module._fork_map, [], {}
+
+    def fork_map(worker, fn, args, meet=None):
+        forked.append(len(args) - 1)
+        return real_fork_map(worker, fn, args, meet)
+
+    monkeypatch.setattr(train_module, "_fork_map", fork_map)
+    for cores in (1, 2, 3, 4):
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
+        forked.clear()
+        result = fit(images, labels, TINY, config)
+        assert forked == [cores - 1] * (2 * math.ceil(len(images) / batch_size)), cores
+        runs[cores] = (_state_bytes(result.model), [(h.loss, h.accuracy) for h in result.history])
+    _assert_no_child_left()
+    for cores in (2, 3, 4):
+        assert runs[cores] == runs[1], cores
+
+
+def test_fit_with_another_thread_alive_trains_in_this_process(tmp_path, monkeypatch):
+    images, labels = _tiny_dataset(tmp_path, count=6)
+    config = TrainConfig(batch_size=5, lr=0.05, epochs=2, seed=1)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 4)
+    forked = fit(images, labels, TINY, config)
+
+    def fork():
+        raise AssertionError("forked while another thread ran")
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        alone = fit(images, labels, TINY, config)
+    finally:
+        release.set()
+        other.join()
+    assert _state_bytes(alone.model) == _state_bytes(forked.model)
+    assert [(h.loss, h.accuracy) for h in alone.history] == [(h.loss, h.accuracy) for h in forked.history]
+
+
+def test_shared_mapping_is_reused_only_where_it_is_safe(monkeypatch):
+    monkeypatch.setattr(train_module, "_SPARE_MAPPING", [])
+    first = train_module._shared_mapping(64)
+    train_module._SPARE_MAPPING[:] = [(os.getpid(), first)]
+    assert train_module._shared_mapping(32) is first
+    # a step holds it while it runs, so a concurrent step maps its own
+    assert train_module._shared_mapping(32) is not first
+    train_module._SPARE_MAPPING[:] = [(os.getpid(), first)]
+    assert train_module._shared_mapping(128) is not first
+    # one made before a fork belongs to the process that made it
+    train_module._SPARE_MAPPING[:] = [(os.getppid(), first)]
+    assert train_module._shared_mapping(32) is not first
 
 
 def test_fit_empty_rejected():
@@ -859,9 +925,9 @@ def test_evaluate_records_do_not_depend_on_worker_count(monkeypatch, count):
     labels = np.arange(count) % 2
     forked = []
 
-    def fork_map(fn, args):
+    def fork_map(worker, fn, args):
         forked.append(len(args) - 1)
-        return real_fork_map(fn, args)
+        return real_fork_map(worker, fn, args)
 
     real_fork_map = train_module._fork_map
     monkeypatch.setattr(train_module, "_fork_map", fork_map)
@@ -888,7 +954,7 @@ from epu import train
 from epu.model import ArchConfig, build_model
 from epu.pfm import RgbImage
 
-assert train._eval_workers(10) == 1
+assert train._workers(10) == 1
 model = build_model(ArchConfig(blocks=((1, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=9), seed=5)
 rng = np.random.default_rng(9)
 images = [RgbImage(rng.integers(0, 256, size=(10, 12, 3), dtype=np.uint8)) for _ in range(9)]
@@ -923,22 +989,20 @@ def test_evaluate_pinned_to_one_core_matches_forked_workers(monkeypatch):
     assert proc.stdout.split() == [digest]
 
 
-def test_eval_workers_fall_back_to_one(monkeypatch):
-    import threading
-
+def test_workers_fall_back_to_one(monkeypatch):
     monkeypatch.setattr(train_module, "_usable_cores", lambda: 8)
-    assert train_module._eval_workers(3) == 3
-    assert train_module._eval_workers(20) == 8
+    assert train_module._workers(3) == 3
+    assert train_module._workers(20) == 8
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert train_module._eval_workers(20) == 1
+        assert train_module._workers(20) == 1
     finally:
         release.set()
         other.join()
     monkeypatch.delattr(os, "fork")
-    assert train_module._eval_workers(20) == 1
+    assert train_module._workers(20) == 1
 
 
 def _assert_no_child_left():
@@ -964,14 +1028,36 @@ def _unrebuildable_in_child(arg):
 
 
 def test_fork_map_returns_in_order_and_raises_a_childs_error():
-    assert train_module._fork_map(lambda a: a * 10, [0, 1, 2, 3]) == [0, 10, 20, 30]
+    assert train_module._fork_map("worker", lambda a: a * 10, [0, 1, 2, 3]) == [0, 10, 20, 30]
     _assert_no_child_left()
     with pytest.raises(DimensionError, match="bad share 2"):
-        train_module._fork_map(_fail_in_child, [0, 1, 2, 3])
+        train_module._fork_map("worker", _fail_in_child, [0, 1, 2, 3])
     _assert_no_child_left()
     # an exception that pickle cannot rebuild arrives as its type name and message
     with pytest.raises(RuntimeError, match="_Unrebuildable: x/y"):
-        train_module._fork_map(_unrebuildable_in_child, [0, 1])
+        train_module._fork_map("worker", _unrebuildable_in_child, [0, 1])
+    _assert_no_child_left()
+
+
+def _alarm_then_wait(arg):
+    if arg:  # SIGALRM ends this child while it waits for its reply
+        import signal
+
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+    yield arg
+    return arg
+
+
+def test_fork_map_child_gone_before_its_reply_raises_child_process_error():
+    import signal
+
+    def meet(values):
+        time.sleep(0.5)
+        return values
+
+    how = rf"\(killed by signal {int(signal.SIGALRM)}\)"
+    with pytest.raises(ChildProcessError, match=rf"^worker \d+ ended without a reply {how}$"):
+        train_module._fork_map("worker", _alarm_then_wait, [0, 1], meet)
     _assert_no_child_left()
 
 
@@ -1022,7 +1108,7 @@ def share(arg):
 
 for args in ([0, 1], [0, 2], [0, 3, 1]):
     try:
-        train._fork_map(share, args)
+        train._fork_map("evaluation worker", share, args)
     except ChildProcessError as exc:
         print(exc)
 try:
