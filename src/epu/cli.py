@@ -56,7 +56,7 @@ from .errors import (  # noqa: E402
     TrainingDivergedError,
 )
 from .interpret import (  # noqa: E402
-    build_prm,
+    build_prms,
     global_rss_stats,
     overlay_prm,
     render_global_chart,
@@ -233,8 +233,7 @@ def cmd_explain(args) -> int:
     stem = _stem(args.image)
     # every artifact is built before the first is written, so a failure leaves none
     files = [(f"{stem}.chart.svg", render_local_chart(scores[0], names).encode("utf-8"))]
-    for slug, maps in zip(PFM_SLUGS, acts):
-        prm = build_prm(maps[0], side, side)
+    for slug, prm in zip(PFM_SLUGS, build_prms(acts[:, 0], side, side)):
         files.append((f"{stem}.prm-{slug}.ppm", encode_ppm(overlay_prm(resized, prm))))
     files.append((f"{stem}.rss.jsonl", rss_sidecar(scores[0]).encode("utf-8")))
     print(

@@ -6,7 +6,11 @@ entropy, keep the most informative half, average them, upsample to input
 size, then cut at the threshold maximizing Yen's entropic correlation. Both
 steps use histograms of `BINS` bins. All maps of a layer are binned and
 counted in one pass (with `np.histogram`'s bin rule), and Yen's criterion is
-evaluated for every split at once, taking the first maximum. Charts are
+evaluated for every split at once, taking the first maximum. `build_prms`
+makes the relevance maps of every sub-network of an image at once, as
+`epu explain` does: the ranking, averaging and histograms each run once
+over all of them, with bitwise the maps that `build_prm` makes of each
+sub-network's activations alone. Charts are
 emitted as self-contained SVG strings whose bar geometry and data-*
 attributes are machine-checkable.
 """
@@ -48,11 +52,14 @@ class Prm:
     mask: np.ndarray
 
 
-def _minmax01(plane: np.ndarray) -> np.ndarray:
-    lo, hi = float(plane.min()), float(plane.max())
-    if hi - lo == 0:
-        return np.zeros_like(plane, dtype=np.float64)
-    return (plane.astype(np.float64) - lo) / (hi - lo)
+def _minmax01(planes: np.ndarray) -> np.ndarray:
+    """Each (h, w) plane of `planes` min-max normalized to [0, 1] as float64;
+    a constant plane becomes zeros."""
+    planes = planes.astype(np.float64, copy=False)
+    lo = planes.min(axis=(-2, -1), keepdims=True)
+    span = planes.max(axis=(-2, -1), keepdims=True) - lo
+    flat = span == 0
+    return np.where(flat, 0.0, (planes - lo) / np.where(flat, 1.0, span))
 
 
 def _bin_counts(rows: np.ndarray, bins: int) -> np.ndarray:
@@ -68,9 +75,12 @@ def _bin_counts(rows: np.ndarray, bins: int) -> np.ndarray:
     x = np.where(inside, rows, 0.0)
     idx = (x * bins).astype(np.intp)
     idx[idx == bins] -= 1
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    idx[x < edges[idx]] -= 1
-    idx[(x >= edges[idx + 1]) & (idx != bins - 1)] += 1
+    # with a power-of-two bin count, x * bins and every edge are exact, so
+    # the floor is already the bin
+    if bins & (bins - 1):
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        idx[x < edges[idx]] -= 1
+        idx[(x >= edges[idx + 1]) & (idx != bins - 1)] += 1
     # uncounted values go to a spare last column of their row, dropped below
     idx = np.where(inside, idx, bins) + (bins + 1) * np.arange(n)[:, None]
     counts = np.bincount(idx.ravel(), minlength=n * (bins + 1))
@@ -87,14 +97,13 @@ def _entropies(rows: np.ndarray, bins: int) -> np.ndarray:
     nonzero = counts > 0
     p = counts[nonzero] / rows.shape[1]
     terms = p * np.log2(p)
-    sizes = nonzero.sum(axis=1)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+    starts = [0] + ends[:-1]
     out = np.zeros(rows.shape[0])
     # one sum per row over that row's terms only: the same rounding as a
     # histogram of that map alone
-    for r in np.flatnonzero(~flat):
-        out[r] = -terms[starts[r] : ends[r]].sum()
+    kept = np.flatnonzero(~flat).tolist()
+    out[kept] = [-np.add.reduce(terms[starts[r] : ends[r]]) for r in kept]
     return out
 
 
@@ -108,6 +117,28 @@ def shannon_entropy(plane: np.ndarray) -> float:
     return float(_entropies(plane.reshape(1, -1), BINS)[0])
 
 
+def _informative(stacks: np.ndarray) -> np.ndarray:
+    """The ceil(C/2) highest-entropy maps of each of N float64 (C, h, w)
+    stacks, as (N, ceil(C/2), h, w), in their original relative order; ties
+    go to the lower index. All N * C maps are counted in one pass."""
+    n, c = stacks.shape[:2]
+    entropies = _entropies(stacks.reshape(n * c, -1), BINS).reshape(n, c)
+    # stable sort on negated entropy: equal entropies keep index order
+    ranked = np.argsort(-entropies, axis=1, kind="mergesort")[:, : -(-c // 2)]
+    return np.take_along_axis(stacks, np.sort(ranked, axis=1)[:, :, None, None], axis=1)
+
+
+def _checked_maps(maps, shape: str, what: str) -> np.ndarray:
+    """`maps` as float64 with one axis per name in `shape`, e.g. "(n, h, w)",
+    and at least one map per stack, else an error naming `what`."""
+    maps = np.asarray(maps, dtype=np.float64)
+    if maps.ndim != shape.count(",") + 1:
+        raise DimensionError(f"{what} expects {shape} maps, got shape {maps.shape}")
+    if maps.shape[-3] < 1:
+        raise ContractError(f"{what} needs at least 1 map")
+    return maps
+
+
 def select_informative(maps) -> np.ndarray:
     """Keep the ceil(n/2) highest-entropy of one layer's (n, h, w) maps, as
     float64; ties go to the lower index.
@@ -116,26 +147,16 @@ def select_informative(maps) -> np.ndarray:
     each entropy is bitwise what `shannon_entropy` gives for that map alone.
     Returns the selected maps in their original relative order.
     """
-    maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 3:
-        raise DimensionError(f"select_informative expects (n, h, w) maps, got shape {maps.shape}")
-    n = maps.shape[0]
-    if n < 1:
-        raise ContractError("select_informative needs at least 1 map")
-    keep = -(-n // 2)
-    entropies = _entropies(maps.reshape(n, -1), BINS)
-    # stable sort on negated entropy: equal entropies keep index order
-    ranked = np.argsort(-entropies, kind="mergesort")[:keep]
-    chosen = np.sort(ranked)
-    return maps[chosen]
+    return _informative(_checked_maps(maps, "(n, h, w)", "select_informative")[None])[0]
 
 
 def aggregate(maps: np.ndarray) -> np.ndarray:
-    """Elementwise mean of the maps, min-max normalized to [0,1]."""
+    """Elementwise mean of (n, h, w) maps, min-max normalized to [0,1]; of a
+    (..., n, h, w) array, that of each stack of maps."""
     maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 3 or maps.shape[0] == 0:
-        raise ContractError(f"aggregate needs a non-empty (n, h, w) array, got shape {maps.shape}")
-    return _minmax01(maps.mean(axis=0))
+    if maps.ndim < 3 or maps.shape[-3] == 0:
+        raise ContractError(f"aggregate needs a non-empty (..., n, h, w) array, got shape {maps.shape}")
+    return _minmax01(maps.mean(axis=-3))
 
 
 def yen_index(hist: np.ndarray) -> int:
@@ -180,13 +201,34 @@ def build_prm(maps, out_h: int, out_w: int) -> Prm:
     A constant aggregate (e.g. all-zero activations) yields threshold None
     and an empty mask.
     """
-    selected = select_informative(maps)
-    plane = upsample(aggregate(selected), out_h, out_w)
-    try:
-        threshold = yen_threshold(plane)
-    except DegenerateInputError:
-        return Prm(plane=plane, threshold=None, mask=np.zeros(plane.shape, dtype=bool))
-    return Prm(plane=plane, threshold=threshold, mask=plane >= threshold)
+    return build_prms(_checked_maps(maps, "(n, h, w)", "build_prm")[None], out_h, out_w)[0]
+
+
+def build_prms(stacks, out_h: int, out_w: int) -> list[Prm]:
+    """`build_prm` of N layers' activations at once, given as one (N, C, H, W)
+    array, such as every sub-network's activations of one image.
+
+    The entropy ranking counts all N * C maps in one pass, and the planes
+    are averaged, normalized and binned together; only the upsampling runs
+    plane by plane. Every step treats each map or plane alone, so each
+    `Prm` is bitwise what `build_prm` gives for its activations alone.
+    """
+    selected = _informative(_checked_maps(stacks, "(N, n, h, w)", "build_prms"))
+    # one plane at a time: four upsampled planes at once ran slower
+    planes = np.stack([upsample(plane, out_h, out_w) for plane in aggregate(selected)])
+    rows = planes.reshape(len(planes), -1)
+    prms = []
+    for plane, row, hist in zip(planes, rows, _bin_counts(rows, BINS)):
+        # a constant plane, or one whose histogram has no split, has no threshold
+        threshold = None
+        if row.max() != row.min():
+            try:
+                threshold = (yen_index(hist) + 1) / BINS
+            except DegenerateInputError:
+                pass
+        mask = np.zeros(plane.shape, dtype=bool) if threshold is None else plane >= threshold
+        prms.append(Prm(plane=plane, threshold=threshold, mask=mask))
+    return prms
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +393,10 @@ def overlay_prm(image: RgbImage, prm: Prm) -> RgbImage:
             f"relevance plane {prm.plane.shape} does not match image {(image.height, image.width)}"
         )
     out = image.pixels.astype(np.float64)
-    mask = prm.mask
-    if mask.any():
-        v = prm.plane[mask]
-        tint = np.stack([np.full_like(v, 255.0), 165.0 + 90.0 * v, np.zeros_like(v)], axis=-1)
-        out[mask] = 0.5 * out[mask] + 0.5 * tint
+    tint = np.empty_like(out)
+    tint[..., 0], tint[..., 1], tint[..., 2] = 255.0, 165.0 + 90.0 * prm.plane, 0.0
+    # every pixel's tinted value is computed, and only the masked ones kept
+    np.copyto(out, 0.5 * out + 0.5 * tint, where=prm.mask[..., None])
     return RgbImage(np.clip(np.rint(out), 0, 255).astype(np.uint8))
 
 

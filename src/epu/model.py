@@ -3,26 +3,31 @@
 Each perceptual feature map feeds its own small CNN whose tanh head emits a
 relative similarity score in [-1, 1]. The binary prediction is
 sigmoid(beta + sum of scores), so every sub-network's contribution is directly
-readable. Every forward pass runs `SubNetwork.forward` on each sub-network:
-training calls it in the worker process that trains that sub-network, and
-`EpuModel.forward_batch` calls it in turn, which `predict` runs in evaluation
-mode without a graph. None keeps
-any state on the model: the activations that relevance maps read are
-returned by the call that asks for them.
+readable. Training and inference run the sub-networks differently. Training
+runs `SubNetwork.forward` on each sub-network, in the worker process that
+trains it, and records its graph. Inference (`predict`, and through it
+`evaluate`, `explain` and `global-explain`) runs `EpuModel.forward_batch` in
+evaluation mode: one pass without a graph that runs each layer once over all
+four sub-networks stacked, with bitwise the results of running each alone.
+None keeps any state on the model: the activations that relevance maps read
+are returned by the call that asks for them.
 
-A model is its tensors. Each sub-network keeps one record per conv block (its
-kernels, batchnorm gamma and beta, and the two running-statistics arrays) and
-its dense head's weights and biases. `EpuModel.parameters()` lists every
-requires-grad leaf in checkpoint order; `state_arrays()` is the checkpoint
-payload: those leaves' arrays, then the running statistics.
+A model is its tensors. Each array of a sub-network is allocated once for
+all four, with a leading sub-network axis (`EpuModel.stacks`), and each
+sub-network's tensors are views of its slice. Each sub-network keeps one
+record per conv block (its kernels, batchnorm gamma and beta, and the two
+running-statistics arrays) and its dense head's weights and biases.
+`EpuModel.parameters()` lists every requires-grad leaf in checkpoint order;
+`state_arrays()` is the checkpoint payload: those leaves' arrays, then the
+running statistics.
 
 A conv block runs conv, ReLU, ..., conv, max-pool, ReLU, then batchnorm: the
 block's last ReLU comes after the pool, which `SubNetwork.forward` shows is
-exact. A sub-network runs each block as one `T.conv_block` op and one
-`T.batchnorm2d` op on the whole batch, then the dense head. Both ops work
-through the batch in parts of `T.MICRO_BATCH` samples, so their temporaries
-are sized for one part; batchnorm's statistics are still those of the whole
-batch. In training, the graph keeps of a block only its input, the pool's
+exact. In training, a sub-network runs each block as one `T.conv_block` op
+and one `T.batchnorm2d` op on the whole batch, then the dense head. Both ops
+work through the batch in parts of `T.MICRO_BATCH` samples, so their
+temporaries are sized for one part; batchnorm's statistics are still those
+of the whole batch. In training, the graph keeps of a block only its input, the pool's
 winner index at 2 bits per pooled element and its pooled output, which is also
 batchnorm's input. A block fed by batchnorm keeps not its input but
 batchnorm's rebuild of it, so each block boundary keeps one array, the
@@ -104,58 +109,86 @@ PRESETS = {
 }
 
 
+def _layout(arch: ArchConfig) -> list[tuple[tuple, int, float]]:
+    """(shape, fan_in, start) of each array of one sub-network, in the order
+    `SubNetwork` takes them, which is its share of the checkpoint payload:
+    each block's kernels, batchnorm gamma and beta, the dense head's weights
+    and biases, then each block's running mean and variance. An array with a
+    `fan_in` holds weights drawn Kaiming-uniform; any other starts filled
+    with `start`."""
+    k = arch.kernel_size
+    params, buffers, cin, side = [], [], 1, arch.input_side
+    for count, depth in arch.blocks:
+        for _ in range(count):
+            params.append(((depth, cin, k, k), cin * k * k, 0.0))
+            cin = depth
+        params += [((depth,), 0, 1.0), ((depth,), 0, 0.0)]
+        buffers += [((depth,), 0, 0.0), ((depth,), 0, 1.0)]
+        side = math.ceil(side / T.POOL_WINDOW)
+    flat_dim, width = cin * side * side, arch.fc_width
+    params += [((flat_dim, width), flat_dim, 0.0), ((width,), 0, 0.0), ((width, 1), width, 0.0), ((1,), 0, 0.0)]
+    return params + buffers
+
+
+@dataclass
 class _Block:
     """One conv block: its kernels, batchnorm gamma and beta, and running statistics."""
 
-    def __init__(self, kernels: list[Tensor], channels: int):
-        self.kernels = kernels
-        self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
-        self.running_mean = np.zeros(channels, np.float32)
-        self.running_var = np.ones(channels, np.float32)
+    kernels: list[Tensor]
+    gamma: Tensor
+    beta: Tensor
+    running_mean: np.ndarray
+    running_var: np.ndarray
 
 
-def _init_weights(shape, fan_in: int, rng: np.random.Generator | None) -> Tensor:
-    """A leaf of Kaiming-uniform weights drawn from `rng`, or of zeros without one."""
-    data = np.zeros(shape, np.float32) if rng is None else T.kaiming_uniform(shape, fan_in=fan_in, rng=rng)
-    return Tensor(data, requires_grad=True)
+def _split(arch: ArchConfig, arrays) -> tuple[list, list]:
+    """`_layout`-ordered arrays as (blocks, head): per conv block its
+    (kernels, gamma, beta, running_mean, running_var), and the dense head's
+    [fc_weight, fc_bias, head_weight, head_bias]."""
+    params = iter(arrays[: len(arrays) - 2 * len(arch.blocks)])
+    buffers = iter(arrays[len(arrays) - 2 * len(arch.blocks) :])
+    blocks = [
+        ([next(params) for _ in range(count)], next(params), next(params), next(buffers), next(buffers))
+        for count, _ in arch.blocks
+    ]
+    return blocks, list(params)
 
 
 class SubNetwork:
     """One per-PFM CNN: conv blocks with pooling and batchnorm, then dense.
 
-    Weights are drawn from `rng`; with `rng=None` they are zeros, for a caller
-    that overwrites every one of them.
+    Its tensors wrap, without a copy, the arrays it is given in `_layout`
+    order: its parameters as requires-grad leaves, then its running
+    statistics as plain arrays.
     """
 
-    def __init__(self, arch: ArchConfig, rng: np.random.Generator | None):
+    def __init__(self, arch: ArchConfig, arrays):
         self.arch = arch
-        k = arch.kernel_size
-        self.blocks: list[_Block] = []
-        cin, side = 1, arch.input_side
-        for count, depth in arch.blocks:
-            kernels = []
-            for _ in range(count):
-                kernels.append(_init_weights((depth, cin, k, k), cin * k * k, rng))
-                cin = depth
-            self.blocks.append(_Block(kernels, depth))
-            side = math.ceil(side / T.POOL_WINDOW)
-        flat_dim = cin * side * side
-        self.fc_weight = _init_weights((flat_dim, arch.fc_width), flat_dim, rng)
-        self.fc_bias = Tensor(np.zeros(arch.fc_width, np.float32), requires_grad=True)
-        self.head_weight = _init_weights((arch.fc_width, 1), arch.fc_width, rng)
-        self.head_bias = Tensor(np.zeros(1, np.float32), requires_grad=True)
+        blocks, head = _split(arch, arrays)
+
+        def leaf(a):
+            return Tensor(a, requires_grad=True)
+
+        self.blocks = [_Block([leaf(k) for k in ks], leaf(g), leaf(b), rm, rv) for ks, g, b, rm, rv in blocks]
+        self.fc_weight, self.fc_bias, self.head_weight, self.head_bias = map(leaf, head)
 
     def parameters(self) -> list[Tensor]:
         convs = [t for block in self.blocks for t in (*block.kernels, block.gamma, block.beta)]
         return convs + [self.fc_weight, self.fc_bias, self.head_weight, self.head_bias]
 
-    def forward(self, x: Tensor, training: bool, layer: int | None = None):
-        """Map (B, 1, S, S) input to (B, 1) tanh scores.
+    def state_arrays(self) -> list[np.ndarray]:
+        """Its arrays in `_layout` order: every parameter's, then each block's
+        running mean and variance."""
+        buffers = [a for b in self.blocks for a in (b.running_mean, b.running_var)]
+        return [p.data for p in self.parameters()] + buffers
+
+    def forward(self, x: Tensor) -> Tensor:
+        """Map (B, 1, S, S) input to (B, 1) tanh scores in training mode,
+        recording the graph.
 
         Each block is one `T.conv_block` op (conv, ReLU, ..., conv, max-pool,
-        ReLU) and one `T.batchnorm2d` op over the whole batch; the dense head
-        follows. The input is data: no gradient flows to it.
+        ReLU) and one training-mode `T.batchnorm2d` op over the whole batch;
+        the dense head follows. The input is data: no gradient flows to it.
 
         Pooling before the block's last ReLU is exact: ReLU is monotone, so
         relu(max) = max(relu) bitwise, and a window whose maximum is positive
@@ -164,11 +197,6 @@ class SubNetwork:
         the sign of its zero may sit on another element. The full-resolution
         pre-activation is freed once pooled, and the last ReLU runs on a
         quarter of the pixels.
-
-        With `layer`, a 1-based conv layer index, returns (scores, that
-        layer's post-ReLU activations (B, C, H, W)) instead, taken by the
-        block op: bitwise `T.relu`'s output, also for a block's last conv,
-        whose ReLU runs after the pool.
         """
         if x.data.ndim != 4 or x.data.shape[2] != self.arch.input_side or x.data.shape[3] != self.arch.input_side:
             raise DimensionError(
@@ -176,31 +204,39 @@ class SubNetwork:
             )
         if x.requires_grad:
             raise ContractError("subnet input must not require grad")
-        if layer is not None and not 1 <= layer <= self.arch.conv_layer_count:
-            raise ConfigError(f"layer {layer} outside the conv layers 1..{self.arch.conv_layer_count}")
-        # `want` is the asked-for conv's 0-based index within the current block
-        h, act, want = x, None, -1 if layer is None else layer - 1
+        h = x
         for block in self.blocks:
-            tap = want if 0 <= want < len(block.kernels) else None
-            want -= len(block.kernels)
-            h = T.conv_block(h, block.kernels, tap)
-            if tap is not None:
-                h, act = h
-            h = T.batchnorm2d(h, block.gamma, block.beta, block.running_mean, block.running_var, training)
+            h = T.conv_block(h, block.kernels)
+            h = T.batchnorm2d(h, block.gamma, block.beta, block.running_mean, block.running_var, True)
         h = T.relu(T.dense(T.flatten_batch(h), self.fc_weight, self.fc_bias))
-        out = T.tanh(T.dense(h, self.head_weight, self.head_bias))
-        return out if layer is None else (out, act)
+        return T.tanh(T.dense(h, self.head_weight, self.head_bias))
+
+
+def _dense_rows(h: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(N, B, F) rows through each sub-network's (N, F, W) weights and (N, W)
+    biases, each row its own vector-matrix product as in `T.matmul`."""
+    return np.matmul(h[:, :, None], weight[:, None])[:, :, 0] + bias[:, None]
 
 
 class EpuModel:
     """One sub-network per entry of `PFM_LABELS`, in that order, plus a
-    learnable intercept. `class_names`, when given, names the two classes."""
+    learnable intercept. `class_names`, when given, names the two classes.
 
-    def __init__(self, arch, subnets, beta: Tensor, class_names=None):
+    `stacks` holds every sub-network's arrays, in `_layout` order, each with
+    a leading sub-network axis. Sub-network i's tensors and buffers are views
+    [i] of them, so the training graphs and the evaluation pass read the same
+    memory. Parameters and buffers therefore change only in place:
+    `T.sgd_step`, the copy-back of training workers' state arrays and
+    `load_checkpoint` all write into the arrays, and rebinding a tensor's
+    `.data` would cut it off from the stack.
+    """
+
+    def __init__(self, arch, stacks: list[np.ndarray], beta: Tensor, class_names=None):
         if class_names is not None and len(class_names) != 2:
             raise ConfigError(f"need two class names, got {len(class_names)}: {tuple(class_names)}")
         self.arch = arch
-        self.subnets = list(subnets)
+        self.stacks = stacks
+        self.subnets = [SubNetwork(arch, [a[i] for a in stacks]) for i in range(len(stacks[0]))]
         self.beta = beta
         self.class_names = None if class_names is None else tuple(class_names)
 
@@ -222,15 +258,77 @@ class EpuModel:
     def forward_batch(self, stacks, training: bool, layer: int | None = None):
         """Run all sub-networks on a (B, N, S, S) array of stacked maps.
 
-        Returns (probabilities (B,), per-subnet (B, 1) score tensors); with
-        `layer`, a third item lists each sub-network's activations at that
-        1-based conv layer. The probabilities are the sigmoid of `logits`.
+        Returns (probabilities (B,), per-subnet (B, 1) score tensors); the
+        probabilities are the sigmoid of `logits`. In training, each
+        sub-network's `SubNetwork.forward` records its graph. In evaluation,
+        one pass without a graph runs each layer once over all sub-networks
+        (`_infer`); with `layer`, a 1-based conv layer, a third item holds
+        every sub-network's post-ReLU activations at that layer,
+        (N, B, C, H, W).
         """
-        results = [sn.forward(x, training, layer) for sn, x in zip(self.subnets, self.subnet_inputs(stacks))]
-        if layer is None:
-            return T.sigmoid(self.logits(results)), results
-        scores, acts = (list(part) for part in zip(*results))
-        return T.sigmoid(self.logits(scores)), scores, acts
+        if training:
+            if layer is not None:
+                raise ContractError("layer activations come from evaluation mode only")
+            scores = [sn.forward(x) for sn, x in zip(self.subnets, self.subnet_inputs(stacks))]
+            return T.sigmoid(self.logits(scores)), scores
+        with T.no_grad():
+            stacked, acts = self._infer(self._checked(stacks), layer)
+            scores = [Tensor(s) for s in stacked]
+            prob = T.sigmoid(self.logits(scores))
+        return (prob, scores) if layer is None else (prob, scores, acts)
+
+    def _infer(self, data: np.ndarray, layer: int | None):
+        """Evaluation-mode scores (N, B, 1) of a checked (B, N, S, S) array and,
+        with `layer`, the post-ReLU activations (N, B, C, H, W) of that conv
+        layer, else None.
+
+        Each layer runs once over all sub-networks, the sub-network axis
+        leading every activation and every array of `stacks`. The batch runs
+        one image at a time, its N sample-maps (at most `T.MICRO_BATCH`) as
+        one part: on the `score` workload, parts of two images ran 4-5%
+        slower, their conv buffers no longer fitting a core's 2 MiB L2 cache,
+        and peaked 3 MB higher. Each block runs `T._block_part`, the ReLU and
+        `T._bn_affine` with the running statistics, as training's ops do, so
+        every output is bitwise that of running its sub-network alone in
+        evaluation mode.
+        """
+        count = self.arch.conv_layer_count
+        if layer is not None and not 1 <= layer <= count:
+            raise ConfigError(f"layer {layer} outside the conv layers 1..{count}")
+        blocks, (fc_w, fc_b, head_w, head_b) = _split(self.arch, self.stacks)
+        batch, n = data.shape[:2]
+        scores = acts = None
+        for s in (slice(i, i + 1) for i in range(batch)):
+            # (N, 1, 1, S, S): sub-network k reads map k of the image
+            h = data[s].transpose(1, 0, 2, 3)[:, :, None]
+            # the layer's conv, 0-based from the first conv of the block at hand
+            tap = None if layer is None else layer - 1
+            for kernels, gamma, beta, mean, var in blocks:
+                h, _, act = T._block_part(h, kernels, False, tap)
+                if act is not None:
+                    if acts is None:
+                        acts = np.empty((n, batch, *act.shape[2:]), act.dtype)
+                    acts[:, s] = act
+                T._relu_array(h, out=h)
+                h = T._bn_affine(h, mean[:, None], T._bn_ivstd(var)[:, None], gamma[:, None], beta[:, None])
+                if tap is not None:
+                    tap -= len(kernels)
+            h = T._relu_array(_dense_rows(h.reshape(*h.shape[:2], -1), fc_w, fc_b))
+            out = np.tanh(_dense_rows(h, head_w, head_b))
+            if scores is None:
+                scores = np.empty((n, batch, 1), out.dtype)
+            scores[:, s] = out
+        return scores, acts
+
+    def _checked(self, stacks) -> np.ndarray:
+        """`stacks` as a float array shaped (B, N, S, S) with B >= 1, else `DimensionError`."""
+        data = np.asarray(stacks)
+        side = self.arch.input_side
+        if data.ndim != 4 or data.shape[0] == 0 or data.shape[1:] != (self.n_pfms, side, side):
+            raise DimensionError(
+                f"expected stacks shaped (B, {self.n_pfms}, {side}, {side}) with B >= 1, got {data.shape}"
+            )
+        return data if data.dtype.type in T._FLOATS else data.astype(np.float32)
 
     def subnet_inputs(self, stacks) -> list[Tensor]:
         """Split a (B, N, S, S) array of stacked maps into N (B, 1, S, S) inputs.
@@ -238,11 +336,7 @@ class EpuModel:
         Each input is a view of its channel, not a copy: `T.conv_block` copies
         it into its padded buffer anyway.
         """
-        data = np.asarray(stacks)
-        if data.ndim != 4 or data.shape[1] != self.n_pfms:
-            raise DimensionError(
-                f"expected stacks shaped (B, {self.n_pfms}, S, S), got {data.shape}"
-            )
+        data = self._checked(stacks)
         return [Tensor(data[:, i : i + 1]) for i in range(self.n_pfms)]
 
     def logits(self, scores) -> Tensor:
@@ -259,48 +353,49 @@ class EpuModel:
 def state_size(arch: ArchConfig) -> int:
     """Floats in the parameters and buffers of a model, by arithmetic alone:
     what `build_model(arch)` would allocate, as `state_arrays` lists it."""
-    k = arch.kernel_size
-    per_subnet, cin, side = 0, 1, arch.input_side
-    for count, depth in arch.blocks:
-        per_subnet += depth * cin * k * k + (count - 1) * depth * depth * k * k
-        # gamma, beta, running mean and running variance
-        per_subnet += 4 * depth
-        cin, side = depth, math.ceil(side / T.POOL_WINDOW)
-    flat_dim = cin * side * side
-    per_subnet += (flat_dim + 1) * arch.fc_width + arch.fc_width + 1
-    return len(PFM_LABELS) * per_subnet + 1
+    return len(PFM_LABELS) * sum(math.prod(shape) for shape, _, _ in _layout(arch)) + 1
 
 
 def build_model(arch: ArchConfig, seed: int | None = 0, class_names=None) -> EpuModel:
     """Construct one independently initialized sub-network per feature map
     and a zero intercept.
 
-    Sub-network i draws its weights from `default_rng([seed, i])`. With
+    Each array of the `_layout` is allocated once for all sub-networks, with
+    a leading sub-network axis (`EpuModel.stacks`). Sub-network i draws its
+    weights from `default_rng([seed, i])`, in `_layout` order. With
     `seed=None` no weights are drawn and all are zero, for a caller that
     restores every parameter afterwards (as `load_checkpoint` does).
     """
-    subnets = [
-        SubNetwork(arch, None if seed is None else np.random.default_rng([seed, i]))
-        for i in range(len(PFM_LABELS))
-    ]
+    n, layout = len(PFM_LABELS), _layout(arch)
+    # zeros first: pages of an array that stays zero are never touched
+    stacks = [np.zeros((n, *shape), np.float32) for shape, _, _ in layout]
+    for a, (_, _, start) in zip(stacks, layout):
+        if start:
+            a.fill(start)
+    if seed is not None:
+        for i in range(n):
+            rng = np.random.default_rng([seed, i])
+            for a, (shape, fan_in, _) in zip(stacks, layout):
+                if fan_in:
+                    a[i] = T.kaiming_uniform(shape, fan_in=fan_in, rng=rng)
     beta = Tensor(np.zeros(1, np.float32), requires_grad=True)
-    return EpuModel(arch, subnets, beta, class_names)
+    return EpuModel(arch, stacks, beta, class_names)
 
 
 def predict(model: EpuModel, stacks, layer: int | None = None):
-    """Evaluation-mode `forward_batch` without a graph, as float64 arrays.
+    """Evaluation-mode `forward_batch`, as float64 arrays.
 
     `stacks` is a (B, N, S, S) array; one image's `PfmStack` is
     `stack.maps[None]`. Returns (probabilities (B,), scores (B, N)); with
-    `layer`, a third item lists each sub-network's activations at that
-    1-based conv layer, (B, C, H, W) each. Every layer treats samples
-    independently in evaluation mode, so each sample's outputs are bitwise
-    those of predicting it alone.
+    `layer`, a third item holds every sub-network's activations at that
+    1-based conv layer, (N, B, C, H, W): item i is sub-network i's. Every
+    layer treats samples independently in evaluation mode, so each sample's
+    outputs are bitwise those of predicting it alone.
 
     Runs with numpy's floating-point warnings off: weights that overflow show
     as non-finite outputs, which callers check.
     """
-    with T.no_grad(), np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         result = model.forward_batch(stacks, training=False, layer=layer)
     prob = result[0].data.astype(np.float64)
     scores = np.concatenate([s.data for s in result[1]], axis=1).astype(np.float64)

@@ -10,7 +10,11 @@ rows of the benchmark's op table. Every op is a module-level function (`add`,
 `relu`, `tsum`, `backward`, ...); a `Tensor` has no operator overloads.
 `conv_block` and `batchnorm2d` take a whole batch and work through it in
 parts of `MICRO_BATCH` samples, so their temporaries are sized for one part;
-each records one vertex per call.
+each records one vertex per call. Training runs these ops on each
+sub-network in turn. Inference records no graph and calls none of them: it
+runs their array helpers (`_block_part`, `_relu_array`, `_bn_affine`) once
+over all sub-networks stacked, which they take as a leading axis
+(`model.EpuModel.forward_batch`).
 
 The operation graph is kept apart from tensor data. A computed tensor points
 at a private op record, its vertex: the backward closure plus the vertices of
@@ -389,14 +393,15 @@ def _pad_flat(a: Array, pad: int):
     """Zero-pad H and W by `pad` on both sides, then row-flatten with one
     spare zero row.
 
-    Returns (flat, hp, wp) where flat has shape (B, C, (hp + 1) * wp). The
-    spare row keeps every shifted window of `_xcorr` inside the buffer.
+    Returns (flat, hp, wp) where flat has shape (..., C, (hp + 1) * wp) for
+    input (..., C, H, W). The spare row keeps every shifted window of
+    `_xcorr` inside the buffer.
     """
-    batch, ch, h, w = a.shape
+    *lead, h, w = a.shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    flat = np.zeros((batch, ch, hp + 1, wp), dtype=a.dtype)
-    flat[:, :, pad : pad + h, pad : pad + w] = a
-    return flat.reshape(batch, ch, (hp + 1) * wp), hp, wp
+    flat = np.zeros((*lead, hp + 1, wp), dtype=a.dtype)
+    flat[..., pad : pad + h, pad : pad + w] = a
+    return flat.reshape(*lead, (hp + 1) * wp), hp, wp
 
 
 def _xcorr(flat: Array, hp: int, wp: int, kernels: Array) -> Array:
@@ -404,27 +409,33 @@ def _xcorr(flat: Array, hp: int, wp: int, kernels: Array) -> Array:
 
     Kernel offset (i, j) reads the contiguous window flat[..., o : o + ho*wp]
     with o = i*wp + j, so each offset is one GEMM over row-flattened pixels.
-    Returns (B, O, ho, wp); the last kw - 1 columns of every row wrap into
-    the next row and are dropped by the caller.
+    A (B, C, L) buffer takes (O, C, kh, kw) kernels and returns (B, O, ho,
+    wp). A buffer and kernels with a leading sub-network axis, (N, B, C, L)
+    and (N, O, C, kh, kw), correlate each sub-network's samples with its own
+    kernels, that axis leading each matmul, and return (N, B, O, ho, wp):
+    every sample runs the GEMMs it runs alone. The last kw - 1 columns of
+    every row wrap into the next row and are dropped by the caller.
     """
-    batch, cin = flat.shape[:2]
-    cout, _, kh, kw = kernels.shape
+    *lead, cin, _ = flat.shape
+    *klead, cout, _, kh, kw = kernels.shape
     ho = hp - kh + 1
     span = ho * wp
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     if cin * kh * kw <= _STACKED_MAX_PATCH:
-        stacked = np.empty((batch, cin, kh * kw, span), dtype=flat.dtype)
+        stacked = np.empty((*lead, cin, kh * kw, span), dtype=flat.dtype)
         for n, o in enumerate(offsets):
-            stacked[:, :, n] = flat[:, :, o : o + span]
-        out = np.matmul(kernels.reshape(cout, -1), stacked.reshape(batch, -1, span))
+            stacked[..., n, :] = flat[..., o : o + span]
+        out = np.matmul(kernels.reshape(*klead, 1, cout, -1), stacked.reshape(*lead, -1, span))
     else:
         # one contiguous (O, C) matrix per offset, so numpy's matmul hands it to BLAS
-        per_offset = np.ascontiguousarray(kernels.transpose(2, 3, 0, 1)).reshape(-1, cout, cin)
-        out = np.matmul(per_offset[0], flat[:, :, :span])
+        nd = kernels.ndim
+        per_offset = np.ascontiguousarray(kernels.transpose(nd - 2, nd - 1, *range(nd - 2)))
+        per_offset = per_offset.reshape(kh * kw, *klead, 1, cout, cin)
+        out = np.matmul(per_offset[0], flat[..., :span])
         tmp = np.empty_like(out)
         for n, o in enumerate(offsets[1:], 1):
-            out += np.matmul(per_offset[n], flat[:, :, o : o + span], out=tmp)
-    return out.reshape(batch, cout, ho, wp)
+            out += np.matmul(per_offset[n], flat[..., o : o + span], out=tmp)
+    return out.reshape(*lead, cout, ho, wp)
 
 
 def _check_conv(xshape, kshape) -> None:
@@ -439,10 +450,12 @@ def _check_conv(xshape, kshape) -> None:
 
 
 def _conv_forward(xd: Array, kd: Array) -> Array:
-    """Conv output of a checked input and kernels: a view into the GEMM's
-    buffer, whose rows carry k - 1 wrapped columns past the view."""
-    flat, hp, wp = _pad_flat(xd, kd.shape[2] // 2)
-    return _xcorr(flat, hp, wp, kd)[..., : xd.shape[3]]
+    """"Same" conv output of a checked input and kernels, or of a stacked
+    (N, B, C, H, W) input and (N, O, C, k, k) kernels (see `_xcorr`): a view
+    into the GEMM's buffer, whose rows carry k - 1 wrapped columns past the
+    view."""
+    flat, hp, wp = _pad_flat(xd, kd.shape[-1] // 2)
+    return _xcorr(flat, hp, wp, kd)[..., : xd.shape[-1]]
 
 
 def _conv_backward(xd: Array, kd: Array, up: Array, want_gk: bool, want_gx: bool):
@@ -536,28 +549,29 @@ def _unpack_index(packed: Array, wo: int) -> Array:
 def _pool_max(xd: Array, record: bool):
     """Max-pool output of `xd` and, when `record`, its winner index (else None).
 
-    Every max-pool of the package runs here. See `maxpool2d` for the order of
-    ties and NaNs that the output and the index follow. The index of a (B, C,
-    ho, wo) output is (B, C, ho, ceil(wo / 4)) uint8, packed by `_pack_index`;
-    a ragged row's last byte is zero-padded.
+    Every max-pool of the package runs here. It pools the last two axes of
+    an array of any leading shape. See `maxpool2d` for the order of ties and
+    NaNs that the output and the index follow. The index of a (B, C, ho, wo)
+    output is (B, C, ho, ceil(wo / 4)) uint8, packed by `_pack_index`; a
+    ragged row's last byte is zero-padded.
     """
     k = POOL_WINDOW
-    batch, ch, h, w = xd.shape
+    *lead, h, w = xd.shape
     ho, wo = -(-h // k), -(-w // k)
     ph, pw = ho * k - h, wo * k - w
     if ph or pw:
-        xp = np.pad(xd, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
+        xp = np.pad(xd, ((0, 0),) * len(lead) + ((0, ph), (0, pw)), constant_values=-np.inf)
     else:
         xp = xd
-    out = xp[:, :, ::k, ::k].copy()
+    out = xp[..., ::k, ::k].copy()
     win = None
     if record:
         # the offsets go in a row padded to whole bytes of the packed index
-        full = np.zeros((batch, ch, ho, -(-wo // 4) * 4), dtype=np.uint8)
+        full = np.zeros((*lead, ho, -(-wo // 4) * 4), dtype=np.uint8)
         win = full[..., :wo]
         gt, cand = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=np.uint8)
     for n, (i, j) in enumerate(_POOL_OFFSETS[1:], 1):
-        v = xp[:, :, i::k, j::k]
+        v = xp[..., i::k, j::k]
         if record:
             # offsets come in increasing order, so a later strict winner has
             # the larger index; a max is several times faster than a masked copy
@@ -571,7 +585,7 @@ def _pool_max(xd: Array, record: bool):
         if nan.any():
             # a NaN never compares greater; its window goes to its first NaN
             for n, (i, j) in reversed(list(enumerate(_POOL_OFFSETS))):
-                np.copyto(win, np.uint8(n), where=nan & np.isnan(xp[:, :, i::k, j::k]))
+                np.copyto(win, np.uint8(n), where=nan & np.isnan(xp[..., i::k, j::k]))
         win = _pack_index(full)
     return out, win
 
@@ -649,7 +663,31 @@ def _join_parts(rebuild, batch: int) -> Array:
     return out
 
 
-def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Array]:
+def _block_part(h: Array, kds, record: bool, tap: int | None = None):
+    """A conv block's forward on one part, up to its last ReLU: conv, ReLU,
+    ..., conv, max-pool. The part is (B, C, H, W) with (O, C, k, k) kernels,
+    or stacked sub-networks, (N, B, C, H, W) with (N, O, C, k, k) kernels
+    (see `_xcorr`).
+
+    Returns (pooled, winner index when `record` else None, activations):
+    with `tap`, a 0-based conv index, the activations are that conv's
+    post-ReLU output, else None. The last conv's ReLU runs after the pool, so
+    its activations are a ReLU of the unpooled output, bitwise `relu`'s.
+    """
+    act, last = None, len(kds) - 1
+    for n, kd in enumerate(kds):
+        h = _conv_forward(h, kd)
+        if n < last:
+            _relu_array(h, out=h)
+            if n == tap:
+                act = h
+        elif n == tap:
+            act = np.maximum(h, 0)
+    pooled, win = _pool_max(h, record)
+    return pooled, win, act
+
+
+def conv_block(x, kernels) -> Tensor:
     """One conv block on NCHW input: conv, ReLU, ..., conv, max-pool, ReLU.
 
     The convs run in the order of `kernels`, each as `conv2d` does: "same"
@@ -674,16 +712,16 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
     backward reads only its input and the gradient that the winner index
     scatters.
 
-    With `tap`, a 0-based conv index, returns (output, that conv's post-ReLU
-    activations as a full-resolution array outside the graph) instead.
+    A sub-network's forward in training runs its blocks through this op, one
+    sub-network at a time. Evaluation runs no graph and does not call it: it
+    runs each part through `_block_part`, as this op does, over all
+    sub-networks at once (see `model.EpuModel.forward_batch`).
     """
     x = _astensor(x)
     kts = [_astensor(k) for k in kernels]
     if not kts:
         raise ContractError("conv_block needs at least one kernel")
     last = len(kts) - 1
-    if tap is not None and not 0 <= tap <= last:
-        raise ContractError(f"conv_block tap must be in 0..{last}, got {tap}")
     xd, kds = x.data, [k.data for k in kts]
     if xd.ndim != 4 or xd.shape[0] == 0:
         raise DimensionError(f"conv_block expects NCHW input of at least one sample, got shape {xd.shape}")
@@ -699,21 +737,9 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
     rebuild = xv.rebuild if type(xv) is _Op else None
     kept = None if rebuild else xd
     batch, ch, cw = xd.shape[0], *xd.shape[2:]
-    out = win = act = None
+    out = win = None
     for s in _parts(batch):
-        h = xd[s]
-        for n, kd in enumerate(kds):
-            h = _conv_forward(h, kd)
-            if n < last:
-                _relu_array(h, out=h)
-            if n == tap:
-                act = _batch_array(act, batch, h)
-                if n < last:
-                    act[s] = h
-                else:
-                    np.maximum(h, 0, out=act[s])
-        pooled, part_win = _pool_max(h, record)
-        del h
+        pooled, part_win, _ = _block_part(xd[s], kds, record)
         out = _batch_array(out, batch, pooled)
         _relu_array(pooled, out=out[s])
         if record:
@@ -748,8 +774,7 @@ def conv_block(x, kernels, tap: int | None = None) -> Tensor | tuple[Tensor, Arr
             _push(fresh, kv, gk)
         _push(fresh, xv, gx_all)
 
-    result = _node(out, (xv, *kvs), grad_fn)
-    return result if tap is None else (result, act)
+    return _node(out, (xv, *kvs), grad_fn)
 
 
 _BN_AXES = (0, 2, 3)
@@ -759,14 +784,26 @@ _BN_EPS = 1e-5
 
 
 def _bn_normalize(xd: Array, mean: Array, ivstd: Array):
-    """Centered input and normalized input of batchnorm.
+    """Centered input and normalized input of batchnorm: `mean` and `ivstd`
+    broadcast over the last two axes of `xd`, so (C,) statistics normalize
+    (B, C, H, W) input and (N, 1, C) statistics a stacked (N, B, C, H, W) one.
 
     Forward and backward both call this, so backward's recomputed arrays are
     bitwise the ones forward used.
     """
-    bc = (1, xd.shape[1], 1, 1)
-    xc = xd - mean.reshape(bc)
-    return xc, xc * ivstd.reshape(bc)
+    xc = xd - mean[..., None, None]
+    return xc, xc * ivstd[..., None, None]
+
+
+def _bn_ivstd(var: Array) -> Array:
+    return 1.0 / np.sqrt(var + _BN_EPS)
+
+
+def _bn_affine(xd: Array, mean: Array, ivstd: Array, gamma: Array, beta: Array) -> Array:
+    """Batchnorm's output gamma * xhat + beta, every argument broadcast as in
+    `_bn_normalize`. `batchnorm2d` and the evaluation pass over stacked
+    sub-networks both normalize here."""
+    return gamma[..., None, None] * _bn_normalize(xd, mean, ivstd)[1] + beta[..., None, None]
 
 
 def batchnorm2d(x, gamma, beta, running_mean: Array, running_var: Array, training: bool) -> Tensor:
@@ -803,11 +840,11 @@ def batchnorm2d(x, gamma, beta, running_mean: Array, running_var: Array, trainin
     else:
         # a copy: backward must see the statistics that forward used
         mean, var = running_mean.copy(), running_var
-    ivstd = 1.0 / np.sqrt(var + _BN_EPS)
+    ivstd = _bn_ivstd(var)
     batch, bc = xd.shape[0], (1, ch, 1, 1)
 
     def rebuild(s):
-        return gd.reshape(bc) * _bn_normalize(xd[s], mean, ivstd)[1] + bd.reshape(bc)
+        return _bn_affine(xd[s], mean, ivstd, gd, bd)
 
     out = _join_parts(rebuild, batch)
     xv, gv, bv = _vertex(x), _vertex(gt), _vertex(bt)

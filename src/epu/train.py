@@ -9,7 +9,8 @@ over up to one process per core, at most one per sub-network: each process
 extracts a contiguous share of the batch's feature maps into one shared
 buffer, then runs its sub-networks forward and back, while the calling
 process computes the loss. `evaluate` splits its chunks into contiguous runs
-and scores one run in the calling process and each other run in a child.
+and scores one run in the calling process and each other run in a child;
+each chunk runs all sub-networks at once, as one stack (`model.predict`).
 Both fork their children for the call (`_fork_map`), and neither's results
 depend on the process count: each sub-network, and each evaluated sample,
 runs as it would in one process alone.
@@ -52,8 +53,14 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"EPU1\n"
 CHECKPOINT_FORMAT = "2"
-# images per `predict` call in `evaluate`: larger chunks held more memory
-# without scoring faster
+# Images per `predict` call in `evaluate`. The stacked inference pass runs one
+# image, its four sample-maps, at a time in any chunk, so the chunk sets the
+# calls per image and how the chunks split over processes. On the benchmark's
+# `score` workload (desk fixture, 40 images, two processes), 150 alternating
+# in-process rounds scored chunks of 1, 2, 4 and 8 images at 0.95, 0.98, 1.00
+# and 0.88 times the speed of the per-sub-network pass with chunks of 4
+# (median of paired ratios); `score` peak RSS read 39.9, 39.9, 39.9 and
+# 40.4 MB (two runs each), against 39.8-39.9 MB for that pass.
 EVAL_CHUNK = 4
 
 
@@ -127,11 +134,6 @@ def _binary_labels(labels, count: int) -> np.ndarray:
     return labels
 
 
-def _subnet_arrays(sn) -> list[np.ndarray]:
-    """One sub-network's parameter arrays, then its running statistics."""
-    return [p.data for p in sn.parameters()] + [a for b in sn.blocks for a in (b.running_mean, b.running_var)]
-
-
 # The last training batch's map buffer, with the pid of the process that made
 # it. The next batch in that process reuses it while it is large enough, since
 # a fresh mapping is page-faulted in again on every batch. A step holds it out
@@ -188,14 +190,14 @@ def _train_step(model: EpuModel, fill, labels, lr: float):
         fill(stacks[lo:hi], lo, hi)
         yield None  # every share of the maps is written
         mine = range(k, n, procs)
-        scores = [model.subnets[i].forward(inputs[i], training=True) for i in mine]
+        scores = [model.subnets[i].forward(inputs[i]) for i in mine]
         grads = yield [s.data for s in scores]
         params = [p for i in mine for p in model.subnets[i].parameters()]
         T.zero_grads(params)
         for s, g in zip(scores, grads):
             T.backward(s, g)
         T.sgd_step(params, lr)
-        return [_subnet_arrays(model.subnets[i]) for i in mine]
+        return [model.subnets[i].state_arrays() for i in mine]
 
     value = prob = None
 
@@ -219,7 +221,7 @@ def _train_step(model: EpuModel, fill, labels, lr: float):
         results = _fork_map("training worker", share, range(procs), meet)
     for k in range(1, procs):
         for i, arrays in zip(range(k, n, procs), results[k]):
-            for dst, src in zip(_subnet_arrays(model.subnets[i]), arrays):
+            for dst, src in zip(model.subnets[i].state_arrays(), arrays):
                 dst[...] = src
     _SPARE_MAPPING[:] = [(os.getpid(), mapping)]
     if not all(np.isfinite(a).all() for a in model.state_arrays()):
@@ -676,9 +678,12 @@ def evaluate(model: EpuModel, images, labels) -> EvalReport:
     `records` holds one `EvalRecord` per image, in image order.
 
     Images are turned into feature-map stacks and scored `EVAL_CHUNK` at a
-    time, so the whole set's stacks are never held at once. A forward pass
-    scores each sample independently of its chunk-mates, so the records do
-    not depend on the chunk size or on the order of the images.
+    time, so the whole set's stacks are never held at once. Each chunk is one
+    `predict` call, which runs the four sub-networks as one stack, each layer
+    once over all of them, without a graph; training instead runs each
+    sub-network on its own. A forward pass scores each sample independently
+    of its chunk-mates, so the records do not depend on the chunk size or on
+    the order of the images.
 
     The chunks are split into contiguous runs, one per process (see
     `_workers`): this process scores the first run and a forked child each

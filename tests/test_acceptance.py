@@ -91,13 +91,13 @@ def _layer_cases(rng):
 
 
 def _pool_argmax(arr, window):
-    b, c, h, w = arr.shape
+    *lead, h, w = arr.shape
     ho, wo = -(-h // window), -(-w // window)
     ph, pw = ho * window - h, wo * window - w
     if ph or pw:
-        arr = np.pad(arr, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
-    tiles = arr.reshape(b, c, ho, window, wo, window).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(tiles).reshape(b, c, ho, wo, window * window).argmax(axis=-1)
+        arr = np.pad(arr, ((0, 0),) * len(lead) + ((0, ph), (0, pw)), constant_values=-np.inf)
+    tiles = np.stack([arr[..., i::window, j::window] for i in range(window) for j in range(window)], axis=-1)
+    return tiles.argmax(axis=-1)
 
 
 class _DecisionRecorder:
@@ -140,29 +140,63 @@ def _same_patterns(a, b):
     return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _subnet_decisions_reference(sn, x):
+    """Evaluation-mode forward of one sub-network on the whole batch,
+    composed of the public ops in the block's order (conv, ReLU, ..., conv,
+    max-pool, ReLU, batchnorm), for the recorder to log."""
+    with T.no_grad():
+        h = Tensor(x)
+        for block in sn.blocks:
+            for n, kernel in enumerate(block.kernels):
+                h = T.conv2d(h, kernel, padding=sn.arch.kernel_size // 2)
+                if n < len(block.kernels) - 1:
+                    h = T.relu(h)
+            h = T.relu(T.maxpool2d(h, T.POOL_WINDOW))
+            h = T.batchnorm2d(h, block.gamma, block.beta, block.running_mean, block.running_var, False)
+        T.relu(T.dense(T.flatten_batch(h), sn.fc_weight, sn.fc_bias))
+
+
 def test_c01_recorder_logs_every_decision():
-    # per sub-network of a desk forward: in each block, part by part, the
-    # inner conv ReLUs, the pool and the pooled ReLU; then the dense ReLU on
-    # the whole batch; in training and in predict
+    # a desk forward in training, per sub-network: in each block, part by
+    # part, the inner conv ReLUs, the pool and the pooled ReLU; then the dense
+    # ReLU on the whole batch. In predict, the same decisions of all four
+    # sub-networks at once, stacked (N, 1, ...), image by image, and element
+    # for element those of each sub-network run alone
     arch = PRESETS["desk"]
     model = build_model(arch, seed=0)
-    batch = 19  # parts of 8, 8 and 3 samples
+    batch = 19  # training parts of 8, 8 and 3 samples
     stacks = np.random.default_rng(0).uniform(-1, 1, size=(batch, 4, 64, 64)).astype(np.float32)
-    parts = (8, 8, 3)
-    want = []
-    side = arch.input_side
-    for count, depth in arch.blocks:
-        for n in parts:
-            want += [("relu", (n, depth, side, side))] * (count - 1)
-            want += [("pool", (n, depth, side // 2, side // 2)), ("relu", (n, depth, side // 2, side // 2))]
-        side //= 2
-    want += [("relu", (batch, arch.fc_width))]
-    assert len(want) == 10 * len(parts) + 1
+
+    def decisions(parts, lead):
+        want, side = [], arch.input_side
+        for count, depth in arch.blocks:
+            for n in parts:
+                want += [("relu", (*lead(n), depth, side, side))] * (count - 1)
+                want += [("pool", (*lead(n), depth, side // 2, side // 2))]
+                want += [("relu", (*lead(n), depth, side // 2, side // 2))]
+            side //= 2
+        return want
+
+    def kinds(logged):
+        return [("relu" if p.dtype == bool else "pool", p.shape) for p in logged]
+
+    n = model.n_pfms
+    want = decisions((8, 8, 3), lambda b: (b,)) + [("relu", (batch, arch.fc_width))]
+    assert len(want) == 10 * 3 + 1
+    # predict runs one image, its four sample-maps, at a time
+    per_image = decisions((1,), lambda b: (n, b)) + [("relu", (n, 1, arch.fc_width))]
     with _DecisionRecorder() as rec:
-        for run in (lambda: model.forward_batch(stacks, training=True), lambda: predict(model, stacks, layer=6)):
-            _, logged = rec.run(run)
-            got = [("relu" if p.dtype == bool else "pool", p.shape) for p in logged]
-            assert got == want * model.n_pfms
+        _, logged = rec.run(lambda: model.forward_batch(stacks, training=True))
+        assert kinds(logged) == want * n
+        _, logged = rec.run(lambda: predict(model, stacks, layer=6))
+        assert kinds(logged) == per_image * batch
+        steps = len(per_image)
+        joined = [np.concatenate(logged[j::steps], axis=1) for j in range(steps)]
+        for i, sn in enumerate(model.subnets):
+            _, alone = rec.run(lambda: _subnet_decisions_reference(sn, stacks[:, i : i + 1]))
+            assert len(alone) == steps
+            for got, ref in zip(joined, alone):
+                assert got[i].shape == ref.shape and np.array_equal(got[i], ref)
 
 
 def test_c01_gradient_correctness():

@@ -353,10 +353,10 @@ def test_explain_failure_after_predict_writes_nothing(tmp_path, trained, ds_root
     # every artifact is built before the first is written
     from epu import cli
 
-    def build_prm(*args, **kwargs):
-        raise MemoryError("no room for the relevance map")
+    def build_prms(*args, **kwargs):
+        raise MemoryError("no room for the relevance maps")
 
-    monkeypatch.setattr(cli, "build_prm", build_prm)
+    monkeypatch.setattr(cli, "build_prms", build_prms)
     out = tmp_path / "e"
     argv = ["explain", "--model", str(trained / "checkpoint.epu"), "--image", str(ds_root / "disk/00000.ppm"),
             "--out", str(out), "--layer", "2"]

@@ -348,6 +348,49 @@ def test_build_prm_layer_bounds():
         I.build_prm(np.ones((4, 4)), out_h=8, out_w=8)
 
 
+def _prm_alone(maps, out_h, out_w):
+    """(plane, threshold, mask) of one layer's maps through the single-map stages."""
+    from epu.pfm import upsample
+
+    plane = upsample(I.aggregate(I.select_informative(maps)), out_h, out_w)
+    try:
+        threshold = I.yen_threshold(plane)
+    except DegenerateInputError:
+        return plane, None, np.zeros(plane.shape, dtype=bool)
+    return plane, threshold, plane >= threshold
+
+
+def test_build_prms_matches_each_layer_alone_bitwise():
+    # relu-like maps of 1 to 8 channels, square and not, upsampled to square
+    # and non-square planes; one stack all zeros (constant aggregate), one
+    # with NaNs, one on a coarse grid (tied entropies), one of a single value
+    # per map (flat rows in the ranking)
+    rng = np.random.default_rng(41)
+    for c, (h, w), (oh, ow) in [(1, (4, 4), (8, 8)), (3, (9, 7), (13, 21)), (8, (16, 16), (64, 64)),
+                                (5, (1, 6), (6, 6))]:
+        stacks = np.maximum(rng.standard_normal((6, c, h, w)), 0).astype(np.float32)
+        stacks[1] = 0.0
+        stacks[2, 0, 0, :2] = np.nan
+        stacks[3] = np.round(stacks[3] * 2) / 2
+        stacks[4] = rng.standard_normal((c, 1, 1))
+        prms = I.build_prms(stacks, oh, ow)
+        assert len(prms) == len(stacks)
+        for k, prm in enumerate(prms):
+            plane, threshold, mask = _prm_alone(stacks[k], oh, ow)
+            assert prm.plane.dtype == plane.dtype and prm.plane.tobytes() == plane.tobytes(), (c, k)
+            assert prm.threshold == threshold and np.array_equal(prm.mask, mask), (c, k)
+            one = I.build_prm(stacks[k], oh, ow)
+            assert one.plane.tobytes() == plane.tobytes() and one.threshold == threshold
+        assert prms[1].threshold is None and not prms[1].mask.any()
+
+
+def test_build_prms_shape_errors():
+    with pytest.raises(DimensionError):
+        I.build_prms(np.ones((4, 4, 4)), 8, 8)
+    with pytest.raises(ContractError):
+        I.build_prms(np.ones((2, 0, 4, 4)), 8, 8)
+
+
 def test_prm_mask_monotone_in_threshold():
     rng = np.random.default_rng(8)
     plane = rng.uniform(size=(16, 16))
@@ -480,6 +523,21 @@ def test_overlay_changes_exactly_masked_pixels():
     out = I.overlay_prm(img, prm)
     differs = np.any(out.pixels != img.pixels, axis=-1)
     assert np.array_equal(differs, mask)
+
+
+def test_overlay_blends_masked_pixels_bitwise():
+    # each masked pixel is 0.5 * pixel + 0.5 * (255, 165 + 90 v, 0), rounded
+    rng = np.random.default_rng(12)
+    img = RgbImage(rng.integers(0, 256, (9, 11, 3), dtype=np.uint8))
+    plane = rng.uniform(size=(9, 11))
+    plane[0, :3] = [0.0, 1.0, 0.5]
+    prm = I.Prm(plane=plane, threshold=0.3, mask=plane >= 0.3)
+    want = img.pixels.astype(np.float64)
+    v = plane[prm.mask]
+    tint = np.stack([np.full_like(v, 255.0), 165.0 + 90.0 * v, np.zeros_like(v)], axis=-1)
+    want[prm.mask] = 0.5 * want[prm.mask] + 0.5 * tint
+    want = np.clip(np.rint(want), 0, 255).astype(np.uint8)
+    assert I.overlay_prm(img, prm).pixels.tobytes() == want.tobytes()
 
 
 def test_overlay_dimension_mismatch():

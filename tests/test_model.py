@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -178,6 +179,124 @@ def test_predict_activations_match_relu_before_pool_reference():
             assert acts[i].dtype == want_acts.dtype and acts[i].tobytes() == want_acts.tobytes(), k
 
 
+def _random_statistics(m, rng):
+    for sn in m.subnets:
+        for bn in sn.blocks:
+            bn.running_mean[:] = rng.standard_normal(bn.running_mean.shape)
+            bn.running_var[:] = rng.uniform(0.5, 2.0, bn.running_var.shape)
+            bn.gamma.data[:] = rng.uniform(0.5, 1.5, bn.gamma.data.shape)
+            bn.beta.data[:] = rng.standard_normal(bn.beta.data.shape) * 0.1
+
+
+def _assert_predict_matches_reference(m, stacks):
+    """`predict`'s probabilities, scores and activations at every layer,
+    bitwise against `_forward_relu_then_pool` run on each sub-network alone
+    and the logit summed in sub-network order."""
+    for k in range(1, m.arch.conv_layer_count + 1):
+        prob, scores, acts = M.predict(m, stacks, layer=k)
+        assert acts.shape[:2] == (m.n_pfms, len(stacks))
+        refs = [_forward_relu_then_pool(sn, stacks[:, i : i + 1], k) for i, sn in enumerate(m.subnets)]
+        for i, (want_scores, want_acts) in enumerate(refs):
+            assert scores[:, i : i + 1].tobytes() == want_scores.astype(np.float64).tobytes(), (k, i)
+            assert acts[i].dtype == want_acts.dtype and acts[i].tobytes() == want_acts.tobytes(), (k, i)
+        total = refs[0][0]
+        for want_scores, _ in refs[1:]:
+            total = total + want_scores
+        want_prob = T.sigmoid((total + m.beta.data).reshape(-1)).data
+        assert prob.tobytes() == want_prob.astype(np.float64).tobytes(), k
+
+
+@pytest.mark.parametrize("blocks", [((1, 2), (1, 3)), ((2, 4), (3, 8)), ((3, 3), (1, 4), (2, 5))])
+def test_stacked_pass_matches_per_subnetwork_composition(blocks):
+    # kernels 3 and 5; sides 9 and 21 pool raggedly, 13 at the second pool;
+    # batches of 1, 3 and 9 images
+    for k, side, batch in itertools.product((3, 5), (9, 13, 16, 21), (1, 3, 9)):
+        arch = M.ArchConfig(blocks=blocks, kernel_size=k, fc_width=5, input_side=side)
+        m = M.build_model(arch, seed=side * k + batch)
+        rng = np.random.default_rng([side, k, batch])
+        _random_statistics(m, rng)
+        m.beta.data[:] = rng.standard_normal()
+        _assert_predict_matches_reference(m, rng.uniform(-1, 1, size=(batch, 4, side, side)).astype(np.float32))
+
+
+def _stacked_activations_match_conv2d_relu(m, x):
+    """Every conv layer's activations of the first block in `predict`,
+    bitwise `T.relu(T.conv2d(...))` of the previous layer's, per sub-network."""
+    for i, sn in enumerate(m.subnets):
+        h = T.Tensor(x[:, i : i + 1])
+        for n, kernel in enumerate(sn.blocks[0].kernels, 1):
+            h = T.relu(T.conv2d(h, kernel, padding=1))
+            acts = M.predict(m, x, layer=n)[2]
+            assert acts[i].dtype == h.data.dtype and acts[i].tobytes() == h.data.tobytes(), (i, n)
+
+
+def test_stacked_pass_activations_match_conv2d_relu():
+    # blocks of 1 to 3 convs; batches of one part and of two; f32 and f64
+    # maps; ties (values on a 0.5 grid, so conv outputs tie and hit signed
+    # zeros) and NaNs that spread through the convs
+    rng = np.random.default_rng(37)
+    for count, batch, dtype, kind in itertools.product((1, 2, 3), (1, 3), (np.float32, np.float64),
+                                                       ("plain", "ties", "nans")):
+        arch = M.ArchConfig(blocks=((count, 3), (1, 2)), kernel_size=3, fc_width=3, input_side=9)
+        m = M.build_model(arch, seed=count)
+        x = rng.standard_normal((batch, 4, 9, 9))
+        if kind != "plain":
+            x = np.round(x * 2) / 2
+            for kernel in (k for sn in m.subnets for k in sn.blocks[0].kernels):
+                kernel.data[:] = np.round(kernel.data * 4) / 2
+        if kind == "nans":
+            x[rng.random(x.shape) < 0.02] = np.nan
+        _stacked_activations_match_conv2d_relu(m, x.astype(dtype))
+
+
+def test_stacked_pass_ragged_batch_activations_match_conv2d_relu():
+    # 19 images run one at a time, each as one part of its four sample-maps:
+    # each layer's activations are bitwise those of conv2d on the whole batch
+    arch = M.ArchConfig(blocks=((2, 3), (1, 2)), kernel_size=3, fc_width=3, input_side=13)
+    m = M.build_model(arch, seed=38)
+    x = np.random.default_rng(38).standard_normal((19, 4, 13, 13))
+    for dtype in (np.float32, np.float64):
+        _stacked_activations_match_conv2d_relu(m, x.astype(dtype))
+
+
+def _assert_views_of_the_stacks(m):
+    stacked = m.stacks
+    for i, sn in enumerate(m.subnets):
+        arrays = sn.state_arrays()
+        assert len(arrays) == len(stacked)
+        for a, stack in zip(arrays, stacked):
+            assert a.shape == stack.shape[1:] and np.shares_memory(a, stack[i])
+
+
+def test_subnetwork_arrays_are_views_of_the_stacks(tmp_path, monkeypatch):
+    # after build_model, load_checkpoint, and fit with one process and with
+    # two (whose worker's arrays are copied back into the model); predict
+    # then runs each stack as the sub-networks hold it
+    from epu import train as train_module
+
+    arch = M.ArchConfig(blocks=((2, 2), (1, 3)), kernel_size=3, fc_width=4, input_side=9)
+    m = M.build_model(arch, seed=1)
+    _assert_views_of_the_stacks(m)
+    path = str(tmp_path / "model.epu")
+    train_module.save_checkpoint(m, path)
+    loaded = train_module.load_checkpoint(path)
+    _assert_views_of_the_stacks(loaded)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(m.state_arrays(), loaded.state_arrays()))
+    rng = np.random.default_rng(15)
+    images, labels = rand_images(rng, 8), np.arange(8) % 2
+    stacks = rng.uniform(-1, 1, size=(3, 4, 9, 9)).astype(np.float32)
+    fitted = []
+    for cores in (1, 2):
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
+        config = train_module.TrainConfig(batch_size=4, epochs=2, seed=3)
+        fit = train_module.fit(images, labels, arch, config).model
+        _assert_views_of_the_stacks(fit)
+        _assert_predict_matches_reference(fit, stacks)
+        fitted.append(fit)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*(f.state_arrays() for f in fitted)))
+    assert not np.array_equal(fitted[0].subnets[0].fc_weight.data, m.subnets[0].fc_weight.data)
+
+
 def test_predict_leaves_no_state_on_the_model():
     m = M.build_model(M.PRESETS["desk"], seed=3)
     stacks = np.random.default_rng(1).uniform(-1, 1, size=(1, 4, 64, 64)).astype(np.float32)
@@ -292,7 +411,7 @@ def test_permuted_subnets_same_probability():
     stack = rand_stack(rng)
     base = M.predict(m, stack)[0][0]
     perm = [2, 0, 3, 1]
-    m2 = M.EpuModel(m.arch, [m.subnets[i] for i in perm], m.beta)
+    m2 = M.EpuModel(m.arch, [a[perm] for a in m.stacks], m.beta)
     stack2 = stack[:, perm]
     assert abs(M.predict(m2, stack2)[0][0] - base) <= 1e-6
     # identical ordering is bitwise stable
@@ -339,7 +458,7 @@ def test_subnet_input_requiring_grad_rejected():
     m = tiny_model()
     x = M.Tensor(np.zeros((2, 1, 9, 9), np.float32), requires_grad=True)
     with pytest.raises(ContractError):
-        m.subnets[0].forward(x, training=True)
+        m.subnets[0].forward(x)
 
 
 def test_build_model_validation():
@@ -369,7 +488,7 @@ def test_micro_batched_training_forward_uses_whole_batch_statistics():
     batch = 2 * T.MICRO_BATCH + 3
     rng = np.random.default_rng(7)
     x = rng.standard_normal((batch, 1, 16, 16)).astype(np.float32)
-    nets = [M.SubNetwork(arch, np.random.default_rng(8)) for _ in range(2)]
+    nets = [M.build_model(arch, seed=8).subnets[0] for _ in range(2)]
     for sn in nets:
         for bn, seed in zip(sn.blocks, (9, 10)):
             draw = np.random.default_rng(seed)
@@ -377,7 +496,7 @@ def test_micro_batched_training_forward_uses_whole_batch_statistics():
             bn.beta.data[:] = draw.standard_normal(bn.beta.data.shape)
             bn.running_mean[:] = draw.standard_normal(bn.running_mean.shape)
     model_net, ref = nets
-    out = model_net.forward(M.Tensor(x), training=True)
+    out = model_net.forward(M.Tensor(x))
 
     # the reference runs every layer on the unsplit batch
     with T.no_grad():
@@ -397,7 +516,7 @@ def test_micro_batched_training_forward_uses_whole_batch_statistics():
 
 def test_training_forward_retains_only_what_backward_reads():
     arch = M.PRESETS["desk"]
-    subnet = M.SubNetwork(arch, np.random.default_rng(0))
+    subnet = M.build_model(arch, seed=0).subnets[0]
     # one part, and three parts with a ragged tail: batchnorm keeps no copy
     # of the batch
     for batch in (T.MICRO_BATCH, 2 * T.MICRO_BATCH + 3):
@@ -420,7 +539,7 @@ def test_training_forward_retains_only_what_backward_reads():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = subnet.forward(M.Tensor(base.copy()), training=True)
+            out = subnet.forward(M.Tensor(base.copy()))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -457,9 +576,9 @@ def test_training_forward_keeps_no_batchnorm_output(monkeypatch):
 
     monkeypatch.setattr(T, "batchnorm2d", batchnorm2d)
     arch = M.PRESETS["desk"]
-    subnet = M.SubNetwork(arch, np.random.default_rng(0))
+    subnet = M.build_model(arch, seed=0).subnets[0]
     x = np.random.default_rng(2).standard_normal((2 * T.MICRO_BATCH + 3, 1, 64, 64)).astype(np.float32)
-    out = subnet.forward(M.Tensor(x), training=True)
+    out = subnet.forward(M.Tensor(x))
     assert len(refs) == len(arch.blocks)
     assert [r() is None for r in refs] == [True] * len(arch.blocks)
     T.backward(out, np.ones_like(out.data))

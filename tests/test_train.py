@@ -292,7 +292,7 @@ def test_train_epoch_worker_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(train_module, "_usable_cores", lambda: 4)
     model = build_model(TINY, seed=0)
 
-    def forward(x, training, layer=None):
+    def forward(x):
         raise DimensionError(f"subnet rejected its input in {os.getpid()}")
 
     model.subnets[2].forward = forward
